@@ -4,7 +4,8 @@ Everything in this package is computed exactly, so the only runaway risk is
 combinatorial size.  Operations that enumerate (tuple scans, difference
 multisets, digit sweeps) estimate their elementary unit count up front and
 charge it against a budget read from the ``RANKLAB_BUDGET`` environment
-variable (default 5,000,000 units).  Exceeding the budget raises
+variable (default 5,000,000 units; any value but a positive integer raises
+:class:`~ranklab.errors.ParamOutOfRange`).  Exceeding the budget raises
 :class:`~ranklab.errors.BudgetExceeded` instead of silently degrading to an
 approximation.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ParamOutOfRange
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -28,8 +29,10 @@ def enumeration_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
-    return value if value > 0 else DEFAULT_BUDGET
+        value = 0
+    if value < 1:
+        raise ParamOutOfRange(f"RANKLAB_BUDGET must be a positive integer, got {raw!r}")
+    return value
 
 
 def charge(units: int, what: str) -> None:

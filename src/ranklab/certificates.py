@@ -12,15 +12,18 @@ exact finite arithmetic settles the question at the inspected stages;
 anything limited by horizon, budget, or an unmet hypothesis is
 ``inconclusive``.  Witnesses (matched tuple pairs, progressions, shifts) are
 re-verified from raw integers before a certificate is emitted — a
-non-verifying witness is a bug, and asserts hard.
+non-verifying witness is a bug, and raises :class:`PreconditionViolated`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from ._budget import charge
@@ -37,6 +40,7 @@ from .errors import (
     HypothesisUnmet,
     NoPartnerStages,
     ParamOutOfRange,
+    PreconditionViolated,
     StageTooLow,
     StageUnavailable,
 )
@@ -206,40 +210,50 @@ class MatchWitness:
     residual: int
 
 
+def _require(ok: bool, message: str) -> None:
+    """Certificate guard that also runs under ``python -O``, unlike ``assert``."""
+    if not ok:
+        raise PreconditionViolated(message)
+
+
 def verify_match_witness(spec: RankOneSpec, witness: MatchWitness) -> None:
-    """Recheck a witness from raw integers; any failure asserts hard."""
+    """Recheck a witness from raw integers; any failure raises PreconditionViolated."""
     k = len(witness.powers)
-    assert k == len(witness.shifts) == len(witness.a) == len(witness.d)
-    assert k == len(witness.a_summands) == len(witness.d_summands)
-    assert k == len(witness.end_stages)
+    fields = (witness.shifts, witness.a, witness.d, witness.end_stages)
+    fields += (witness.a_summands, witness.d_summands)
+    _require(all(len(f) == k for f in fields), "witness fields disagree on arity")
     check_level(spec, witness.base)
     for c in range(k):
         end = witness.end_stages[c]
-        assert end > witness.base.stage
+        _require(end > witness.base.stage, f"end stage {end} of coordinate {c} too low")
         for total, summands in (
             (witness.a[c], witness.a_summands[c]),
             (witness.d[c], witness.d_summands[c]),
         ):
             stages = [g for g, _ in summands]
-            assert stages == sorted(set(stages)), "summand stages must increase"
-            assert all(witness.base.stage <= g < end for g in stages)
+            _require(stages == sorted(set(stages)), "summand stages must increase")
+            _require(
+                all(witness.base.stage <= g < end for g in stages),
+                f"summand stages of coordinate {c} outside [base, end)",
+            )
             acc = witness.base.height
             by_stage = {}
             for g, off in summands:
-                assert off in spec.height_set(g), f"offset {off} not in H_{g}"
+                _require(off in spec.height_set(g), f"offset {off} not in H_{g}")
                 acc += off
                 by_stage[g] = off
-            assert acc == total, f"summands of coordinate {c} do not add up"
+            _require(acc == total, f"summands of coordinate {c} do not add up")
             # The greedy decomposition is unique, so it must reproduce the
             # recorded offsets (zero-padded at unused stages).
             expect = tuple(
                 by_stage.get(g, 0) for g in range(witness.base.stage, end)
             )
             got = descendant_decompose(spec, witness.base, end, total)
-            assert got == expect, f"decomposition mismatch at coordinate {c}"
+            _require(got == expect, f"decomposition mismatch at coordinate {c}")
         lhs = witness.a[c] - witness.d[c] - witness.shifts[c]
-        assert lhs == witness.powers[c] * witness.residual, (
-            f"coordinate {c}: {lhs} != {witness.powers[c]} * {witness.residual}"
+        _require(
+            lhs == witness.powers[c] * witness.residual,
+            f"coordinate {c}: {lhs} != {witness.powers[c]} * {witness.residual}",
         )
 
 
@@ -883,9 +897,28 @@ class MixingEntry:
 
 @dataclass(frozen=True)
 class MixingResult:
-    entries: tuple[MixingEntry, ...]
+    """A sweep's verdict and summary, with one compact row per shift.
+
+    ``rows[i]`` holds the fields after ``m`` of the entry for ``shifts[i]``;
+    shifts of one window with equal counts share a row.  ``entries`` builds
+    the :class:`MixingEntry` tuple on first read.
+    """
+
+    shifts: tuple[int, ...]
+    rows: tuple[tuple[Any, ...], ...] = field(repr=False)
     verdict: str
     certificate: Certificate
+    in_window: int
+    violation_count: int
+    worst_ratio: Fraction | None
+
+    @cached_property
+    def entries(self) -> tuple[MixingEntry, ...]:
+        return tuple(MixingEntry(m, *row) for m, row in zip(self.shifts, self.rows))
+
+
+_ZERO_ROW = (None, None, Fraction(1), None, None, None, None, None, "zero shift")
+_BEYOND_ROW = (None,) * 8 + ("beyond the materialized stages",)
 
 
 def _window_bounds(spec: RankOneSpec, level: LevelRef, n: int) -> tuple[int, int]:
@@ -897,16 +930,65 @@ def _window_bounds(spec: RankOneSpec, level: LevelRef, n: int) -> tuple[int, int
     return max(1, lo), hi
 
 
-def _locate_window(spec: RankOneSpec, level: LevelRef, m: int) -> int | None:
-    n = level.stage
-    while True:
+def _window_tops(spec: RankOneSpec, level: LevelRef, reach: int) -> list[int]:
+    """Top shift of each window from ``level.stage`` on, until one reaches ``reach``.
+
+    Stage ``level.stage + i`` owns the shifts in ``(tops[i-1], tops[i]]``, so
+    one bisect locates a shift.  The list stops early at the first stage the
+    spec cannot materialize; shifts beyond its last top have no window.
+    """
+    tops: list[int] = []
+    top, n = 0, level.stage
+    while top < reach:
         try:
-            lo, hi = _window_bounds(spec, level, n)
+            top += max(spec.height_set(n))
         except StageUnavailable:
-            return None
-        if m <= hi:
-            return n if m >= lo else None  # m < max(1, maxD_i) only when m < 1
+            break
+        tops.append(top)
         n += 1
+    return tops
+
+
+class _ScanCounts:
+    """Difference multiplicities looked up by scanning the values: V steps each."""
+
+    def __init__(self, values: Sequence[int]) -> None:
+        self._values, self._members = values, set(values)
+
+    def get(self, d: int, default: int = 0) -> int:
+        return sum(1 for f in self._values if f + d in self._members) or default
+
+
+class _Window:
+    """One shift window: stage ``n``'s pairing data, evaluated at stage ``n + 1``."""
+
+    def __init__(self, spec: RankOneSpec, level: LevelRef, n: int, owned: int) -> None:
+        self.values = descendant_heights(spec, level, n + 1)
+        charge(owned * len(self.values), "overlap counts across a shift window")
+        self.n = n
+        self.top = spec.height(n + 1) - 1
+        # Multiplicity of each positive difference among the sorted distinct
+        # values.  Counting all V(V-1)/2 pairs pays off only when at least V/2
+        # lookups are due; either way the work stays within the charged units.
+        pairs = itertools.combinations(self.values, 2)
+        if 2 * owned >= len(self.values):
+            self.counts: Any = Counter(b - a for a, b in pairs)
+        else:
+            self.counts = _ScanCounts(self.values)
+        ps = partner_shift(spec.height_set(n))
+        self.delta = ps.delta if ps is not None else Fraction(0)
+        stage = spec.stage(n)
+        self.bound = max(Fraction(1, stage.r), self.delta)
+        self.hyp = stage.s[-1] >= max(spec.height_set(n)) + spec.height(n)
+        # (overlap count, pushed-out count) -> [row, least m with those counts]
+        self.records: dict[tuple[int, int], list[Any]] = {}
+
+    def row(self, inside: int, pushed: int) -> tuple[Any, ...]:
+        ratio = Fraction(inside, len(self.values))
+        violation = self.hyp and ratio > self.bound
+        note = None if self.hyp else "rightmost spacer below clearing height"
+        n, bound, delta, hyp = self.n, self.bound, self.delta, self.hyp
+        return (n, n + 1, ratio, pushed, bound, delta, hyp, violation, note)
 
 
 def mixing_decay(
@@ -924,6 +1006,16 @@ def mixing_decay(
     height), the bound max(1/r_n, delta_n) applies and is checked; without
     that hypothesis the entry is reported but carries no verdict weight.
     ``window=n`` enumerates every shift in stage ``n``'s window.
+
+    Cost: the V stage-``n+1`` descendants are sorted and distinct, so the
+    overlap at shift m is the multiplicity of difference |m| among them and
+    the pushed-out count is one bisect.  Counting a window's differences once
+    costs O(V²); each shift then costs one bisect to find its window and
+    O(log V) for its counts: O(V² + shifts·log V) instead of O(shifts·V).
+    A window owning fewer than V/2 shifts scans its V values per shift
+    instead, so the work never exceeds the units charged.  One ``Fraction``
+    is made per distinct pair of counts in a window.  ``entries`` is built
+    on demand; the certificate summary is gathered during the sweep.
     """
     check_level(spec, level)
     shifts: list[int] = list(ms)
@@ -934,90 +1026,59 @@ def mixing_decay(
             )
         lo, hi = _window_bounds(spec, level, window)
         shifts.extend(range(lo, hi + 1))
+    tops = _window_tops(spec, level, max(map(abs, shifts), default=0))
 
-    # Group by owning stage so each evaluation column is built once.
-    groups: dict[int, list[int]] = {}
-    order: list[tuple[int, int | None]] = []
-    for m in shifts:
+    # Each evaluation column is built and charged once, in order of first use.
+    owned = Counter(bisect_left(tops, abs(m)) for m in shifts if m)
+    windows: list[_Window | None] = [None] * (len(tops) + 1)
+    for i, count in owned.items():
+        if i < len(tops):
+            windows[i] = _Window(spec, level, level.stage + i, count)
+
+    rows: list[tuple[Any, ...]] = []
+    violating: list[int] = []
+    for idx, m in enumerate(shifts):
         mm = abs(m)
-        n = _locate_window(spec, level, mm) if mm else None
-        order.append((m, n))
-        if n is not None:
-            groups.setdefault(n, []).append(mm)
-
-    cache: dict[int, tuple[tuple[int, ...], set[int], int, Fraction, bool]] = {}
-    for n, group in groups.items():
-        values = descendant_heights(spec, level, n + 1)
-        charge(len(group) * len(values), "overlap counts across a shift window")
-        vset = set(values)
-        h_next = spec.height(n + 1)
-        ps = partner_shift(spec.height_set(n))
-        delta = ps.delta if ps is not None else Fraction(0)
-        stage = spec.stage(n)
-        hyp = stage.s[-1] >= max(spec.height_set(n)) + spec.height(n)
-        cache[n] = (values, vset, h_next, delta, hyp)
-
-    entries: list[MixingEntry] = []
-    any_checked = False
-    any_violation = False
-    for m, n in order:
-        if n is None:
-            note = "zero shift" if m == 0 else "beyond the materialized stages"
-            ratio = Fraction(1) if m == 0 else None
-            entries.append(
-                MixingEntry(m, None, None, ratio, None, None, None, None, None, note)
-            )
+        w = windows[bisect_left(tops, mm)] if mm else None
+        if w is None:
+            rows.append(_BEYOND_ROW if mm else _ZERO_ROW)
             continue
-        values, vset, h_next, delta, hyp = cache[n]
-        mm = abs(m)
-        inside = sum(1 for f in values if f + mm <= h_next - 1 and f + mm in vset)
-        pushed = sum(1 for f in values if f + mm > h_next - 1)
-        ratio = Fraction(inside, len(values))
-        bound = max(Fraction(1, spec.stage(n).r), delta)
-        violation = hyp and ratio > bound
-        if hyp:
-            any_checked = True
-            any_violation = any_violation or violation
-        entries.append(
-            MixingEntry(
-                m=m,
-                window=n,
-                eval_stage=n + 1,
-                ratio=ratio,
-                pushed_out=pushed,
-                bound=bound,
-                delta=delta,
-                hypothesis_ok=hyp,
-                violation=violation,
-                note=None if hyp else "rightmost spacer below clearing height",
-            )
-        )
+        values = w.values
+        key = (w.counts.get(mm, 0), len(values) - bisect_right(values, w.top - mm))
+        rec = w.records.get(key)
+        if rec is None:
+            rec = w.records[key] = [w.row(*key), m]
+        elif m < rec[1]:
+            rec[1] = m
+        rows.append(rec[0])
+        if rec[0][7]:  # the row's violation flag
+            violating.append(idx)
 
-    if any_violation:
+    used = [w for w in windows if w is not None]
+    if violating:
         verdict = VERDICT_FAILS
-    elif any_checked:
+    elif any(w.hyp for w in used):
         verdict = VERDICT_HOLDS
     else:
         verdict = VERDICT_INCONCLUSIVE
 
-    in_window = [e for e in entries if e.window is not None]
+    # Largest ratio, then smallest m; equal m means equal entries.
+    records = [rec for w in used for rec in w.records.values()]
+    top_rec = max(records, key=lambda rec: (rec[0][2], -rec[1]), default=None)
+    worst = None if top_rec is None else MixingEntry(top_rec[1], *top_rec[0])
+    in_window = sum(count for i, count in owned.items() if i < len(tops))
     evidence: dict[str, Any]
-    if len(entries) <= 512:
-        evidence = {"entries": entries}
+    if len(shifts) <= 512:
+        evidence = {"entries": [MixingEntry(m, *row) for m, row in zip(shifts, rows)]}
     else:
-        worst = max(
-            in_window, key=lambda e: (e.ratio, -e.m), default=None
-        )
         evidence = {
-            "entryCount": len(entries),
-            "inWindow": len(in_window),
-            "firstShift": entries[0].m,
-            "lastShift": entries[-1].m,
-            "violations": [e for e in in_window if e.violation],
+            "entryCount": len(shifts),
+            "inWindow": in_window,
+            "firstShift": shifts[0],
+            "lastShift": shifts[-1],
+            "violations": [MixingEntry(shifts[i], *rows[i]) for i in violating],
             "worstRatio": worst,
-            "windows": sorted(
-                {e.window for e in in_window if e.window is not None}
-            ),
+            "windows": [w.n for w in used],
         }
     cert = _certificate(
         spec,
@@ -1026,12 +1087,15 @@ def mixing_decay(
         parameters={
             "levelStage": level.stage,
             "levelHeight": level.height,
-            "shiftCount": len(entries),
+            "shiftCount": len(shifts),
             "window": window,
         },
         evidence=evidence,
     )
-    return MixingResult(tuple(entries), verdict, cert)
+    return MixingResult(
+        tuple(shifts), tuple(rows), verdict, cert,
+        in_window, len(violating), None if worst is None else worst.ratio,
+    )
 
 
 # ---------------------------------------------------------------------------

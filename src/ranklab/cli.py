@@ -163,6 +163,18 @@ def _load(args: argparse.Namespace) -> tuple[Any, str]:
     return spec, spec_fingerprint(spec)
 
 
+def _echo(args: argparse.Namespace, *names: str) -> dict[str, Any]:
+    """The ``inputs`` block: named arguments under camelCase keys, tuples as lists."""
+    inputs = {}
+    for name in names:
+        head, *rest = name.split("_")
+        value = getattr(args, name)
+        inputs[head + "".join(w.title() for w in rest)] = (
+            list(value) if isinstance(value, tuple) else value
+        )
+    return inputs
+
+
 def _digit_alphabet(args: argparse.Namespace) -> tuple[DigitAlphabet, str, dict[str, Any]]:
     """Alphabet from ``--spec`` (tower family) or ``--k``/``--alphabet``."""
     if args.spec is not None:
@@ -175,25 +187,21 @@ def _digit_alphabet(args: argparse.Namespace) -> tuple[DigitAlphabet, str, dict[
                 "this spec does not define a digit alphabet;"
                 " use a tower-family spec or pass --k/--alphabet"
             )
-        return params.alphabet, fp, {"spec": args.spec}
+        return params.alphabet, fp, _echo(args, "spec")
     if args.k is None or args.alphabet is None:
         raise UsageError("need --spec, or both --k and --alphabet")
     alphabet = DigitAlphabet(args.k, tuple(args.alphabet))
     payload = {"digitAlphabet": {"k": alphabet.k, "digits": list(alphabet.digits)}}
-    return alphabet, fingerprint(payload), {"k": args.k, "alphabet": list(args.alphabet)}
+    return alphabet, fingerprint(payload), _echo(args, "k", "alphabet")
 
 
-def _value_table(values: Sequence[int]) -> dict[str, Any]:
-    """Full listing up to the cap, deterministic summary beyond it."""
+def _value_table(
+    values: Sequence[int], key: str = "values", row: Callable[[int], Any] | None = None
+) -> dict[str, Any]:
+    """Full listing (of ``row(v)`` if given) up to the cap, a summary beyond it."""
     if len(values) <= TABLE_CAP:
-        return {"values": list(values)}
-    return {
-        "summary": {
-            "count": len(values),
-            "first": values[0],
-            "last": values[-1],
-        }
-    }
+        return {key: list(values) if row is None else [row(v) for v in values]}
+    return {"summary": {"count": len(values), "first": values[0], "last": values[-1]}}
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +223,7 @@ def _cmd_validate(args: argparse.Namespace) -> Outcome:
 def _cmd_heights(args: argparse.Namespace) -> Outcome:
     spec, fp = _load(args)
     hs = [spec.height(n) for n in range(args.stages)]
-    inputs = {"spec": args.spec, "stages": args.stages}
+    inputs = _echo(args, "spec", "stages")
     return fp, inputs, {"heights": hs}, {}, EXIT_OK
 
 
@@ -231,7 +239,7 @@ def _cmd_descendants(args: argparse.Namespace) -> Outcome:
         "levelWidth": width,
     }
     _attach_approx(args, result, {"levelWidth": width})
-    inputs = {"spec": args.spec, "base": list(args.base), "to": args.to}
+    inputs = _echo(args, "spec", "base", "to")
     return fp, inputs, result, _value_table(values), EXIT_OK
 
 
@@ -246,19 +254,8 @@ def _cmd_diffset(args: argparse.Namespace) -> Outcome:
         "distinctPositive": len(positive),
         "maxDifference": positive[-1] if positive else 0,
     }
-    if len(positive) <= TABLE_CAP:
-        evidence: dict[str, Any] = {
-            "positive": [[v, dm.count(v)] for v in positive]
-        }
-    else:
-        evidence = {
-            "summary": {
-                "count": len(positive),
-                "first": positive[0],
-                "last": positive[-1],
-            }
-        }
-    inputs = {"spec": args.spec, "base": list(args.base), "to": args.to}
+    evidence = _value_table(positive, "positive", lambda v: [v, dm.count(v)])
+    inputs = _echo(args, "spec", "base", "to")
     return fp, inputs, result, evidence, EXIT_OK
 
 
@@ -283,12 +280,7 @@ def _cmd_ap(args: argparse.Namespace) -> Outcome:
             "longest": res.longest,
             "witness": res.witness,
         }
-    inputs = {
-        "spec": args.spec,
-        "base": list(args.base),
-        "to": args.to,
-        "maxLen": args.max_len,
-    }
+    inputs = _echo(args, "spec", "base", "to", "max_len")
     code = EXIT_PROPERTY_FAILED if cap_reached else EXIT_OK
     return fp, inputs, result, evidence, code
 
@@ -296,7 +288,7 @@ def _cmd_ap(args: argparse.Namespace) -> Outcome:
 def _cmd_partners(args: argparse.Namespace) -> Outcome:
     spec, fp = _load(args)
     heights = spec.height_set(args.stage)
-    inputs: dict[str, Any] = {"spec": args.spec, "stage": args.stage}
+    inputs = _echo(args, "spec", "stage")
     if args.shift is not None:
         inputs["shift"] = args.shift
         s0 = partner_set(heights, args.shift)
@@ -330,7 +322,7 @@ def _cmd_partners(args: argparse.Namespace) -> Outcome:
 def _cmd_membership(args: argparse.Namespace) -> Outcome:
     alphabet, fp, inputs = _digit_alphabet(args)
     digits = sumset_membership(alphabet, args.digits, args.target)
-    inputs |= {"digits": args.digits, "target": args.target}
+    inputs |= _echo(args, "digits", "target")
     result = {
         "member": digits is not None,
         "representation": None if digits is None else list(digits),
@@ -342,7 +334,7 @@ def _cmd_membership(args: argparse.Namespace) -> Outcome:
 def _cmd_gaps(args: argparse.Namespace) -> Outcome:
     alphabet, fp, inputs = _digit_alphabet(args)
     gc = gap_count(alphabet, args.digits)
-    inputs |= {"digits": args.digits}
+    inputs |= _echo(args, "digits")
     result = {
         "g": gc.g,
         "recursion": list(gc.recursion),
@@ -362,7 +354,7 @@ def _cmd_gaps(args: argparse.Namespace) -> Outcome:
 def _cmd_coverage(args: argparse.Namespace) -> Outcome:
     alphabet, fp, inputs = _digit_alphabet(args)
     cc = coverage_checks(alphabet, args.digits)
-    inputs |= {"digits": args.digits}
+    inputs |= _echo(args, "digits")
     result = {
         "passed": cc.passed,
         "hasUnitDiff": cc.has_unit_diff,
@@ -378,7 +370,7 @@ def _cmd_coverage(args: argparse.Namespace) -> Outcome:
 def _cmd_gamma(args: argparse.Namespace) -> Outcome:
     alphabet, fp, inputs = _digit_alphabet(args)
     gw = gamma_search(alphabet, args.multipliers, args.horizon)
-    inputs |= {"multipliers": list(args.multipliers), "horizon": args.horizon}
+    inputs |= _echo(args, "multipliers", "horizon")
     result = {"n": gw.n, "m": gw.m, "gamma": gw.gamma}
     evidence = {
         "zeroDigits": list(gw.zero_digits),
@@ -399,13 +391,7 @@ def _cmd_conservativity(args: argparse.Namespace) -> Outcome:
     best, cert = conservativity_fraction(spec, query)
     result = {"bestFraction": best, "verdict": cert.verdict}
     _attach_approx(args, result, {"bestFraction": best})
-    inputs = {
-        "spec": args.spec,
-        "multipliers": list(args.multipliers),
-        "base": args.base,
-        "horizon": args.horizon,
-        "epsilon": args.epsilon,
-    }
+    inputs = _echo(args, "spec", "multipliers", "base", "horizon", "epsilon")
     return fp, inputs, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
@@ -426,13 +412,7 @@ def _cmd_ergodic_match(args: argparse.Namespace) -> Outcome:
     }
     _attach_approx(args, result, {"fraction": res.fraction, "dead": res.dead})
     evidence = {"certificate": res.certificate, "witness": res.witness}
-    inputs = {
-        "spec": args.spec,
-        "multipliers": list(args.multipliers),
-        "shifts": list(args.shifts),
-        "base": args.base,
-        "horizon": args.horizon,
-    }
+    inputs = _echo(args, "spec", "multipliers", "shifts", "base", "horizon")
     return fp, inputs, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
@@ -458,16 +438,9 @@ def _cmd_pattern(args: argparse.Namespace) -> Outcome:
         result,
         {"confirmed": res.matched.confirmed, "bound": res.bound},
     )
-    inputs = {
-        "spec": args.spec,
-        "moves": list(args.moves),
-        "base": args.base,
-        "cutoff": args.cutoff,
-        "dconst": args.dconst,
-    }
-    return fp, inputs, result, {"certificate": res.certificate}, _VERDICT_EXIT[
-        res.certificate.verdict
-    ]
+    inputs = _echo(args, "spec", "moves", "base", "cutoff", "dconst")
+    evidence = {"certificate": res.certificate}
+    return fp, inputs, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
 def _cmd_mixing(args: argparse.Namespace) -> Outcome:
@@ -476,25 +449,17 @@ def _cmd_mixing(args: argparse.Namespace) -> Outcome:
         raise UsageError("give --shifts and/or --window")
     level = LevelRef(*args.base)
     res = mixing_decay(spec, level, args.shifts, args.window)
-    in_window = [e for e in res.entries if e.window is not None]
-    worst = max((e.ratio for e in in_window), default=None)
     result = {
         "verdict": res.verdict,
-        "entryCount": len(res.entries),
-        "inWindow": len(in_window),
-        "violations": sum(1 for e in in_window if e.violation),
-        "worstRatio": worst,
+        "entryCount": len(res.shifts),
+        "inWindow": res.in_window,
+        "violations": res.violation_count,
+        "worstRatio": res.worst_ratio,
     }
-    _attach_approx(args, result, {"worstRatio": worst})
-    inputs = {
-        "spec": args.spec,
-        "base": list(args.base),
-        "shifts": list(args.shifts),
-        "window": args.window,
-    }
-    return fp, inputs, result, {"certificate": res.certificate}, _VERDICT_EXIT[
-        res.verdict
-    ]
+    _attach_approx(args, result, {"worstRatio": res.worst_ratio})
+    inputs = _echo(args, "spec", "base", "shifts", "window")
+    evidence = {"certificate": res.certificate}
+    return fp, inputs, result, evidence, _VERDICT_EXIT[res.verdict]
 
 
 def _cmd_npc(args: argparse.Namespace) -> Outcome:
@@ -507,12 +472,7 @@ def _cmd_npc(args: argparse.Namespace) -> Outcome:
         "proofSup": cert.evidence["proofSup"],
     }
     _attach_approx(args, result, {"proofSup": cert.evidence["proofSup"]})
-    inputs = {
-        "spec": args.spec,
-        "kappa": args.kappa,
-        "start": args.start,
-        "horizon": args.horizon,
-    }
+    inputs = _echo(args, "spec", "kappa", "start", "horizon")
     return fp, inputs, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
@@ -532,13 +492,7 @@ def _cmd_pwm(args: argparse.Namespace) -> Outcome:
     }
     _attach_approx(args, result, {"beta": res.beta})
     evidence = {"certificate": res.certificate, "witness": res.match}
-    inputs = {
-        "spec": args.spec,
-        "alpha": list(args.alpha),
-        "shifts": list(args.shifts),
-        "base": args.base,
-        "horizon": args.horizon,
-    }
+    inputs = _echo(args, "spec", "alpha", "shifts", "base", "horizon")
     return fp, inputs, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
@@ -546,13 +500,7 @@ def _cmd_non_ergodic(args: argparse.Namespace) -> Outcome:
     spec, fp = _load(args)
     cert = non_ergodic_check(spec, args.alpha, args.shifts, args.base, args.horizon)
     result = {"verdict": cert.verdict, "scope": cert.evidence.get("scope")}
-    inputs = {
-        "spec": args.spec,
-        "alpha": list(args.alpha),
-        "shifts": list(args.shifts),
-        "base": args.base,
-        "horizon": args.horizon,
-    }
+    inputs = _echo(args, "spec", "alpha", "shifts", "base", "horizon")
     return fp, inputs, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
@@ -574,15 +522,9 @@ def _cmd_asymmetry(args: argparse.Namespace) -> Outcome:
             "zeroUpper": res.zero_side.upper,
         },
     )
-    inputs = {
-        "spec": args.spec,
-        "base": args.base,
-        "scale": args.scale,
-        "eval": args.eval,
-    }
-    return fp, inputs, result, {"certificate": res.certificate}, _VERDICT_EXIT[
-        res.certificate.verdict
-    ]
+    inputs = _echo(args, "spec", "base", "scale", "eval")
+    evidence = {"certificate": res.certificate}
+    return fp, inputs, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +537,6 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
         "--approx",
         action="store_true",
         help="include non-authoritative decimal renderings",
-    )
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker bound (current operations are single-threaded)",
     )
 
 

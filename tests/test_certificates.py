@@ -2,34 +2,49 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from conftest import spec_path
 from ranklab import (
     HypothesisUnmet,
     LevelRef,
+    MixingEntry,
     NoPartnerStages,
     ParamOutOfRange,
     PatternQuery,
+    PreconditionViolated,
     ProductQuery,
     StageTooLow,
+    StageUnavailable,
     TQParams,
     asymmetry_statistic,
     conservativity_fraction,
     descendant_heights,
     ergodic_matching,
     exhaustive_matches,
+    load_spec,
     mixing_decay,
     non_ergodic_check,
     npc_certificate,
+    partner_shift,
     pattern_measure,
     pwm_witness,
     spec_fingerprint,
     validate_spec,
     verify_match_witness,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # ---------------------------------------------------------------------------
 # conservativity fraction
@@ -98,6 +113,31 @@ def test_matching_fraction_frozen(chacon):
     assert w.d == (0, 17)
     assert w.residual == 9
     verify_match_witness(chacon, w)
+
+
+def test_bogus_witness_is_refused(chacon):
+    w = ergodic_matching(chacon, ProductQuery((1, -1), (0, 1), 1, 2)).witness
+    with pytest.raises(PreconditionViolated, match="coordinate 0"):
+        verify_match_witness(chacon, dataclasses.replace(w, residual=w.residual + 1))
+    with pytest.raises(PreconditionViolated, match="arity"):
+        verify_match_witness(chacon, dataclasses.replace(w, shifts=(0,)))
+
+
+def test_bogus_witness_is_refused_under_optimize():
+    # Bare asserts vanish under ``python -O``; the witness check must not.
+    script = (
+        "import dataclasses\n"
+        "from ranklab import ProductQuery, ergodic_matching, load_spec,"
+        " verify_match_witness\n"
+        f"spec = load_spec({spec_path('chacon.json')!r})\n"
+        "w = ergodic_matching(spec, ProductQuery((1, -1), (0, 1), 1, 2)).witness\n"
+        "verify_match_witness(spec, dataclasses.replace(w, residual=w.residual + 1))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "PreconditionViolated" in proc.stderr
 
 
 def test_matching_deeper_horizon_same_fraction(chacon):
@@ -262,6 +302,117 @@ def test_mixing_asymm_partner_window_attains_delta(asymm, monkeypatch):
     assert "entries" not in ev
     assert ev["entryCount"] == 186945
     assert ev["violations"] == []
+
+
+def _mixing_oracle(spec, level, shifts):
+    """Per-shift brute force: walk the windows, scan every descendant."""
+
+    def owner(mm):
+        n, top = level.stage, 0
+        while True:
+            try:
+                top += max(spec.height_set(n))
+            except StageUnavailable:
+                return None
+            if mm <= top:
+                return n
+            n += 1
+
+    entries = []
+    for m in shifts:
+        mm = abs(m)
+        n = owner(mm) if mm else None
+        if n is None:
+            note = "zero shift" if m == 0 else "beyond the materialized stages"
+            ratio = Fraction(1) if m == 0 else None
+            entries.append(MixingEntry(m, None, None, ratio, *[None] * 5, note))
+            continue
+        values = descendant_heights(spec, level, n + 1)
+        vset, top = set(values), spec.height(n + 1) - 1
+        inside = sum(1 for f in values if f + mm <= top and f + mm in vset)
+        pushed = sum(1 for f in values if f + mm > top)
+        ps = partner_shift(spec.height_set(n))
+        delta = ps.delta if ps is not None else Fraction(0)
+        bound = max(Fraction(1, spec.stage(n).r), delta)
+        hyp = spec.stage(n).s[-1] >= max(spec.height_set(n)) + spec.height(n)
+        ratio = Fraction(inside, len(values))
+        note = None if hyp else "rightmost spacer below clearing height"
+        entries.append(
+            MixingEntry(m, n, n + 1, ratio, pushed, bound, delta, hyp,
+                        hyp and ratio > bound, note)
+        )
+    return tuple(entries)
+
+
+@st.composite
+def _mixing_cases(draw):
+    """A small valid spec, a level, named shifts and an optional window."""
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(2, 4))
+        stages.append({"r": r, "s": draw(st.lists(st.integers(0, 12), min_size=r,
+                                                   max_size=r))})
+    extension = draw(st.sampled_from(["error", "repeat-last"]))
+    spec = validate_spec({"h0": draw(st.integers(1, 3)), "stages": stages,
+                          "extension": extension})
+    stage = draw(st.integers(0, len(stages) - 1))
+    level = LevelRef(stage, draw(st.integers(0, spec.height(stage) - 1)))
+    reach = sum(max(spec.height_set(n)) for n in range(stage, len(stages)))
+    shifts = draw(st.lists(st.integers(-3 * reach, 3 * reach), max_size=40))
+    shifts += draw(st.lists(st.sampled_from([0, 1, -1, reach, reach + 1]),
+                            max_size=4))
+    # A run of consecutive shifts pushes some lists past the 512-entry summary.
+    span = draw(st.sampled_from([0, 0, 5, 300]))
+    shifts += range(-span, span)
+    if extension == "error":
+        shifts.append(draw(st.sampled_from([10**6, -(10**6)])))
+    shifts = draw(st.permutations(shifts + shifts[:3]))
+    window = draw(st.none() | st.integers(stage, len(stages) - 1))
+    return spec, level, shifts, window
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mixing_cases())
+# Past 512 entries, with +m and -m tied for the worst ratio.
+@example((load_spec(spec_path("mixing_window.json")), LevelRef(0, 0),
+          list(range(-300, 300)), None))
+def test_mixing_matches_per_shift_oracle(case):
+    spec, level, ms, window = case
+    shifts = list(ms)
+    if window is not None:
+        lo = sum(max(spec.height_set(q)) for q in range(level.stage, window))
+        shifts += range(max(1, lo), lo + max(spec.height_set(window)) + 1)
+    res = mixing_decay(spec, level, ms, window)
+    expected = _mixing_oracle(spec, level, shifts)
+    assert res.entries == expected
+    in_window = [e for e in expected if e.window is not None]
+    assert res.in_window == len(in_window)
+    assert res.violation_count == sum(1 for e in in_window if e.violation)
+    assert res.worst_ratio == max((e.ratio for e in in_window), default=None)
+    ev = res.certificate.evidence
+    if len(expected) <= 512:
+        assert ev == {"entries": list(expected)}
+    else:
+        assert ev == {
+            "entryCount": len(expected),
+            "inWindow": len(in_window),
+            "firstShift": expected[0].m,
+            "lastShift": expected[-1].m,
+            "violations": [e for e in in_window if e.violation],
+            "worstRatio": max(in_window, key=lambda e: (e.ratio, -e.m), default=None),
+            "windows": sorted({e.window for e in in_window}),
+        }
+
+
+def test_mixing_few_shifts_in_a_deep_window(chacon):
+    # Three shifts against 729 descendants take the per-shift counting
+    # route instead of counting all 265,356 pairs; same entries.
+    level = LevelRef(0, 0)
+    top = sum(max(chacon.height_set(n)) for n in range(6))
+    res = mixing_decay(chacon, level, (top, -top, top - 1))
+    assert {e.window for e in res.entries} == {5}
+    assert res.entries == _mixing_oracle(chacon, level, (top, -top, top - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,30 @@ def test_budget_exhaustion_yields_error_report(capsys, monkeypatch):
     assert payload["result"]["error"]["type"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
+def test_invalid_budget_yields_error_report(capsys, monkeypatch, value):
+    monkeypatch.setenv("RANKLAB_BUDGET", value)
+    code, out, _ = cli(
+        capsys, "mixing", "--spec", spec_path("mixing_window.json"),
+        "--base", "0:0", "--shifts", "10",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert validate_report(payload) == []
+    error = payload["result"]["error"]
+    assert error["type"] == "ParamOutOfRange"
+    assert "RANKLAB_BUDGET" in error["message"]
+
+
+def test_jobs_flag_is_gone(capsys):
+    code, _, err = cli(
+        capsys, "heights", "--spec", spec_path("chacon.json"), "--stages", "3",
+        "--jobs", "2",
+    )
+    assert code == 64
+    assert "--jobs" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = cli(capsys, "heights", "--spec", spec_path("chacon.json"))
     assert code == 64
