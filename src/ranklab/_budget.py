@@ -1,13 +1,13 @@
 """Work budget for exact enumerations.
 
 Everything in this package is computed exactly, so the only runaway risk is
-combinatorial size.  Operations that enumerate (tuple scans, difference
-multisets, digit sweeps) estimate their elementary unit count up front and
-charge it against a budget read from the ``RANKLAB_BUDGET`` environment
-variable (default 5,000,000 units; any value but a positive integer raises
-:class:`~ranklab.errors.ParamOutOfRange`).  Exceeding the budget raises
-:class:`~ranklab.errors.BudgetExceeded` instead of silently degrading to an
-approximation.
+combinatorial size.  Operations that enumerate (descendant sets, tuple
+scans, difference multisets, digit sweeps) estimate their elementary unit
+count up front and charge it against a budget read from the
+``RANKLAB_BUDGET`` environment variable (default 5,000,000 units; any value
+but a positive integer raises :class:`~ranklab.errors.ParamOutOfRange`).
+Exceeding the budget raises :class:`~ranklab.errors.BudgetExceeded` instead
+of silently degrading to an approximation.
 """
 
 from __future__ import annotations

@@ -101,6 +101,12 @@ CERTIFICATE_KINDS = (
 )
 
 
+def _require(ok: bool, message: str) -> None:
+    """Certificate guard that also runs under ``python -O``, unlike ``assert``."""
+    if not ok:
+        raise PreconditionViolated(message)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A verdict with replayable evidence, bound to one exact construction."""
@@ -113,8 +119,8 @@ class Certificate:
     tool_version: str = TOOL_VERSION
 
     def __post_init__(self) -> None:
-        assert self.kind in CERTIFICATE_KINDS, f"unknown certificate kind {self.kind}"
-        assert self.verdict in _VERDICTS, f"unknown verdict {self.verdict}"
+        _require(self.kind in CERTIFICATE_KINDS, f"unknown certificate kind {self.kind}")
+        _require(self.verdict in _VERDICTS, f"unknown verdict {self.verdict}")
 
 
 def _certificate(
@@ -210,12 +216,6 @@ class MatchWitness:
     residual: int
 
 
-def _require(ok: bool, message: str) -> None:
-    """Certificate guard that also runs under ``python -O``, unlike ``assert``."""
-    if not ok:
-        raise PreconditionViolated(message)
-
-
 def verify_match_witness(spec: RankOneSpec, witness: MatchWitness) -> None:
     """Recheck a witness from raw integers; any failure raises PreconditionViolated."""
     k = len(witness.powers)
@@ -303,19 +303,26 @@ def _anchored_matched(
     return matched, diagonal
 
 
-def _scanned_matched(values: Sequence[int], alpha: Sequence[int]) -> int:
+def _slide_scan(
+    values: Sequence[int], alphas: Sequence[int], shifts: Sequence[int]
+) -> int:
+    """Count the tuples that some slide ``n`` moves back into the value set.
+
+    Tuple ``a`` slides back when every ``a_l - n*alphas[l] - shifts[l]`` is a
+    value.  With every shift 0, ``n = 0`` is the identity and does not count.
+    """
     vset = set(values)
-    a0mult = alpha[0]
-    rest = list(enumerate(alpha))[1:]
+    a0, b0 = alphas[0], shifts[0]
+    rest = [(l, alphas[l], shifts[l]) for l in range(1, len(alphas))]
+    skip_identity = not any(shifts)
     matched = 0
-    for tup in itertools.product(values, repeat=len(alpha)):
-        a0 = tup[0]
+    for tup in itertools.product(values, repeat=len(alphas)):
         for d0 in values:
-            delta = a0 - d0
-            if delta == 0 or delta % a0mult:
+            delta = tup[0] - b0 - d0
+            if (skip_identity and delta == 0) or delta % a0:
                 continue
-            n = delta // a0mult
-            if all(tup[l] - n * al in vset for l, al in rest):
+            n = delta // a0
+            if all(tup[l] - n * al - b in vset for l, al, b in rest):
                 matched += 1
                 break
     return matched
@@ -345,7 +352,6 @@ def conservativity_fraction(
         count = len(values)
         diagonal: Fraction | None = None
         if v == 1:
-            charge(count, "residue classes of one coordinate")
             matched = _residue_matched(values, alpha[0])
             route = "residue"
         elif len(set(alpha)) == 1:
@@ -354,10 +360,10 @@ def conservativity_fraction(
             route = "anchored"
         else:
             charge(count ** (v + 1), "per-tuple slide scan")
-            matched = _scanned_matched(values, alpha)
+            matched = _slide_scan(values, alpha, query.shifts)
             route = "scan"
         fraction = Fraction(matched, count**v)
-        assert 0 <= fraction <= 1
+        _require(0 <= fraction <= 1, "fraction outside [0, 1]")
         row: dict[str, Any] = {
             "stage": j,
             "route": route,
@@ -420,7 +426,7 @@ def _move_plan(
     for l, e in enumerate(signature):
         if e < 0:
             lift = shifts[l] + b_ref
-            assert lift >= 0, "inverse lift negative despite nonnegative shifts"
+            _require(lift >= 0, "inverse lift negative despite nonnegative shifts")
             moves.extend([_Move(l, _RAISED_INVERSE)] * lift)
     return tuple(moves), ref
 
@@ -544,14 +550,14 @@ def ergodic_matching(spec: RankOneSpec, query: ProductQuery) -> ErgodicMatchResu
             p_move = Fraction(1)
             for req in required:
                 p_move *= Fraction(len(req), len(hset))
-            assert p_move <= p_hit, "required offsets must lie in the hit region"
+            _require(p_move <= p_hit, "required offsets must lie in the hit region")
             advanced[t + 1] += alive[t] * p_move
             advanced[t] += alive[t] * (1 - p_hit)
             dead += alive[t] * (p_hit - p_move)
         alive = advanced
     fraction = alive[gamma]
     pending = sum(alive[:gamma], Fraction(0))
-    assert fraction + pending + dead == 1
+    _require(fraction + pending + dead == 1, "matched, pending and dead mass must sum to 1")
 
     witness = None
     if fraction > 0:
@@ -608,7 +614,7 @@ def _build_match_witness(
     """Lex-least matched tuple: smallest required offset at each move stage."""
     k = len(powers)
     gamma = len(moves)
-    assert len(partner_stages) >= gamma
+    _require(len(partner_stages) >= gamma, "fewer partner stages than moves")
     move_at = {partner_stages[t][0]: t for t in range(gamma)}
     a_rows: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     d_rows: list[list[tuple[int, int]]] = [[] for _ in range(k)]
@@ -710,11 +716,13 @@ def exhaustive_matches(
             base.height + sum(d_offs[c]) for c in range(k)
         )
         residual = shift_sum - query.shifts[ref]
-        for c in range(k):
-            assert (
-                avec[c] - dvec[c] - query.shifts[c]
-                == signature[c] * residual
-            )
+        _require(
+            all(
+                avec[c] - dvec[c] - query.shifts[c] == signature[c] * residual
+                for c in range(k)
+            ),
+            "replayed pair misses the shared residual",
+        )
         out[avec] = (dvec, residual)
     return out
 
@@ -792,7 +800,7 @@ def pattern_measure(spec: RankOneSpec, query: PatternQuery) -> PatternResult:
     moves: list[_Move] = []
     for l in range(k):
         moves.extend([_Move(l, _RAISED_FORWARD)] * query.shifts[l])
-    assert len(moves) == gamma
+    _require(len(moves) == gamma, "move list disagrees with the move counts")
 
     partner_stages = []
     stage_rows = []
@@ -852,7 +860,7 @@ def pattern_measure(spec: RankOneSpec, query: PatternQuery) -> PatternResult:
     hit_mass = lax[gamma]
     matched = MeasureInterval(confirmed, pending)
     bound = Fraction(1, dconst**gamma) * hit_mass
-    assert hit_mass >= confirmed
+    _require(hit_mass >= confirmed, "strictly matched mass exceeds the hit mass")
     verdict = VERDICT_HOLDS if confirmed >= bound else VERDICT_FAILS
     cert = _certificate(
         spec,
@@ -1170,12 +1178,8 @@ def npc_certificate(
     diffs: dict[int, set[int]] = {}
     searches = {}
     for j in range(start, horizon + 1):
-        values = descendant_heights(spec, base, j)
-        charge(len(values) ** 2, "difference set for progression replay")
-        diffs[j] = {
-            b - a for a, b in itertools.combinations(sorted(values), 2)
-        }
-        searches[j] = ap_search(values, kappa + 1)
+        searches[j] = ap_search(descendant_heights(spec, base, j), kappa + 1)
+        diffs[j] = set(searches[j].runs)  # one key per positive difference
 
     ap_rows = []
     free = {}
@@ -1213,7 +1217,7 @@ def npc_certificate(
         # The replay inequalities are exactly what pushes freeness one stage
         # up, so they must never disagree with the direct search.
         if c1 and c2 and c3 and free[n]:
-            assert free[n + 1], f"replay passed at stage {n} but search found one"
+            _require(free[n + 1], f"replay passed at stage {n} but search found one")
 
     if not all(free.values()):
         verdict = VERDICT_FAILS
@@ -1311,7 +1315,7 @@ def pwm_witness(
     for c in range(v):
         digits = digit_rows[c]
         total = sum(d * k**l for l, d in enumerate(digits))
-        assert total == k ** len(digits) - scaled[c], "digit table corrupt"
+        _require(total == k ** len(digits) - scaled[c], "digit table corrupt")
 
     l_values = tuple(
         _geometric_head(k, len(digits))
@@ -1332,7 +1336,7 @@ def pwm_witness(
         r0 = max(r0, -(-need // a) - l_values[0] + b[0])
     r0 = max(r0, 0)
     r_values = (r0,) + tuple(tail(q, r0) for q in range(1, v))
-    assert all(r >= 1 for r in r_values[1:]), "padding failed to align residuals"
+    _require(all(r >= 1 for r in r_values[1:]), "padding failed to align residuals")
 
     h_base = spec.height(base_stage)
     powers = (1,) + alphas
@@ -1344,7 +1348,7 @@ def pwm_witness(
 
     lo = min(u for u in alphabet.digits if u + 1 in alphabet.digits)
     top = k - 1
-    assert top in alphabet.digits and 0 in alphabet.digits
+    _require(top in alphabet.digits and 0 in alphabet.digits, "alphabet lacks 0 or k-1")
 
     a_rows = []
     d_rows = []
@@ -1375,7 +1379,7 @@ def pwm_witness(
         base_stage + len(digit_rows[c]) + r_values[c] + 1 for c in range(v)
     )
     for c in range(v):
-        assert a[c] - d[c] == deltas[c], f"assembly off at coordinate {c}"
+        _require(a[c] - d[c] == deltas[c], f"assembly off at coordinate {c}")
     residual = deltas[0] - b[0]
     witness = MatchWitness(
         base=LevelRef(base_stage, 0),
@@ -1504,7 +1508,7 @@ def non_ergodic_check(
     for n in range(base_stage, horizon):
         for x in spec.height_set(n):
             g = math.gcd(g, x)
-    assert g >= 1
+    _require(g >= 1, "height sets share no positive divisor")
     blocked = None
     for l in range(v):
         if (alphas[l] * b[0] - alphas[0] * b[l]) % g:
@@ -1514,11 +1518,12 @@ def non_ergodic_check(
     rows = []
     zero_everywhere = True
     any_rows = False
+    count = 1
     for j in range(base_stage + 1, horizon + 1):
-        values = descendant_heights(spec, base, j)
-        count = len(values)
+        count *= spec.stage(j - 1).r  # descendant count: product of cut counts
         row: dict[str, Any] = {"stage": j, "tuples": count**v}
         try:
+            values = descendant_heights(spec, base, j)
             if v == 2 and alphas == (1, 1):
                 charge(count**2, "difference counts for the shift criterion")
                 dm = difference_multiset(values)
@@ -1530,7 +1535,7 @@ def non_ergodic_check(
                 row["route"] = "difference-counts"
             else:
                 charge(count ** (v + 1), "per-tuple slide scan with shifts")
-                matched = _shifted_scan(values, alphas, b)
+                matched = _slide_scan(values, alphas, b)
                 row["route"] = "scan"
         except BudgetExceeded as exc:
             row["skipped"] = str(exc)
@@ -1540,7 +1545,7 @@ def non_ergodic_check(
         row["matched"] = matched
         row["fraction"] = fraction
         if blocked is not None:
-            assert fraction == 0, "arithmetic obstruction contradicted by scan"
+            _require(fraction == 0, "arithmetic obstruction contradicted by scan")
             row["route"] += "+structural"
         rows.append(row)
         any_rows = True
@@ -1565,29 +1570,6 @@ def non_ergodic_check(
     else:
         verdict = VERDICT_INCONCLUSIVE
     return _certificate(spec, "non-ergodic", verdict, params, evidence)
-
-
-def _shifted_scan(
-    values: Sequence[int], alphas: tuple[int, ...], b: tuple[int, ...]
-) -> int:
-    vset = set(values)
-    matched = 0
-    for tup in itertools.product(values, repeat=len(alphas)):
-        hit = False
-        for d0 in values:
-            delta = tup[0] - b[0] - d0
-            if delta % alphas[0]:
-                continue
-            n = delta // alphas[0]
-            if all(
-                tup[l] - n * alphas[l] - b[l] in vset
-                for l in range(1, len(alphas))
-            ):
-                hit = True
-                break
-        if hit:
-            matched += 1
-    return matched
 
 
 # ---------------------------------------------------------------------------
@@ -1638,7 +1620,6 @@ def asymmetry_statistic(
     adjacency_free = True
     for j in range(base_stage, eval_stage + 1):
         values = descendant_heights(spec, level, j)
-        charge(len(values), "adjacency sweep")
         vset = set(values)
         pairs = sum(1 for x in values if x + 1 in vset)
         adjacency_rows.append({"stage": j, "adjacentPairs": pairs})

@@ -7,9 +7,10 @@ Exit codes form the contract scripts rely on:
 * ``1``  — runtime error (unreadable input, budget, infeasible request),
 * ``64`` — the command line itself was malformed.
 
-Reports go to stdout unless ``--json PATH`` redirects them; ``--approx``
-adds decimal renderings of the headline rationals (clearly grouped under
-an ``approx`` key and never authoritative).  The environment variable
+Reports go to stdout unless ``--json PATH`` redirects them (an unwritable
+PATH yields an ``IoError`` report on stdout and exit 1); ``--approx`` adds
+decimal renderings of the headline rationals (clearly grouped under an
+``approx`` key and never authoritative).  The environment variable
 ``RANKLAB_BUDGET`` caps the enumeration work a single invocation may do.
 """
 
@@ -33,15 +34,14 @@ from .certificates import (
     pattern_measure,
     pwm_witness,
 )
-from .construction import LevelRef, MeasureInterval, level_width
-from .errors import ParamOutOfRange, RankLabError, UsageError
+from .construction import LevelRef, MeasureInterval, descendant_heights, level_width
+from .errors import IoError, ParamOutOfRange, RankLabError, UsageError
 from .reporting import TOOL_VERSION, Report, emit_report, fingerprint
 from .specio import load_spec, spec_fingerprint, spec_payload, tq_params_of
 from .sumsets import (
     DigitAlphabet,
     ap_search,
     coverage_checks,
-    descendant_heights,
     difference_multiset,
     gamma_search,
     gap_count,
@@ -704,17 +704,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RankLabError as exc:
-        report = Report(
-            command=args.command,
-            spec_fingerprint=_NO_SPEC_FP,
-            inputs={"argv": argv},
-            result={"error": {"type": type(exc).__name__, "message": str(exc)}},
-            evidence={},
-            duration_ms=int((time.monotonic() - started) * 1000),
-        )
-        emit_report(report, args.json)
-        return EXIT_ERROR
-
+        fp, inputs, result, evidence, code = _error_outcome(argv, exc)
     report = Report(
         command=args.command,
         spec_fingerprint=fp,
@@ -723,8 +713,18 @@ def run(argv: Sequence[str] | None = None) -> int:
         evidence=evidence,
         duration_ms=int((time.monotonic() - started) * 1000),
     )
-    emit_report(report, args.json)
+    try:
+        emit_report(report, args.json)
+    except IoError as exc:
+        # The report could not reach --json: put the error on stdout instead.
+        fp, inputs, result, evidence, code = _error_outcome(argv, exc)
+        emit_report(Report(args.command, fp, inputs, result, evidence, report.duration_ms))
     return code
+
+
+def _error_outcome(argv: list[str], exc: RankLabError) -> Outcome:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    return _NO_SPEC_FP, {"argv": argv}, {"error": error}, {}, EXIT_ERROR
 
 
 def main() -> None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._budget import charge
 from .errors import (
     CutTooSmall,
     LengthMismatch,
@@ -303,22 +304,27 @@ def level_width(spec: RankOneSpec, level: LevelRef) -> Fraction:
 
 
 def descendant_heights(spec: RankOneSpec, level: LevelRef, j: int) -> tuple[int, ...]:
-    """Heights, in column ``j``, of the sublevels a level splits into.
+    """Heights, in column ``j``, of the sublevels a level splits into, sorted.
 
     Stage by stage, a level at height ``e`` of column ``n`` reappears at
     heights ``e + H_n`` in column ``n+1``; iterating gives the elementwise
     sumset ``{e} + H_i + ... + H_{j-1}``.  Offsets never collide (consecutive
     height-set gaps are at least the column height), so the count is exactly
-    the product of the cut counts — asserted below.
+    the product of the cut counts.  That product is charged against the
+    enumeration budget before anything is built.  Every stage-``n``
+    descendant lies below ``h_n``, so looping over offsets outermost emits
+    each stage already sorted.
     """
     check_level(spec, level)
     if j < level.stage:
         raise StageTooLow(f"target stage {j} precedes level stage {level.stage}")
+    count = 1
+    for n in range(level.stage, j):
+        count *= spec.stage(n).r
+    charge(count, f"descendant set at stage {j}")
     heights = [level.height]
     for n in range(level.stage, j):
-        offs = spec.height_set(n)
-        heights = [e + o for e in heights for o in offs]
-        heights.sort()
+        heights = [o + e for o in spec.height_set(n) for e in heights]
         assert all(b > a for a, b in zip(heights, heights[1:])), "descendants collided"
     assert heights[0] == level.height
     assert heights[-1] <= spec.height(j) - 1

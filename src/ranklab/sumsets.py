@@ -2,9 +2,9 @@
 
 Everything here is exact set arithmetic over ``int``:
 
-* descendant sets — where the copies of a level land at deeper stages, as
-  iterated sumsets of height sets, plus a greedy membership test that avoids
-  enumerating the (exponentially large) set;
+* descendant decomposition — a greedy membership test for the iterated
+  sumsets of height sets that avoids enumerating the (exponentially large)
+  set, which ``construction.descendant_heights`` builds;
 * difference multisets and partner sets — who can be matched to whom at a
   given shift;
 * arithmetic-progression search inside a difference set;
@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ._budget import charge
-from .construction import LevelRef, RankOneSpec, check_level, descendant_heights
+from .construction import LevelRef, RankOneSpec, check_level
 from .errors import (
     HorizonExceeded,
     ParamOutOfRange,
@@ -33,8 +33,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DescendantSet",
-    "descendant_set",
     "descendant_decompose",
     "descendant_contains",
     "DifferenceMultiset",
@@ -59,41 +57,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# descendant sets
-
-
-@dataclass(frozen=True)
-class DescendantSet:
-    """Heights of all stage-``stage`` sublevels of ``base``, sorted."""
-
-    base: LevelRef
-    stage: int
-    heights: tuple[int, ...]
-    level_width: Fraction
-
-    @property
-    def count(self) -> int:
-        return len(self.heights)
-
-    @property
-    def measure(self) -> Fraction:
-        return self.count * self.level_width
-
-    @property
-    def top(self) -> int:
-        return self.heights[-1]
-
-
-def descendant_set(spec: RankOneSpec, level: LevelRef, j: int) -> DescendantSet:
-    """Enumerate D(level, j), charging the enumeration budget for its size."""
-    check_level(spec, level)
-    if j >= level.stage:
-        expected = 1
-        for q in range(level.stage, j):
-            expected *= spec.stage(q).r
-        charge(expected, f"descendant set at stage {j}")
-    heights = descendant_heights(spec, level, j)
-    return DescendantSet(level, j, heights, spec.level_width(j))
+# descendant decomposition
 
 
 def descendant_decompose(
@@ -172,13 +136,13 @@ def difference_multiset(values: Iterable[int]) -> DifferenceMultiset:
     if not vals:
         raise ParamOutOfRange("difference multiset of an empty set")
     charge(len(vals) ** 2, "difference multiset")
-    counts: Counter[int] = Counter()
-    for a in vals:
-        for b in vals:
-            counts[a - b] += 1
-    for v in list(counts):
-        assert counts[v] == counts[-v]
-    return DifferenceMultiset(len(vals), dict(counts))
+    # Count each positive difference once, then mirror it; 0 pairs each value
+    # with itself.
+    positive = Counter(b - a for a, b in itertools.combinations(vals, 2))
+    counts = {0: len(vals)}
+    counts.update(positive)
+    counts.update((-d, c) for d, c in positive.items())
+    return DifferenceMultiset(len(vals), counts)
 
 
 @dataclass(frozen=True)
@@ -236,18 +200,21 @@ class PartnerShift:
 
 
 def partner_shift(heights: Sequence[int]) -> PartnerShift | None:
-    """Smallest usable shift for ``heights``, or ``None`` when none exists."""
+    """Smallest usable shift for ``heights``, or ``None`` when none exists.
+
+    The partner set at ``z`` has one member per pair at distance ``z``, so
+    only positive differences ``z`` whose successor ``z + 1`` is a difference
+    with the same multiplicity qualify: O(r²) candidates instead of a scan of
+    every ``z`` up to the largest offset.
+    """
     hset = sorted(set(heights))
     if len(hset) < 2:
         return None
     top = hset[-1] - hset[0]
-    for z in range(1, top):
-        s0 = partner_set(hset, z)
-        if not s0.members:
-            continue
-        s1 = partner_set(hset, z + 1)
-        if s1.members and len(s1.members) == len(s0.members):
-            return PartnerShift(z, s0, s1)
+    counts = Counter(b - a for a, b in itertools.combinations(hset, 2))
+    for z in sorted(counts):
+        if z < top and counts.get(z + 1) == counts[z]:
+            return PartnerShift(z, partner_set(hset, z), partner_set(hset, z + 1))
     return None
 
 

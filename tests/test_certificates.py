@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import os
@@ -138,6 +139,14 @@ def test_bogus_witness_is_refused_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "PreconditionViolated" in proc.stderr
+
+
+def test_certificates_guard_without_assert():
+    # Every certificate guard must survive ``python -O``, so none may be a
+    # bare ``assert``.
+    tree = ast.parse((SRC / "ranklab" / "certificates.py").read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"bare assert at certificates.py lines {lines}"
 
 
 def test_matching_deeper_horizon_same_fraction(chacon):
@@ -540,6 +549,11 @@ def test_non_ergodic_budget_rows_are_recorded(all_but_last, monkeypatch):
     assert cert.evidence["stages"], "expected at least one stage row"
     assert all("skipped" in row for row in cert.evidence["stages"])
     assert cert.verdict == "inconclusive"
+    # A stage whose descendant set alone is over the budget stays a row too.
+    monkeypatch.setenv("RANKLAB_BUDGET", "5")
+    rows = non_ergodic_check(all_but_last, (1, 2), (0, 2), 0, 2).evidence["stages"]
+    assert [(row["stage"], row["tuples"]) for row in rows] == [(1, 9), (2, 81)]
+    assert "descendant set at stage 2" in rows[1]["skipped"]
 
 
 def test_non_ergodic_chacon_is_not_refuted(chacon):
@@ -549,6 +563,50 @@ def test_non_ergodic_chacon_is_not_refuted(chacon):
     assert cert.verdict == "inconclusive"
     assert "obstruction" not in cert.evidence
     assert any(row["fraction"] > 0 for row in cert.evidence["stages"])
+
+
+def _slide_oracle(values, alphas, shifts, nonzero):
+    """Tuples with some n (nonzero if asked) putting every a - n*alpha - b in the set."""
+    vset = set(values)
+    reach = max(values) - min(values) + max(map(abs, shifts)) + 1
+    return sum(
+        1
+        for tup in itertools.product(values, repeat=len(alphas))
+        if any(
+            all(a - n * al - b in vset for a, al, b in zip(tup, alphas, shifts))
+            for n in range(-reach, reach + 1)
+            if n or not nonzero
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stages=st.lists(
+        st.integers(2, 3).flatmap(
+            lambda r: st.lists(st.integers(0, 6), min_size=r, max_size=r)
+        ),
+        min_size=2, max_size=2,
+    ),
+    alphas=st.lists(st.sampled_from([1, 2, 3, -1, -2]), min_size=2, max_size=2,
+                    unique=True),
+    shifts=st.lists(st.integers(-4, 4), min_size=2, max_size=2, unique=True),
+)
+def test_slide_scans_match_brute_force(stages, alphas, shifts):
+    # Both scan routes share one slide scan: conservativity skips only the
+    # identity slide n = 0, non-ergodic with unequal shifts skips nothing.
+    spec = validate_spec({"stages": [{"r": len(s), "s": s} for s in stages]})
+    base = LevelRef(0, 0)
+    _, cert = conservativity_fraction(spec, ProductQuery(tuple(alphas), (0, 0), 0, 2))
+    for row in cert.evidence["stages"]:
+        values = descendant_heights(spec, base, row["stage"])
+        assert row["route"] == "scan"
+        assert row["matched"] == _slide_oracle(values, alphas, (0, 0), nonzero=True)
+    cert = non_ergodic_check(spec, alphas, shifts, 0, 2)
+    for row in cert.evidence["stages"]:
+        values = descendant_heights(spec, base, row["stage"])
+        assert row["route"].startswith("scan")
+        assert row["matched"] == _slide_oracle(values, alphas, shifts, nonzero=False)
 
 
 # ---------------------------------------------------------------------------

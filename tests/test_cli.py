@@ -319,6 +319,29 @@ def test_budget_exhaustion_yields_error_report(capsys, monkeypatch):
     assert payload["result"]["error"]["type"] == "BudgetExceeded"
 
 
+def test_descendant_enumeration_is_charged_before_it_runs(capsys, monkeypatch):
+    # 3^8 = 6,561 descendants against a budget of 10.
+    monkeypatch.setenv("RANKLAB_BUDGET", "10")
+    code, payload = report(
+        capsys, "descendants", "--spec", spec_path("chacon.json"),
+        "--base", "0:0", "--to", "8",
+    )
+    assert code == 1
+    assert payload["result"]["error"]["type"] == "BudgetExceeded"
+    assert "descendant set at stage 8" in payload["result"]["error"]["message"]
+
+
+def test_huge_descendant_set_is_refused_under_default_budget(capsys, monkeypatch):
+    # 3^20 ~ 3.5e9 descendants: refused up front, never allocated.
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    code, payload = report(
+        capsys, "descendants", "--spec", spec_path("chacon.json"),
+        "--base", "0:0", "--to", "20",
+    )
+    assert code == 1
+    assert payload["result"]["error"]["type"] == "BudgetExceeded"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
 def test_invalid_budget_yields_error_report(capsys, monkeypatch, value):
     monkeypatch.setenv("RANKLAB_BUDGET", value)
@@ -364,6 +387,31 @@ def test_json_flag_writes_file(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     assert validate_report(payload) == []
     assert payload["result"]["verdict"] == "holds"
+
+
+def test_unwritable_json_path_yields_error_report_on_stdout(capsys, tmp_path):
+    bad = tmp_path / "missing-dir" / "x.json"
+    code, payload = report(
+        capsys, "heights", "--spec", spec_path("chacon.json"), "--stages", "3",
+        "--json", bad,
+    )
+    assert code == 1
+    assert payload["result"]["error"]["type"] == "IoError"
+    assert str(bad) in payload["result"]["error"]["message"]
+    assert not bad.exists()
+
+
+def test_unwritable_error_report_goes_to_stdout(capsys, tmp_path):
+    # The run fails (no such spec) and its error report cannot be written
+    # either: an IoError report still reaches stdout.
+    bad = tmp_path / "missing-dir" / "x.json"
+    code, payload = report(
+        capsys, "heights", "--spec", tmp_path / "nope.json", "--stages", "3",
+        "--json", bad,
+    )
+    assert code == 1
+    assert payload["result"]["error"]["type"] == "IoError"
+    assert not bad.exists()
 
 
 def test_reports_are_deterministic(capsys):

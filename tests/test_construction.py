@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranklab import (
+    BudgetExceeded,
     SpecError,
     ColumnStats,
     CutTooSmall,
@@ -186,6 +187,12 @@ def test_descendants_of_self_is_self(chacon):
 def test_descendants_stage_too_low(chacon):
     with pytest.raises(StageTooLow):
         descendant_heights(chacon, LevelRef(2, 0), 1)
+
+
+def test_descendant_heights_respects_budget(chacon, monkeypatch):
+    monkeypatch.setenv("RANKLAB_BUDGET", "100")
+    with pytest.raises(BudgetExceeded):
+        descendant_heights(chacon, LevelRef(0, 0), 6)
 
 
 @pytest.mark.parametrize("fixture", ["chacon", "tq41", "all_but_last", "dyadic"])

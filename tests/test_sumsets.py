@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranklab import (
-    BudgetExceeded,
     DigitAlphabet,
     HorizonExceeded,
     LevelRef,
@@ -23,7 +23,6 @@ from ranklab import (
     descendant_contains,
     descendant_decompose,
     descendant_heights,
-    descendant_set,
     difference_multiset,
     gamma_search,
     gap_count,
@@ -35,21 +34,6 @@ from ranklab import (
 
 # ---------------------------------------------------------------------------
 # descendant sets and the greedy decomposition
-
-
-def test_descendant_set_carries_measure(chacon):
-    ds = descendant_set(chacon, LevelRef(1, 0), 3)
-    assert ds.heights == descendant_heights(chacon, LevelRef(1, 0), 3)
-    assert ds.count == 9
-    assert ds.level_width == Fraction(1, 27)
-    assert ds.measure == Fraction(1, 3)
-    assert ds.top == 118
-
-
-def test_descendant_set_respects_budget(chacon, monkeypatch):
-    monkeypatch.setenv("RANKLAB_BUDGET", "100")
-    with pytest.raises(BudgetExceeded):
-        descendant_set(chacon, LevelRef(0, 0), 6)
 
 
 def test_decompose_matches_enumeration(chacon):
@@ -94,6 +78,15 @@ def test_difference_multiset_symmetry(chacon):
     assert dm.positive_values() == (8, 9, 17)
 
 
+@settings(deadline=None, max_examples=200)
+@given(values=st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=15))
+def test_difference_multiset_matches_ordered_pairs(values):
+    dm = difference_multiset(values)
+    vals = set(values)
+    assert dm.size == len(vals)
+    assert dm.counts == Counter(a - b for a in vals for b in vals)
+
+
 def test_difference_multiset_empty_rejected():
     with pytest.raises(ParamOutOfRange):
         difference_multiset([])
@@ -126,6 +119,31 @@ def test_partner_shift_chacon(chacon):
 def test_partner_shift_none_for_dyadic(dyadic):
     # {0, 8}: no z has partners at both z and z+1.
     assert partner_shift(dyadic.height_set(3)) is None
+
+
+def _partner_shift_by_z_scan(heights):
+    """Oracle: try every z from 1 below the span, as the definition reads."""
+    hset = sorted(set(heights))
+    if len(hset) < 2:
+        return None
+    for z in range(1, hset[-1] - hset[0]):
+        s0 = partner_set(hset, z)
+        s1 = partner_set(hset, z + 1)
+        if s0.members and len(s1.members) == len(s0.members):
+            return z, s0, s1
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(heights=st.lists(st.integers(min_value=0, max_value=60), max_size=12))
+def test_partner_shift_matches_z_scan(heights):
+    got = partner_shift(heights)
+    want = _partner_shift_by_z_scan(heights)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.z, got.at_z, got.at_z_plus_1) == want
 
 
 def test_partner_set_validation():
