@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ._budget import charge
 from .construction import (
@@ -43,17 +43,18 @@ from .errors import (
     PreconditionViolated,
     StageTooLow,
     StageUnavailable,
+    is_plain_int,
 )
 from .families import TQParams, make_tq
 from .reporting import TOOL_VERSION
 from .specio import spec_fingerprint
 from .sumsets import (
     PartnerShift,
-    ap_search,
     descendant_decompose,
-    difference_multiset,
+    descendant_differences,
     gamma_search,
     partner_shift,
+    progression_runs,
 )
 
 __all__ = [
@@ -105,6 +106,15 @@ def _require(ok: bool, message: str) -> None:
     """Certificate guard that also runs under ``python -O``, unlike ``assert``."""
     if not ok:
         raise PreconditionViolated(message)
+
+
+def _require_ints(
+    values: Sequence[Any], what: str, ok: Callable[[int], object] = lambda v: True
+) -> None:
+    """Refuse the first value that is no plain ``int`` or fails ``ok``."""
+    for v in values:
+        if not is_plain_int(v) or not ok(v):
+            raise ParamOutOfRange(f"{what}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -161,16 +171,12 @@ class ProductQuery:
     def __post_init__(self) -> None:
         if not self.multipliers:
             raise ParamOutOfRange("product query needs at least one coordinate")
-        for m in self.multipliers:
-            if isinstance(m, bool) or not isinstance(m, int) or m == 0:
-                raise ParamOutOfRange(f"multipliers must be nonzero integers, got {m!r}")
+        _require_ints(self.multipliers, "multipliers must be nonzero integers", bool)
         if len(self.shifts) != len(self.multipliers):
             raise ParamOutOfRange(
                 f"{len(self.shifts)} shifts for {len(self.multipliers)} coordinates"
             )
-        for b in self.shifts:
-            if isinstance(b, bool) or not isinstance(b, int):
-                raise ParamOutOfRange(f"shifts must be integers, got {b!r}")
+        _require_ints(self.shifts, "shifts must be integers")
         if self.base_stage < 0:
             raise ParamOutOfRange(f"base stage must be >= 0, got {self.base_stage}")
         if self.horizon <= self.base_stage:
@@ -303,6 +309,19 @@ def _anchored_matched(
     return matched, diagonal
 
 
+def _difference_matched(counts: Mapping[int, int]) -> tuple[int, Fraction]:
+    """``_anchored_matched`` for two coordinates and ``|alpha| = 1``.
+
+    The key is then the difference alone, so a group is the set of ordered
+    pairs at one difference: ``counts`` gives their number for each
+    difference ``d >= 0``, and ``-d`` has as many as ``d``.
+    """
+    size = counts[0]
+    diag_matched = size if size >= 2 else 0
+    matched = diag_matched + 2 * sum(c for d, c in counts.items() if d and c >= 2)
+    return matched, Fraction(diag_matched, size)
+
+
 def _slide_scan(
     values: Sequence[int], alphas: Sequence[int], shifts: Sequence[int]
 ) -> int:
@@ -347,6 +366,7 @@ def conservativity_fraction(
     v = len(alpha)
     rows = []
     best = Fraction(0)
+    known = None
     for j in range(query.base_stage + 1, query.horizon + 1):
         values = descendant_heights(spec, base, j)
         count = len(values)
@@ -356,7 +376,12 @@ def conservativity_fraction(
             route = "residue"
         elif len(set(alpha)) == 1:
             charge(count**v, "anchored difference keys")
-            matched, diagonal = _anchored_matched(values, alpha[0], v)
+            if v == 2 and abs(alpha[0]) == 1:
+                counts = descendant_differences(spec, base, j, values, True, known)
+                known = (j, counts)
+                matched, diagonal = _difference_matched(counts)
+            else:
+                matched, diagonal = _anchored_matched(values, alpha[0], v)
             route = "anchored"
         else:
             charge(count ** (v + 1), "per-tuple slide scan")
@@ -754,9 +779,7 @@ class PatternQuery:
             raise ParamOutOfRange(
                 f"{len(self.shifts)} move counts for arity {self.arity}"
             )
-        for b in self.shifts:
-            if isinstance(b, bool) or not isinstance(b, int) or b < 0:
-                raise ParamOutOfRange(f"move counts must be >= 0, got {b!r}")
+        _require_ints(self.shifts, "move counts must be >= 0", lambda b: b >= 0)
         if self.base_stage < 0:
             raise ParamOutOfRange(f"base stage must be >= 0, got {self.base_stage}")
         if self.cutoff <= self.base_stage:
@@ -1175,11 +1198,15 @@ def npc_certificate(
             row["heightRatioOk"] = ratio >= Fraction(1, kappa)
         spacing_rows.append(row)
 
-    diffs: dict[int, set[int]] = {}
+    # One pass from the start stage up, each stage's differences extending the
+    # last; ``runs`` keeps one key per positive difference.
     searches = {}
+    known = None
     for j in range(start, horizon + 1):
-        searches[j] = ap_search(descendant_heights(spec, base, j), kappa + 1)
-        diffs[j] = set(searches[j].runs)  # one key per positive difference
+        values = descendant_heights(spec, base, j)
+        charge(len(values) ** 2, "difference set for progression search")
+        known = (j, descendant_differences(spec, base, j, values, known=known))
+        searches[j] = progression_runs(known[1], kappa + 1)
 
     ap_rows = []
     free = {}
@@ -1197,7 +1224,7 @@ def npc_certificate(
 
     replay_rows = []
     for n in range(start, horizon):
-        new = diffs[n + 1] - diffs[n]
+        new = searches[n + 1].runs.keys() - searches[n].runs.keys()
         min_new = min(new) if new else None
         c1_bound = spec.height(n) - max_drop[n]
         c1 = min_new is None or min_new >= c1_bound
@@ -1289,17 +1316,13 @@ def pwm_witness(
     alphas = tuple(alpha)
     if not alphas:
         raise ParamOutOfRange("need at least one multiplied coordinate")
-    for a in alphas:
-        if isinstance(a, bool) or not isinstance(a, int) or a == 0:
-            raise ParamOutOfRange(f"multipliers must be nonzero integers, got {a!r}")
+    _require_ints(alphas, "multipliers must be nonzero integers", bool)
     b = tuple(shifts)
     if len(b) != len(alphas) + 1:
         raise ParamOutOfRange(
             f"need {len(alphas) + 1} shifts (coordinate 0 first), got {len(b)}"
         )
-    for x in b:
-        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-            raise ParamOutOfRange(f"shifts must be integers >= 0, got {x!r}")
+    _require_ints(b, "shifts must be integers >= 0", lambda x: x >= 0)
     if base_stage < 1:
         raise StageTooLow("the digit assembly starts at stage 1 or later")
 
@@ -1461,12 +1484,8 @@ def non_ergodic_check(
         raise ParamOutOfRange(
             f"{len(b)} shifts for {len(alphas)} multipliers"
         )
-    for x in alphas:
-        if isinstance(x, bool) or not isinstance(x, int) or x == 0:
-            raise ParamOutOfRange(f"multipliers must be nonzero integers, got {x!r}")
-    for x in b:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ParamOutOfRange(f"shifts must be integers, got {x!r}")
+    _require_ints(alphas, "multipliers must be nonzero integers", bool)
+    _require_ints(b, "shifts must be integers")
     if base_stage < 0 or horizon <= base_stage:
         raise ParamOutOfRange(
             f"need 0 <= base stage < horizon, got {base_stage}, {horizon}"
@@ -1519,6 +1538,7 @@ def non_ergodic_check(
     zero_everywhere = True
     any_rows = False
     count = 1
+    known = None
     for j in range(base_stage + 1, horizon + 1):
         count *= spec.stage(j - 1).r  # descendant count: product of cut counts
         row: dict[str, Any] = {"stage": j, "tuples": count**v}
@@ -1526,11 +1546,14 @@ def non_ergodic_check(
             values = descendant_heights(spec, base, j)
             if v == 2 and alphas == (1, 1):
                 charge(count**2, "difference counts for the shift criterion")
-                dm = difference_multiset(values)
+                counts = descendant_differences(spec, base, j, values, True, known)
+                known = (j, counts)
+                # Count the ordered differences u with u - want a difference
+                # too; u = -p < 0 qualifies iff |p + want| is in the half.
                 want = b[0] - b[1]
-                vals = set(dm.counts)
-                matched = sum(
-                    cnt for u, cnt in dm.counts.items() if u - want in vals
+                matched = sum(c for p, c in counts.items() if abs(p - want) in counts)
+                matched += sum(
+                    c for p, c in counts.items() if p and abs(p + want) in counts
                 )
                 row["route"] = "difference-counts"
             else:

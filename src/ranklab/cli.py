@@ -34,19 +34,20 @@ from .certificates import (
     pattern_measure,
     pwm_witness,
 )
+from ._budget import charge
 from .construction import LevelRef, MeasureInterval, descendant_heights, level_width
 from .errors import IoError, ParamOutOfRange, RankLabError, UsageError
 from .reporting import TOOL_VERSION, Report, emit_report, fingerprint
 from .specio import load_spec, spec_fingerprint, spec_payload, tq_params_of
 from .sumsets import (
     DigitAlphabet,
-    ap_search,
     coverage_checks,
-    difference_multiset,
+    descendant_differences,
     gamma_search,
     gap_count,
     partner_set,
     partner_shift,
+    progression_runs,
     sumset_membership,
 )
 
@@ -247,14 +248,15 @@ def _cmd_diffset(args: argparse.Namespace) -> Outcome:
     spec, fp = _load(args)
     level = LevelRef(*args.base)
     values = descendant_heights(spec, level, args.to)
-    dm = difference_multiset(values)
-    positive = dm.positive_values()
+    charge(len(values) ** 2, "difference multiset")
+    counts = descendant_differences(spec, level, args.to, values, counted=True)
+    positive = sorted(counts)[1:]  # 0 is always present
     result = {
-        "setSize": dm.size,
+        "setSize": len(values),
         "distinctPositive": len(positive),
         "maxDifference": positive[-1] if positive else 0,
     }
-    evidence = _value_table(positive, "positive", lambda v: [v, dm.count(v)])
+    evidence = _value_table(positive, "positive", lambda v: [v, counts[v]])
     inputs = _echo(args, "spec", "base", "to")
     return fp, inputs, result, evidence, EXIT_OK
 
@@ -263,7 +265,9 @@ def _cmd_ap(args: argparse.Namespace) -> Outcome:
     spec, fp = _load(args)
     level = LevelRef(*args.base)
     values = descendant_heights(spec, level, args.to)
-    res = ap_search(values, args.max_len)
+    charge(len(values) ** 2, "difference set for progression search")
+    diffs = descendant_differences(spec, level, args.to, values)
+    res = progression_runs(diffs, args.max_len)
     cap_reached = res.longest >= args.max_len
     result = {
         "longest": res.longest,
@@ -271,12 +275,12 @@ def _cmd_ap(args: argparse.Namespace) -> Outcome:
         "progression": list(res.progression),
         "capReached": cap_reached,
     }
-    runs = sorted(res.runs.items())
-    if len(runs) <= RUNS_CAP:
+    if len(res.runs) <= RUNS_CAP:
+        runs = sorted(res.runs.items())
         evidence: dict[str, Any] = {"runs": [[x, ln] for x, ln in runs]}
     else:
         evidence = {
-            "runCount": len(runs),
+            "runCount": len(res.runs),
             "longest": res.longest,
             "witness": res.witness,
         }
@@ -703,7 +707,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RankLabError as exc:
+    except Exception as exc:
+        # A RankLabError is a refusal; anything else is a bug in ranklab, so
+        # its traceback goes to stderr beside the error report.
+        if not isinstance(exc, RankLabError):
+            import traceback  # here, to keep it off the start-up path
+
+            traceback.print_exc()
         fp, inputs, result, evidence, code = _error_outcome(argv, exc)
     report = Report(
         command=args.command,
@@ -722,7 +732,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     return code
 
 
-def _error_outcome(argv: list[str], exc: RankLabError) -> Outcome:
+def _error_outcome(argv: list[str], exc: Exception) -> Outcome:
     error = {"type": type(exc).__name__, "message": str(exc)}
     return _NO_SPEC_FP, {"argv": argv}, {"error": error}, {}, EXIT_ERROR
 

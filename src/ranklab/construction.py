@@ -35,6 +35,7 @@ from .errors import (
     SpecError,
     StageTooLow,
     StageUnavailable,
+    is_plain_int,
 )
 
 __all__ = [
@@ -87,7 +88,7 @@ def _checked_stage(raw: object, index: int) -> StageSpec:
         r, s = raw.get("r"), raw.get("s", ())
     else:
         raise SpecError(f"stage {index}: expected a StageSpec or mapping, got {type(raw).__name__}")
-    if not isinstance(r, int) or isinstance(r, bool):
+    if not is_plain_int(r):
         raise SpecError(f"stage {index}: cut count must be an integer")
     if r < 2:
         raise CutTooSmall(f"stage {index}: cut count {r} < 2")
@@ -95,7 +96,7 @@ def _checked_stage(raw: object, index: int) -> StageSpec:
         raise SpecError(f"stage {index}: spacer vector must be a sequence")
     spacers = []
     for j, v in enumerate(s):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_plain_int(v):
             raise SpecError(f"stage {index}: spacer s[{j}] must be an integer")
         if v < 0:
             raise NegativeSpacer(f"stage {index}: spacer s[{j}] = {v} < 0")
@@ -142,7 +143,7 @@ class RankOneSpec:
         stage_rule: StageRule | None = None,
         family: FamilyTag | None = None,
     ) -> None:
-        if not isinstance(h0, int) or isinstance(h0, bool) or h0 < 1:
+        if not is_plain_int(h0) or h0 < 1:
             raise ParamOutOfRange(f"h0 must be a positive integer, got {h0!r}")
         explicit = tuple(_checked_stage(st, i) for i, st in enumerate(stages))
         if stage_rule is not None:

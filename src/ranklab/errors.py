@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+def is_plain_int(value: object) -> bool:
+    """An ``int`` that is not a ``bool``, which would otherwise pose as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class RankLabError(Exception):
     """Base class for all errors raised deliberately by this package."""
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from ._version import __version__
-from .errors import IoError
+from .errors import IoError, is_plain_int
 
 __all__ = [
     "TOOL_VERSION",
@@ -58,9 +58,7 @@ def jsonable(value: Any) -> Any:
     other JSON consumers; strings never do).  Sets are sorted, dataclasses
     become field mappings, mapping keys are stringified.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
-        return value
-    if isinstance(value, int):
+    if value is None or isinstance(value, (int, str, float)):  # bool is an int
         return value
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
@@ -194,9 +192,7 @@ def validate_report(payload: Any) -> list[str]:
         if key in payload and not isinstance(payload[key], dict):
             problems.append(f"{key} must be an object")
     dur = payload.get("durationMs")
-    if "durationMs" in payload and (
-        isinstance(dur, bool) or not isinstance(dur, int) or dur < 0
-    ):
+    if "durationMs" in payload and (not is_plain_int(dur) or dur < 0):
         problems.append("durationMs must be a nonnegative integer")
     for key in ("inputs", "result", "evidence"):
         if isinstance(payload.get(key), dict):

@@ -20,7 +20,7 @@ from .construction import (
     StageSpec,
     validate_spec,
 )
-from .errors import IoError, SpecFileError
+from .errors import IoError, SpecFileError, is_plain_int
 from .families import (
     AsymmParams,
     TQParams,
@@ -43,7 +43,7 @@ _EXTENSIONS = (EXTENSION_ERROR, EXTENSION_REPEAT)
 
 
 def _plain_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_plain_int(value):
         raise SpecFileError(f"{where} must be an integer, got {value!r}")
     return value
 

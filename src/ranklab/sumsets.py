@@ -6,7 +6,8 @@ Everything here is exact set arithmetic over ``int``:
   sumsets of height sets that avoids enumerating the (exponentially large)
   set, which ``construction.descendant_heights`` builds;
 * difference multisets and partner sets — who can be matched to whom at a
-  given shift;
+  given shift; a level's descendant differences are built stage by stage
+  from the height sets' differences;
 * arithmetic-progression search inside a difference set;
 * base-``k`` digit machinery for alphabets with gaps of 1 or 2: membership in
   the truncated signed-digit sumset ``D(n)' = (A-A) + k(A-A) + ... +
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 from ._budget import charge
 from .construction import LevelRef, RankOneSpec, check_level
@@ -37,12 +38,14 @@ __all__ = [
     "descendant_contains",
     "DifferenceMultiset",
     "difference_multiset",
+    "descendant_differences",
     "PartnerSet",
     "partner_set",
     "PartnerShift",
     "partner_shift",
     "APSearchResult",
     "ap_search",
+    "progression_runs",
     "DigitAlphabet",
     "admissible_alphabets",
     "truncated_sumset",
@@ -131,18 +134,86 @@ class DifferenceMultiset:
         return tuple(sorted(v for v in self.counts if v > 0))
 
 
+def _pair_differences(vals: Sequence[int], counted: bool) -> set[int] | dict[int, int]:
+    """Nonnegative differences of sorted distinct values, 0 included.
+
+    Each positive difference is counted once per pair; 0 pairs each value
+    with itself.  With ``counted`` the result maps each difference to its
+    number of ordered pairs, else it is the set of differences.
+    """
+    pairs = (b - a for a, b in itertools.combinations(vals, 2))
+    if counted:
+        counts = Counter(pairs)
+        counts[0] = len(vals)
+        return counts
+    diffs = set(pairs)
+    diffs.add(0)
+    return diffs
+
+
 def difference_multiset(values: Iterable[int]) -> DifferenceMultiset:
     vals = sorted(set(values))
     if not vals:
         raise ParamOutOfRange("difference multiset of an empty set")
     charge(len(vals) ** 2, "difference multiset")
-    # Count each positive difference once, then mirror it; 0 pairs each value
-    # with itself.
-    positive = Counter(b - a for a, b in itertools.combinations(vals, 2))
-    counts = {0: len(vals)}
-    counts.update(positive)
-    counts.update((-d, c) for d, c in positive.items())
+    half = _pair_differences(vals, counted=True)
+    counts = dict(half)
+    counts.update((-d, c) for d, c in half.items() if d)
     return DifferenceMultiset(len(vals), counts)
+
+
+def descendant_differences(
+    spec: RankOneSpec,
+    level: LevelRef,
+    j: int,
+    values: Sequence[int],
+    counted: bool = False,
+    known: tuple[int, set[int] | dict[int, int]] | None = None,
+) -> set[int] | dict[int, int]:
+    """Nonnegative differences of ``level``'s stage-``j`` descendants, 0 included.
+
+    ``values`` are those descendants as ``descendant_heights`` returns them
+    (sorted, distinct); the caller enumerates and charges them.  The result
+    is a set, or with ``counted`` a dict from each difference to its number
+    of ordered pairs.  ``known`` is ``(n, result)`` for an earlier stage
+    ``n`` of the same level and kind, to extend instead of starting over.
+
+    A stage-``n`` descendant is ``e + o_i + ... + o_{n-1}`` with one ``o_q``
+    in each ``H_q``, uniquely, so the ordered differences at stage ``n + 1``
+    are those at stage ``n`` plus one element of ``H_n - H_n``, pair for
+    pair.  A stage-``n`` difference ``p`` is below ``h_n`` in size and a
+    nonzero ``t`` in ``H_n - H_n`` is at least ``h_n``, so the nonnegative
+    half extends by itself: ``p`` stays and, for each positive ``t``, yields
+    ``t + p`` and ``t - p`` (once when ``p = 0``).  A step predicted to cost
+    more than the ``V(V-1)/2`` pairs of ``values`` (support size times
+    ``|H_n - H_n|``) is replaced by counting those pairs directly.
+    """
+    if known is None:
+        known = (level.stage, {0: 1} if counted else {0})
+    n, support = known
+    pairs = len(values) * (len(values) - 1) // 2
+    while n < j:
+        offsets = spec.height_set(n)
+        steps = Counter(b - a for a, b in itertools.combinations(offsets, 2))
+        if len(support) * (2 * len(steps) + 1) > pairs:
+            return _pair_differences(values, counted)
+        if counted:
+            r = len(offsets)  # t = 0 keeps each p, r times as often
+            grown: Any = defaultdict(int, {p: c * r for p, c in support.items()})
+            for t, w in steps.items():
+                for p, c in support.items():
+                    grown[t + p] += c * w
+                    if p:
+                        grown[t - p] += c * w
+            grown.default_factory = None
+        else:
+            grown = set(support)
+            for t in steps:
+                grown.update(map(t.__add__, support))
+                grown.update(map(t.__sub__, support))
+        support = grown
+        n += 1
+    return support
 
 
 @dataclass(frozen=True)
@@ -242,11 +313,25 @@ def ap_search(values: Iterable[int], max_len: int) -> APSearchResult:
         raise ParamOutOfRange(f"max_len must be >= 1, got {max_len}")
     vals = sorted(set(values))
     charge(len(vals) ** 2, "difference set for progression search")
-    diffs = {b - a for a, b in itertools.combinations(vals, 2)}
-    runs: dict[int, int] = {}
-    longest = 0
-    witness = None
-    for x in sorted(diffs):
+    return progression_runs(_pair_differences(vals, counted=False), max_len)
+
+
+def progression_runs(diffs: Collection[int], max_len: int) -> APSearchResult:
+    """Runs ``x, 2x, ..., lx`` with ``l <= max_len`` inside nonnegative differences.
+
+    ``diffs`` is a set such as :func:`descendant_differences` returns; 0 is
+    skipped.  Only ``x`` with ``2x`` at most the largest difference can run
+    past length 1, so the scan stops at the first ``x`` beyond half of it.
+    """
+    positive = sorted(diffs)
+    if positive and positive[0] == 0:
+        del positive[0]
+    runs = dict.fromkeys(positive, 1)
+    longest, witness = (1, positive[0]) if positive else (0, None)
+    half = positive[-1] // 2 if positive else 0
+    for x in positive:
+        if x > half:
+            break
         length = 1
         while length < max_len and (length + 1) * x in diffs:
             length += 1

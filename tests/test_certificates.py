@@ -30,7 +30,9 @@ from ranklab import (
     TQParams,
     asymmetry_statistic,
     conservativity_fraction,
+    descendant_differences,
     descendant_heights,
+    difference_multiset,
     ergodic_matching,
     exhaustive_matches,
     load_spec,
@@ -44,6 +46,7 @@ from ranklab import (
     validate_spec,
     verify_match_witness,
 )
+from ranklab.certificates import _anchored_matched, _difference_matched, _slide_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -454,6 +457,19 @@ def test_npc_replay_rows_propagate(chacon):
         assert row["newDiffsClear"] and row["heightDominates"] and row["nextDropBounded"]
 
 
+@pytest.mark.parametrize("start", [0, 2])
+def test_npc_start_stage_set_holds_zero(chacon, start):
+    # The start stage has one descendant, so its difference set is {0}: with
+    # an empty set, 0 would count as new at the next stage.
+    base = LevelRef(start, 0)
+    values = descendant_heights(chacon, base, start)
+    assert descendant_differences(chacon, base, start, values) == {0}
+    cert = npc_certificate(chacon, kappa=13, start=start, horizon=start + 2)
+    above = descendant_heights(chacon, base, start + 1)
+    oracle = difference_multiset(above).positive_values()[0]
+    assert cert.evidence["replay"][0]["minNewDifference"] == oracle
+
+
 def test_npc_finds_progressions_in_odometer(dyadic):
     # Descendant differences of the dyadic odometer fill an interval, so
     # every short progression is present and the verdict must fail.
@@ -517,6 +533,35 @@ def test_pwm_base_stage_bound(tq41):
         pwm_witness(tq_params_of(tq41), (2,), (0, 0), base_stage=0)
 
 
+_TQ41 = TQParams(4, 1, (1,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: ProductQuery((1, 0), (0, 0), 0, 2),
+         "multipliers must be nonzero integers, got 0"),
+        (lambda s: ProductQuery((1, True), (0, 0), 0, 2),
+         "multipliers must be nonzero integers, got True"),
+        (lambda s: ProductQuery((1, 1), (0, 1.0), 0, 2),
+         "shifts must be integers, got 1.0"),
+        (lambda s: PatternQuery(2, (0, -1), 0, 2), "move counts must be >= 0, got -1"),
+        (lambda s: pwm_witness(_TQ41, (2, 0), (0, 0, 0), 1),
+         "multipliers must be nonzero integers, got 0"),
+        (lambda s: pwm_witness(_TQ41, (2,), (0, -1), 1),
+         "shifts must be integers >= 0, got -1"),
+        (lambda s: non_ergodic_check(s, (1, False), (0, 1), 0, 2),
+         "multipliers must be nonzero integers, got False"),
+        (lambda s: non_ergodic_check(s, (1, 1), (0, "1"), 0, 2),
+         "shifts must be integers, got '1'"),
+    ],
+)
+def test_integer_arguments_are_refused_by_value(chacon, call, message):
+    with pytest.raises(ParamOutOfRange) as exc:
+        call(chacon)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # non-ergodicity certificate
 
@@ -554,6 +599,41 @@ def test_non_ergodic_budget_rows_are_recorded(all_but_last, monkeypatch):
     rows = non_ergodic_check(all_but_last, (1, 2), (0, 2), 0, 2).evidence["stages"]
     assert [(row["stage"], row["tuples"]) for row in rows] == [(1, 9), (2, 81)]
     assert "descendant set at stage 2" in rows[1]["skipped"]
+
+
+@st.composite
+def _small_specs(draw):
+    stages = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(2, 4))
+        stages.append({"r": r, "s": draw(st.lists(st.integers(0, 9), min_size=r,
+                                                   max_size=r))})
+    return validate_spec({"h0": draw(st.integers(1, 3)), "stages": stages})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_specs(), st.sampled_from([1, -1]), st.data())
+def test_anchored_difference_counts_match_keys(spec, alpha, data):
+    j = data.draw(st.integers(1, len(spec.explicit_stages())))
+    base = LevelRef(0, 0)
+    values = descendant_heights(spec, base, j)
+    counts = descendant_differences(spec, base, j, values, counted=True)
+    assert _difference_matched(counts) == _anchored_matched(values, alpha, 2)
+    rows = conservativity_fraction(
+        spec, ProductQuery((alpha, alpha), (0, 0), 0, j)
+    )[1].evidence["stages"]
+    assert rows[-1]["matched"] == _anchored_matched(values, alpha, 2)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_specs(), st.tuples(st.integers(0, 12), st.integers(0, 12)))
+def test_non_ergodic_difference_counts_match_slide_scan(spec, shifts):
+    horizon = len(spec.explicit_stages())
+    cert = non_ergodic_check(spec, (1, 1), shifts, 0, horizon)
+    for row in cert.evidence.get("stages", []):
+        assert row["route"].startswith("difference-counts")
+        values = descendant_heights(spec, LevelRef(0, 0), row["stage"])
+        assert row["matched"] == _slide_scan(values, (1, 1), shifts)
 
 
 def test_non_ergodic_chacon_is_not_refuted(chacon):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from conftest import spec_path
+import ranklab.cli
 from ranklab import validate_report
 from ranklab.cli import run
 
@@ -329,6 +330,68 @@ def test_descendant_enumeration_is_charged_before_it_runs(capsys, monkeypatch):
     assert code == 1
     assert payload["result"]["error"]["type"] == "BudgetExceeded"
     assert "descendant set at stage 8" in payload["result"]["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (("diffset",), "difference multiset"),
+        (("ap", "--max-len", "14"), "difference set for progression search"),
+    ],
+)
+def test_difference_sets_are_charged_before_they_are_built(
+    capsys, monkeypatch, argv, label
+):
+    # 27 descendants fit a budget of 700; their 27^2 = 729 pairs do not.
+    monkeypatch.setenv("RANKLAB_BUDGET", "700")
+    code, payload = report(
+        capsys, *argv, "--spec", spec_path("chacon.json"), "--base", "1:0", "--to", "4"
+    )
+    assert code == 1
+    assert payload["result"]["error"] == {
+        "type": "BudgetExceeded",
+        "message": f"{label} needs ~729 enumeration units, over the budget of 700"
+        " (raise RANKLAB_BUDGET to allow it)",
+    }
+
+
+def test_npc_difference_set_refusal(capsys, monkeypatch):
+    # Stage 5 of asymm has 2,700 descendants: 2,700^2 units are refused.
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    code, payload = report(
+        capsys, "npc", "--spec", spec_path("asymm.json"), "--kappa", "13",
+        "--horizon", "5",
+    )
+    assert code == 1
+    error = payload["result"]["error"]
+    assert error["type"] == "BudgetExceeded"
+    assert error["message"].startswith(
+        "difference set for progression search needs ~7290000 enumeration units"
+    )
+
+
+def test_internal_error_yields_error_report(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("descendants collided")
+
+    monkeypatch.setattr(ranklab.cli, "_cmd_heights", broken)
+    args = ("heights", "--spec", spec_path("chacon.json"), "--stages", "3")
+    code, out, err = cli(capsys, *args)
+    assert code == 1
+    payload = json.loads(out)
+    assert validate_report(payload) == []
+    assert payload["result"]["error"] == {
+        "type": "AssertionError",
+        "message": "descendants collided",
+    }
+    assert "Traceback" in err
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ranklab.cli, "_cmd_heights", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(list(args))
 
 
 def test_huge_descendant_set_is_refused_under_default_budget(capsys, monkeypatch):

@@ -8,9 +8,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import spec_path
 from ranklab import (
     DigitAlphabet,
     HorizonExceeded,
@@ -22,15 +23,20 @@ from ranklab import (
     coverage_checks,
     descendant_contains,
     descendant_decompose,
+    descendant_differences,
     descendant_heights,
     difference_multiset,
     gamma_search,
     gap_count,
+    load_spec,
     partner_set,
     partner_shift,
+    progression_runs,
     sumset_membership,
     truncated_sumset,
+    validate_spec,
 )
+from ranklab import sumsets
 
 # ---------------------------------------------------------------------------
 # descendant sets and the greedy decomposition
@@ -90,6 +96,80 @@ def test_difference_multiset_matches_ordered_pairs(values):
 def test_difference_multiset_empty_rejected():
     with pytest.raises(ParamOutOfRange):
         difference_multiset([])
+
+
+@st.composite
+def _descendant_cases(draw):
+    """A small spec, a level, a target stage and an optional earlier stage."""
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.integers(2, 4))
+        stages.append({"r": r, "s": draw(st.lists(st.integers(0, 12), min_size=r,
+                                                   max_size=r))})
+    spec = validate_spec({"h0": draw(st.integers(1, 3)), "stages": stages})
+    stage = draw(st.integers(0, len(stages)))
+    level = LevelRef(stage, draw(st.integers(0, spec.height(stage) - 1)))
+    j = draw(st.integers(stage, len(stages)))
+    known = draw(st.none() | st.integers(stage, j))
+    return spec, level, j, known
+
+
+def _pinned(name, level, j, known):
+    return (load_spec(spec_path(name)), level, j, known)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_descendant_cases(), st.integers(1, 6))
+@example(_pinned("chacon.json", LevelRef(1, 2), 6, None), 14)  # convolution
+@example(_pinned("chacon.json", LevelRef(0, 0), 5, 2), 3)
+@example(_pinned("asymm.json", LevelRef(1, 0), 2, None), 14)  # pairwise
+def test_descendant_differences_match_pair_oracle(case, max_len):
+    spec, level, j, known = case
+    values = descendant_heights(spec, level, j)
+    expected = {d: c for d, c in difference_multiset(values).counts.items() if d >= 0}
+    for counted, want in ((True, expected), (False, set(expected))):
+        start = None
+        if known is not None:
+            earlier = descendant_heights(spec, level, known)
+            start = (known, descendant_differences(spec, level, known, earlier, counted))
+        got = descendant_differences(spec, level, j, values, counted, start)
+        assert (dict(got) if counted else got) == want
+    runs = {}
+    for x in sorted(d for d in expected if d):
+        runs[x] = 1
+        while runs[x] < max_len and (runs[x] + 1) * x in expected:
+            runs[x] += 1
+    longest = max(runs.values(), default=0)
+    witness = min((x for x, n in runs.items() if n == longest), default=None)
+    res = progression_runs(set(expected), max_len)
+    assert (res.runs, res.longest, res.witness) == (runs, longest, witness)
+    assert res.progression == tuple(witness * i for i in range(1, longest + 1))
+    assert ap_search(values, max_len) == res
+
+
+@pytest.mark.parametrize(
+    "name, level, j, pairwise",
+    [
+        ("chacon.json", LevelRef(1, 0), 7, False),
+        ("asymm.json", LevelRef(0, 0), 4, False),
+        ("asymm.json", LevelRef(1, 0), 2, True),
+    ],
+)
+def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
+    # One step from a single descendant predicts |H - H| > r(r-1)/2 units of
+    # work and pairs the values instead; every longer walk convolves.
+    spec = load_spec(spec_path(name))
+    values = descendant_heights(spec, level, j)
+    paired = []
+    real = sumsets._pair_differences
+    monkeypatch.setattr(
+        sumsets, "_pair_differences", lambda v, c: paired.append(c) or real(v, c)
+    )
+    counts = descendant_differences(spec, level, j, values, counted=True)
+    diffs = descendant_differences(spec, level, j, values)
+    assert paired == ([True, False] if pairwise else [])
+    assert diffs == set(counts) and counts[0] == len(values)
+    assert sum(counts.values()) * 2 - len(values) == len(values) ** 2
 
 
 # ---------------------------------------------------------------------------
