@@ -329,22 +329,29 @@ def _slide_scan(
 
     Tuple ``a`` slides back when every ``a_l - n*alphas[l] - shifts[l]`` is a
     value.  With every shift 0, ``n = 0`` is the identity and does not count.
+    Each value gets a bitmask of its slides, one bit per slide coordinate 0
+    can take (so at most ``V**2`` bits); a tuple slides back iff the AND of
+    its masks is nonzero, so each coordinate folds in by its distinct masks.
     """
-    vset = set(values)
     a0, b0 = alphas[0], shifts[0]
-    rest = [(l, alphas[l], shifts[l]) for l in range(1, len(alphas))]
-    skip_identity = not any(shifts)
-    matched = 0
-    for tup in itertools.product(values, repeat=len(alphas)):
-        for d0 in values:
-            delta = tup[0] - b0 - d0
-            if (skip_identity and delta == 0) or delta % a0:
-                continue
-            n = delta // a0
-            if all(tup[l] - n * al - b in vset for l, al, b in rest):
-                matched += 1
-                break
-    return matched
+    slides = {a - d - b0 for a in values for d in values}
+    slides = {x // a0 for x in slides if not x % a0 and (x or any(shifts))}
+    bit = {n: 1 << i for i, n in enumerate(sorted(slides))}
+    masks: dict[tuple[int, int], Counter[int]] = {}
+    for al, b in set(zip(alphas, shifts)):
+        at = {n * al + b: m for n, m in bit.items()}
+        masks[al, b] = Counter(sum(at.get(a - d, 0) for d in values) for a in values)
+    *head, last = zip(alphas, shifts)
+    partial: Mapping[int, int] = {-1: 1}  # -1 has every bit set
+    for pair in head:
+        folded: Counter[int] = Counter()
+        for pm, pc in partial.items():
+            for m, c in masks[pair].items():
+                if pm & m:
+                    folded[pm & m] += pc * c
+        partial = folded
+    tail = masks[last].items()
+    return sum(pc * sum(c for m, c in tail if pm & m) for pm, pc in partial.items())
 
 
 def conservativity_fraction(
@@ -1514,14 +1521,8 @@ def non_ergodic_check(
     max_drop = 0
     for n in range(base_stage + 1, horizon + 1):
         max_drop += max(spec.height_set(n - 1))
-        growth_rows.append(
-            {
-                "stage": n,
-                "height": spec.height(n),
-                "bound": max_drop + 2,
-                "ok": spec.height(n) >= max_drop + 2,
-            }
-        )
+        h, bound = spec.height(n), max_drop + 2
+        growth_rows.append({"stage": n, "height": h, "bound": bound, "ok": h >= bound})
 
     g = 0
     for n in range(base_stage, horizon):
@@ -1574,11 +1575,7 @@ def non_ergodic_check(
         any_rows = True
         zero_everywhere = zero_everywhere and fraction == 0
 
-    evidence: dict[str, Any] = {
-        "growth": growth_rows,
-        "stages": rows,
-        "divisor": g,
-    }
+    evidence: dict[str, Any] = {"growth": growth_rows, "stages": rows, "divisor": g}
     if blocked is not None:
         evidence["obstruction"] = {
             "coordinate": blocked,

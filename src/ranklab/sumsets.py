@@ -31,6 +31,7 @@ from .errors import (
     HorizonExceeded,
     ParamOutOfRange,
     PreconditionViolated,
+    is_plain_int,
 )
 
 __all__ = [
@@ -380,6 +381,14 @@ class DigitAlphabet:
         """The signed digit set A - A."""
         return frozenset(a - b for a in self.digits for b in self.digits)
 
+    @cached_property
+    def _by_residue(self) -> dict[int, tuple[int, ...]]:
+        """The differences grouped by residue mod ``k``, largest first."""
+        groups: dict[int, list[int]] = {}
+        for c in sorted(self.diffs, reverse=True):
+            groups.setdefault(c % self.k, []).append(c)
+        return {r: tuple(cands) for r, cands in groups.items()}
+
     @property
     def has_unit_diff(self) -> bool:
         return 1 in self.diffs
@@ -442,11 +451,7 @@ def sumset_membership(
     if n < 1:
         raise ParamOutOfRange(f"digit count must be >= 1, got {n}")
     k = alphabet.k
-    by_residue: dict[int, list[int]] = {}
-    for c in alphabet.diffs:
-        by_residue.setdefault(c % k, []).append(c)
-    for cands in by_residue.values():
-        cands.sort(reverse=True)
+    by_residue = alphabet._by_residue
     caps = [k ** (n - l) - 1 for l in range(n + 1)]
     dead: set[tuple[int, int]] = set()
 
@@ -617,7 +622,7 @@ def gamma_search(
     sumset's span, so the scan is complete).
     """
     betas = sorted(set(multipliers))
-    if not betas or any(not isinstance(b, int) or b < 1 for b in betas):
+    if not betas or any(not is_plain_int(b) or b < 1 for b in betas):
         raise ParamOutOfRange(f"multipliers must be positive integers, got {betas}")
     if alphabet.k < 3:
         raise ParamOutOfRange("gamma search needs base k >= 3")

@@ -668,25 +668,52 @@ def _slide_oracle(values, alphas, shifts, nonzero):
         ),
         min_size=2, max_size=2,
     ),
-    alphas=st.lists(st.sampled_from([1, 2, 3, -1, -2]), min_size=2, max_size=2,
-                    unique=True),
-    shifts=st.lists(st.integers(-4, 4), min_size=2, max_size=2, unique=True),
+    alphas=st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), min_size=2, max_size=3)
+    .filter(lambda a: len(set(a)) > 1),
+    shifts=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
 )
+@example(stages=[[0, 1, 0], [2, 0, 1]], alphas=[1, 1, 2], shifts=[1, 1, 2])
+@example(stages=[[0, 0], [1, 3]], alphas=[2, -1, 2], shifts=[2, -1, 2])
 def test_slide_scans_match_brute_force(stages, alphas, shifts):
     # Both scan routes share one slide scan: conservativity skips only the
     # identity slide n = 0, non-ergodic with unequal shifts skips nothing.
+    # Multipliers may repeat and be negative; shifts may repeat unless all
+    # are equal, which non-ergodic answers without a scan.
     spec = validate_spec({"stages": [{"r": len(s), "s": s} for s in stages]})
     base = LevelRef(0, 0)
-    _, cert = conservativity_fraction(spec, ProductQuery(tuple(alphas), (0, 0), 0, 2))
+    zero, b = (0,) * len(alphas), tuple(shifts[: len(alphas)])
+    _, cert = conservativity_fraction(spec, ProductQuery(tuple(alphas), zero, 0, 2))
     for row in cert.evidence["stages"]:
         values = descendant_heights(spec, base, row["stage"])
         assert row["route"] == "scan"
-        assert row["matched"] == _slide_oracle(values, alphas, (0, 0), nonzero=True)
-    cert = non_ergodic_check(spec, alphas, shifts, 0, 2)
-    for row in cert.evidence["stages"]:
+        assert row["matched"] == _slide_oracle(values, alphas, zero, nonzero=True)
+    cert = non_ergodic_check(spec, alphas, b, 0, 2)
+    for row in cert.evidence.get("stages", []):
         values = descendant_heights(spec, base, row["stage"])
         assert row["route"].startswith("scan")
-        assert row["matched"] == _slide_oracle(values, alphas, shifts, nonzero=False)
+        assert row["matched"] == _slide_oracle(values, alphas, b, nonzero=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.sets(st.integers(-12, 30), min_size=1, max_size=8).map(sorted),
+    alphas=st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), min_size=1, max_size=3),
+    shifts=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_slide_scan_matches_brute_force_on_any_value_set(values, alphas, shifts):
+    b = tuple(shifts[: len(alphas)])
+    want = _slide_oracle(values, alphas, b, nonzero=not any(b))
+    assert _slide_scan(values, tuple(alphas), b) == want
+
+
+def test_slide_scan_rows_on_chacon(chacon):
+    _, cert = conservativity_fraction(chacon, ProductQuery((1, 2), (0, 0), 0, 4))
+    rows = cert.evidence["stages"]
+    assert [row["matched"] for row in rows] == [2, 50, 612, 6178]
+    assert {row["route"] for row in rows} == {"scan"}
+    rows = non_ergodic_check(chacon, (1, 2), (0, 1), 0, 3).evidence["stages"]
+    assert [row["matched"] for row in rows] == [5, 68, 691]
+    assert {row["route"] for row in rows} == {"scan"}
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,38 @@ def test_npc_difference_set_refusal(capsys, monkeypatch):
     )
 
 
+def test_slide_scan_is_charged_per_tuple_and_value(capsys, monkeypatch):
+    # 81 stage-4 descendants: the scan is charged 81^3 = 531,441 units,
+    # whatever route counts the tuples.
+    monkeypatch.setenv("RANKLAB_BUDGET", "531440")
+    code, payload = report(
+        capsys, "conservativity", "--spec", spec_path("chacon.json"),
+        "--multipliers", "1,2", "--base", "0", "--horizon", "4",
+    )
+    assert code == 1
+    assert payload["result"]["error"] == {
+        "type": "BudgetExceeded",
+        "message": "per-tuple slide scan needs ~531441 enumeration units, over the"
+        " budget of 531440 (raise RANKLAB_BUDGET to allow it)",
+    }
+    # 27^3 = 19,683 units for the last stage of a shifted scan: that stage
+    # stays a skipped row, the earlier ones are counted.
+    monkeypatch.setenv("RANKLAB_BUDGET", "19682")
+    code, payload = report(
+        capsys, "non-ergodic", "--spec", spec_path("chacon.json"), "--alpha", "1,2",
+        "--shifts", "0,1", "--base", "0", "--horizon", "3",
+    )
+    assert code == 0
+    rows = payload["evidence"]["certificate"]["evidence"]["stages"]
+    assert [row.get("matched") for row in rows] == [5, 68, None]
+    assert rows[2] == {
+        "stage": 3,
+        "tuples": 729,
+        "skipped": "per-tuple slide scan with shifts needs ~19683 enumeration units,"
+        " over the budget of 19682 (raise RANKLAB_BUDGET to allow it)",
+    }
+
+
 def test_internal_error_yields_error_report(capsys, monkeypatch):
     def broken(args):
         raise AssertionError("descendants collided")

@@ -396,5 +396,8 @@ def test_gamma_search_validation(tq41):
         gamma_search(alphabet, ())
     with pytest.raises(ParamOutOfRange):
         gamma_search(alphabet, (0,))
+    refused = r"^multipliers must be positive integers, got \[True\]$"
+    with pytest.raises(ParamOutOfRange, match=refused):
+        gamma_search(alphabet, [True])
     with pytest.raises(HorizonExceeded):
         gamma_search(alphabet, (10**9,), horizon=2)
