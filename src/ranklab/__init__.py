@@ -8,215 +8,140 @@ under inversion — into finite computations that emit machine-checkable
 certificates.
 """
 
-from .certificates import (
-    Certificate,
-    ErgodicMatchResult,
-    MatchWitness,
-    MixingEntry,
-    MixingResult,
-    PatternQuery,
-    PatternResult,
-    ProductQuery,
-    PwmResult,
-    AsymmetryResult,
-    asymmetry_statistic,
-    conservativity_fraction,
-    ergodic_matching,
-    exhaustive_matches,
-    mixing_decay,
-    non_ergodic_check,
-    npc_certificate,
-    pattern_measure,
-    pwm_witness,
-    verify_match_witness,
-)
-from .construction import (
-    ColumnStats,
-    ImageOfLevel,
-    LevelRef,
-    MeasureInterval,
-    RankOneSpec,
-    StageSpec,
-    check_level,
-    column_stats,
-    descendant_heights,
-    height_set,
-    image_of_level,
-    intersection_measure,
-    level_width,
-    validate_spec,
-)
-from .errors import (
-    BudgetExceeded,
-    CutTooSmall,
-    HorizonExceeded,
-    HypothesisUnmet,
-    IoError,
-    LengthMismatch,
-    NegativeSpacer,
-    NoPartnerStages,
-    ParamOutOfRange,
-    PreconditionViolated,
-    RankLabError,
-    ScheduleInfeasible,
-    SpecError,
-    SpecFileError,
-    StageTooLow,
-    StageUnavailable,
-    UsageError,
-)
-from .families import (
-    AsymmParams,
-    InfChaconParams,
-    SeparationResult,
-    TQParams,
-    asymm_stage_sets,
-    make_asymm_construction,
-    make_inf_chacon,
-    make_tq,
-    separation_check,
-)
-from .reporting import (
-    TOOL_VERSION,
-    Report,
-    canonical_json,
-    emit_report,
-    fingerprint,
-    jsonable,
-    report_fingerprint,
-    report_payload,
-    validate_report,
-)
-from .specio import load_spec, parse_spec, spec_fingerprint, spec_payload, tq_params_of
-from .sumsets import (
-    APSearchResult,
-    CoverageChecks,
-    DigitAlphabet,
-    DifferenceMultiset,
-    GammaWitness,
-    GapCount,
-    PartnerSet,
-    PartnerShift,
-    admissible_alphabets,
-    ap_search,
-    coverage_checks,
-    descendant_contains,
-    descendant_decompose,
-    descendant_differences,
-    difference_multiset,
-    gamma_search,
-    gap_count,
-    partner_set,
-    partner_shift,
-    progression_runs,
-    sumset_membership,
-    truncated_sumset,
-)
+import importlib
+from typing import Any
 
-__version__ = TOOL_VERSION
+from ._version import __version__
 
-__all__ = [
-    "TOOL_VERSION",
-    "__version__",
-    # construction
-    "StageSpec",
-    "RankOneSpec",
-    "validate_spec",
-    "height_set",
-    "ColumnStats",
-    "column_stats",
-    "LevelRef",
-    "check_level",
-    "level_width",
-    "descendant_heights",
-    "MeasureInterval",
-    "ImageOfLevel",
-    "image_of_level",
-    "intersection_measure",
-    # sumsets
-    "descendant_decompose",
-    "descendant_contains",
-    "DifferenceMultiset",
-    "difference_multiset",
-    "descendant_differences",
-    "PartnerSet",
-    "partner_set",
-    "PartnerShift",
-    "partner_shift",
-    "APSearchResult",
-    "ap_search",
-    "progression_runs",
-    "DigitAlphabet",
-    "admissible_alphabets",
-    "truncated_sumset",
-    "sumset_membership",
-    "GapCount",
-    "gap_count",
-    "CoverageChecks",
-    "coverage_checks",
-    "GammaWitness",
-    "gamma_search",
-    # families
-    "InfChaconParams",
-    "make_inf_chacon",
-    "TQParams",
-    "make_tq",
-    "SeparationResult",
-    "separation_check",
-    "AsymmParams",
-    "asymm_stage_sets",
-    "make_asymm_construction",
-    # certificates
-    "Certificate",
-    "ProductQuery",
-    "MatchWitness",
-    "verify_match_witness",
-    "conservativity_fraction",
-    "ErgodicMatchResult",
-    "ergodic_matching",
-    "exhaustive_matches",
-    "PatternQuery",
-    "PatternResult",
-    "pattern_measure",
-    "MixingEntry",
-    "MixingResult",
-    "mixing_decay",
-    "npc_certificate",
-    "PwmResult",
-    "pwm_witness",
-    "non_ergodic_check",
-    "AsymmetryResult",
-    "asymmetry_statistic",
-    # reporting / spec files
-    "Report",
-    "canonical_json",
-    "fingerprint",
-    "jsonable",
-    "report_payload",
-    "report_fingerprint",
-    "emit_report",
-    "validate_report",
-    "parse_spec",
-    "load_spec",
-    "spec_payload",
-    "spec_fingerprint",
-    "tq_params_of",
-    # errors
-    "RankLabError",
-    "SpecError",
-    "CutTooSmall",
-    "NegativeSpacer",
-    "LengthMismatch",
-    "StageUnavailable",
-    "StageTooLow",
-    "ParamOutOfRange",
-    "PreconditionViolated",
-    "HorizonExceeded",
-    "BudgetExceeded",
-    "NoPartnerStages",
-    "HypothesisUnmet",
-    "ScheduleInfeasible",
-    "SpecFileError",
-    "IoError",
-    "UsageError",
-]
+TOOL_VERSION = __version__
+
+# Public names by defining module, in ``__all__`` order.  Each module is
+# imported the first time one of its names is looked up, so a command that
+# never touches ``certificates`` never pays for compiling it.
+_EXPORTS = {
+    "construction": (
+        "StageSpec",
+        "RankOneSpec",
+        "validate_spec",
+        "height_set",
+        "ColumnStats",
+        "column_stats",
+        "LevelRef",
+        "check_level",
+        "level_width",
+        "descendant_heights",
+        "MeasureInterval",
+        "ImageOfLevel",
+        "image_of_level",
+        "intersection_measure",
+    ),
+    "sumsets": (
+        "descendant_decompose",
+        "descendant_contains",
+        "DifferenceMultiset",
+        "difference_multiset",
+        "descendant_differences",
+        "PartnerSet",
+        "partner_set",
+        "PartnerShift",
+        "partner_shift",
+        "APSearchResult",
+        "ap_search",
+        "progression_runs",
+        "DigitAlphabet",
+        "admissible_alphabets",
+        "truncated_sumset",
+        "sumset_membership",
+        "GapCount",
+        "gap_count",
+        "CoverageChecks",
+        "coverage_checks",
+        "GammaWitness",
+        "gamma_search",
+    ),
+    "families": (
+        "InfChaconParams",
+        "make_inf_chacon",
+        "TQParams",
+        "make_tq",
+        "SeparationResult",
+        "separation_check",
+        "AsymmParams",
+        "asymm_stage_sets",
+        "make_asymm_construction",
+    ),
+    "certificates": (
+        "Certificate",
+        "ProductQuery",
+        "MatchWitness",
+        "verify_match_witness",
+        "conservativity_fraction",
+        "ErgodicMatchResult",
+        "ergodic_matching",
+        "exhaustive_matches",
+        "PatternQuery",
+        "PatternResult",
+        "pattern_measure",
+        "MixingEntry",
+        "MixingResult",
+        "mixing_decay",
+        "npc_certificate",
+        "PwmResult",
+        "pwm_witness",
+        "non_ergodic_check",
+        "AsymmetryResult",
+        "asymmetry_statistic",
+    ),
+    "reporting": (
+        "Report",
+        "canonical_json",
+        "fingerprint",
+        "jsonable",
+        "report_payload",
+        "report_fingerprint",
+        "emit_report",
+        "validate_report",
+    ),
+    "specio": (
+        "parse_spec",
+        "load_spec",
+        "spec_payload",
+        "spec_fingerprint",
+        "tq_params_of",
+    ),
+    "errors": (
+        "RankLabError",
+        "SpecError",
+        "CutTooSmall",
+        "NegativeSpacer",
+        "LengthMismatch",
+        "StageUnavailable",
+        "StageTooLow",
+        "ParamOutOfRange",
+        "PreconditionViolated",
+        "HorizonExceeded",
+        "BudgetExceeded",
+        "NoPartnerStages",
+        "HypothesisUnmet",
+        "ScheduleInfeasible",
+        "SpecFileError",
+        "IoError",
+        "UsageError",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["TOOL_VERSION", "__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,40 +16,18 @@ decimal renderings of the headline rationals (clearly grouped under an
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .certificates import (
-    PatternQuery,
-    ProductQuery,
-    asymmetry_statistic,
-    conservativity_fraction,
-    ergodic_matching,
-    mixing_decay,
-    non_ergodic_check,
-    npc_certificate,
-    pattern_measure,
-    pwm_witness,
-)
-from ._budget import charge
-from .construction import LevelRef, MeasureInterval, descendant_heights, level_width
 from .errors import IoError, ParamOutOfRange, RankLabError, UsageError
-from .reporting import TOOL_VERSION, Report, emit_report, fingerprint
-from .specio import load_spec, spec_fingerprint, spec_payload, tq_params_of
-from .sumsets import (
-    DigitAlphabet,
-    coverage_checks,
-    descendant_differences,
-    gamma_search,
-    gap_count,
-    partner_set,
-    partner_shift,
-    progression_runs,
-    sumset_membership,
-)
+
+if TYPE_CHECKING:
+    import argparse
+    from fractions import Fraction
+
+    from .construction import MeasureInterval
+    from .sumsets import DigitAlphabet
 
 __all__ = ["main", "run"]
 
@@ -63,48 +41,46 @@ EXIT_USAGE = 64
 TABLE_CAP = 8192
 RUNS_CAP = 512
 
-# Fingerprint used by error reports when no spec was successfully loaded.
-_NO_SPEC_FP = fingerprint(None)
-
 _VERDICT_EXIT = {
     "holds": EXIT_OK,
     "inconclusive": EXIT_OK,
     "fails": EXIT_PROPERTY_FAILED,
 }
 
-# A handler returns (spec fingerprint, inputs, result, evidence, exit code).
-Outcome = tuple[str, dict[str, Any], dict[str, Any], dict[str, Any], int]
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage problems via ``UsageError``."""
-
-    def error(self, message: str) -> Any:  # noqa: A003 - argparse API
-        raise UsageError(message)
+# A handler returns (spec fingerprint, result, evidence, exit code); ``run``
+# adds the ``inputs`` block, echoed from the command's flags.
+Outcome = tuple[str, dict[str, Any], dict[str, Any], int]
 
 
 # ---------------------------------------------------------------------------
 # argument value parsers
 
 
+def _invalid(message: str) -> Exception:
+    """The error a value parser raises; argparse reports its message as is."""
+    import argparse  # loaded by then: value parsers run while parsing
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _int_arg(text: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise _invalid(f"not an integer: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
     value = _int_arg(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise _invalid(f"must be >= 1, got {value}")
     return value
 
 
 def _nonneg_int(text: str) -> int:
     value = _int_arg(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise _invalid(f"must be >= 0, got {value}")
     return value
 
 
@@ -112,25 +88,23 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip(), 10) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+        raise _invalid(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _level_arg(text: str) -> tuple[int, int]:
     stage, sep, height = text.partition(":")
     if not sep:
-        raise argparse.ArgumentTypeError(
-            f"expected STAGE:HEIGHT (e.g. 1:0), got {text!r}"
-        )
+        raise _invalid(f"expected STAGE:HEIGHT (e.g. 1:0), got {text!r}")
     return _nonneg_int(stage), _nonneg_int(height)
 
 
 def _fraction_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+        raise _invalid(f"not a rational: {text!r}") from None
     return value
 
 
@@ -160,27 +134,21 @@ def _attach_approx(
 
 
 def _load(args: argparse.Namespace) -> tuple[Any, str]:
+    from .specio import load_spec, spec_fingerprint
+
     spec = load_spec(args.spec)
     return spec, spec_fingerprint(spec)
 
 
-def _echo(args: argparse.Namespace, *names: str) -> dict[str, Any]:
-    """The ``inputs`` block: named arguments under camelCase keys, tuples as lists."""
-    inputs = {}
-    for name in names:
-        head, *rest = name.split("_")
-        value = getattr(args, name)
-        inputs[head + "".join(w.title() for w in rest)] = (
-            list(value) if isinstance(value, tuple) else value
-        )
-    return inputs
-
-
-def _digit_alphabet(args: argparse.Namespace) -> tuple[DigitAlphabet, str, dict[str, Any]]:
+def _digit_alphabet(args: argparse.Namespace) -> tuple[DigitAlphabet, str]:
     """Alphabet from ``--spec`` (tower family) or ``--k``/``--alphabet``."""
+    from .sumsets import DigitAlphabet
+
     if args.spec is not None:
         if args.k is not None or args.alphabet is not None:
             raise UsageError("give either --spec or --k/--alphabet, not both")
+        from .specio import tq_params_of
+
         spec, fp = _load(args)
         params = tq_params_of(spec)
         if params is None:
@@ -188,12 +156,14 @@ def _digit_alphabet(args: argparse.Namespace) -> tuple[DigitAlphabet, str, dict[
                 "this spec does not define a digit alphabet;"
                 " use a tower-family spec or pass --k/--alphabet"
             )
-        return params.alphabet, fp, _echo(args, "spec")
+        return params.alphabet, fp
     if args.k is None or args.alphabet is None:
         raise UsageError("need --spec, or both --k and --alphabet")
+    from .reporting import fingerprint
+
     alphabet = DigitAlphabet(args.k, tuple(args.alphabet))
     payload = {"digitAlphabet": {"k": alphabet.k, "digits": list(alphabet.digits)}}
-    return alphabet, fingerprint(payload), _echo(args, "k", "alphabet")
+    return alphabet, fingerprint(payload)
 
 
 def _value_table(
@@ -207,9 +177,19 @@ def _value_table(
 
 # ---------------------------------------------------------------------------
 # command handlers
+#
+# ``_cmd_<name>`` handles command ``<name>`` (dashes as underscores).  Each
+# imports what it calls, so a command loads only the modules it needs.
+# Without cached bytecode, ``certificates`` is compiled on every start, and
+# the compiler's working memory lands on top of whatever is live.  So ``run``
+# imports it first for the commands in _CERTIFICATE_COMMANDS, before argparse,
+# ``reporting`` or a spec, and the handlers import it before the spec: the
+# process's peak RSS stays where it was when the package imported it eagerly.
 
 
 def _cmd_validate(args: argparse.Namespace) -> Outcome:
+    from .specio import spec_payload
+
     spec, fp = _load(args)
     preview = []
     for n in range(6):
@@ -218,17 +198,18 @@ def _cmd_validate(args: argparse.Namespace) -> Outcome:
         except RankLabError:
             break
     result = {"valid": True, "spec": spec_payload(spec)}
-    return fp, {"spec": args.spec}, result, {"heightPreview": preview}, EXIT_OK
+    return fp, result, {"heightPreview": preview}, EXIT_OK
 
 
 def _cmd_heights(args: argparse.Namespace) -> Outcome:
     spec, fp = _load(args)
     hs = [spec.height(n) for n in range(args.stages)]
-    inputs = _echo(args, "spec", "stages")
-    return fp, inputs, {"heights": hs}, {}, EXIT_OK
+    return fp, {"heights": hs}, {}, EXIT_OK
 
 
 def _cmd_descendants(args: argparse.Namespace) -> Outcome:
+    from .construction import LevelRef, descendant_heights, level_width
+
     spec, fp = _load(args)
     level = LevelRef(*args.base)
     values = descendant_heights(spec, level, args.to)
@@ -240,11 +221,14 @@ def _cmd_descendants(args: argparse.Namespace) -> Outcome:
         "levelWidth": width,
     }
     _attach_approx(args, result, {"levelWidth": width})
-    inputs = _echo(args, "spec", "base", "to")
-    return fp, inputs, result, _value_table(values), EXIT_OK
+    return fp, result, _value_table(values), EXIT_OK
 
 
 def _cmd_diffset(args: argparse.Namespace) -> Outcome:
+    from ._budget import charge
+    from .construction import LevelRef, descendant_heights
+    from .sumsets import descendant_differences
+
     spec, fp = _load(args)
     level = LevelRef(*args.base)
     values = descendant_heights(spec, level, args.to)
@@ -257,11 +241,14 @@ def _cmd_diffset(args: argparse.Namespace) -> Outcome:
         "maxDifference": positive[-1] if positive else 0,
     }
     evidence = _value_table(positive, "positive", lambda v: [v, counts[v]])
-    inputs = _echo(args, "spec", "base", "to")
-    return fp, inputs, result, evidence, EXIT_OK
+    return fp, result, evidence, EXIT_OK
 
 
 def _cmd_ap(args: argparse.Namespace) -> Outcome:
+    from ._budget import charge
+    from .construction import LevelRef, descendant_heights
+    from .sumsets import descendant_differences, progression_runs
+
     spec, fp = _load(args)
     level = LevelRef(*args.base)
     values = descendant_heights(spec, level, args.to)
@@ -284,17 +271,16 @@ def _cmd_ap(args: argparse.Namespace) -> Outcome:
             "longest": res.longest,
             "witness": res.witness,
         }
-    inputs = _echo(args, "spec", "base", "to", "max_len")
     code = EXIT_PROPERTY_FAILED if cap_reached else EXIT_OK
-    return fp, inputs, result, evidence, code
+    return fp, result, evidence, code
 
 
 def _cmd_partners(args: argparse.Namespace) -> Outcome:
+    from .sumsets import partner_set, partner_shift
+
     spec, fp = _load(args)
     heights = spec.height_set(args.stage)
-    inputs = _echo(args, "spec", "stage")
     if args.shift is not None:
-        inputs["shift"] = args.shift
         s0 = partner_set(heights, args.shift)
         s1 = partner_set(heights, args.shift + 1)
         result = {
@@ -305,10 +291,10 @@ def _cmd_partners(args: argparse.Namespace) -> Outcome:
         }
         _attach_approx(args, result, {"delta": s0.delta})
         evidence = {"membersAtZ": list(s0.members), "membersAtZPlus1": list(s1.members)}
-        return fp, inputs, result, evidence, EXIT_OK
+        return fp, result, evidence, EXIT_OK
     ps = partner_shift(heights)
     if ps is None:
-        return fp, inputs, {"found": False}, {"heights": list(heights)}, EXIT_OK
+        return fp, {"found": False}, {"heights": list(heights)}, EXIT_OK
     result = {
         "found": True,
         "z": ps.z,
@@ -320,25 +306,27 @@ def _cmd_partners(args: argparse.Namespace) -> Outcome:
         "membersAtZ": list(ps.at_z.members),
         "membersAtZPlus1": list(ps.at_z_plus_1.members),
     }
-    return fp, inputs, result, evidence, EXIT_OK
+    return fp, result, evidence, EXIT_OK
 
 
 def _cmd_membership(args: argparse.Namespace) -> Outcome:
-    alphabet, fp, inputs = _digit_alphabet(args)
+    from .sumsets import sumset_membership
+
+    alphabet, fp = _digit_alphabet(args)
     digits = sumset_membership(alphabet, args.digits, args.target)
-    inputs |= _echo(args, "digits", "target")
     result = {
         "member": digits is not None,
         "representation": None if digits is None else list(digits),
         "base": alphabet.k,
     }
-    return fp, inputs, result, {}, EXIT_OK
+    return fp, result, {}, EXIT_OK
 
 
 def _cmd_gaps(args: argparse.Namespace) -> Outcome:
-    alphabet, fp, inputs = _digit_alphabet(args)
+    from .sumsets import gap_count
+
+    alphabet, fp = _digit_alphabet(args)
     gc = gap_count(alphabet, args.digits)
-    inputs |= _echo(args, "digits")
     result = {
         "g": gc.g,
         "recursion": list(gc.recursion),
@@ -352,13 +340,14 @@ def _cmd_gaps(args: argparse.Namespace) -> Outcome:
         else {"missingCount": len(gc.missing)}
     )
     code = EXIT_OK if gc.matches else EXIT_PROPERTY_FAILED
-    return fp, inputs, result, evidence, code
+    return fp, result, evidence, code
 
 
 def _cmd_coverage(args: argparse.Namespace) -> Outcome:
-    alphabet, fp, inputs = _digit_alphabet(args)
+    from .sumsets import coverage_checks
+
+    alphabet, fp = _digit_alphabet(args)
     cc = coverage_checks(alphabet, args.digits)
-    inputs |= _echo(args, "digits")
     result = {
         "passed": cc.passed,
         "hasUnitDiff": cc.has_unit_diff,
@@ -368,22 +357,25 @@ def _cmd_coverage(args: argparse.Namespace) -> Outcome:
     }
     evidence = {"failures": [[kind, value] for kind, value in cc.failures]}
     code = EXIT_OK if cc.passed else EXIT_PROPERTY_FAILED
-    return fp, inputs, result, evidence, code
+    return fp, result, evidence, code
 
 
 def _cmd_gamma(args: argparse.Namespace) -> Outcome:
-    alphabet, fp, inputs = _digit_alphabet(args)
+    from .sumsets import gamma_search
+
+    alphabet, fp = _digit_alphabet(args)
     gw = gamma_search(alphabet, args.multipliers, args.horizon)
-    inputs |= _echo(args, "multipliers", "horizon")
     result = {"n": gw.n, "m": gw.m, "gamma": gw.gamma}
     evidence = {
         "zeroDigits": list(gw.zero_digits),
         "multiplierDigits": [[b, list(d)] for b, d in gw.beta_digits],
     }
-    return fp, inputs, result, evidence, EXIT_OK
+    return fp, result, evidence, EXIT_OK
 
 
 def _cmd_conservativity(args: argparse.Namespace) -> Outcome:
+    from .certificates import ProductQuery, conservativity_fraction
+
     spec, fp = _load(args)
     query = ProductQuery(
         multipliers=args.multipliers,
@@ -395,11 +387,12 @@ def _cmd_conservativity(args: argparse.Namespace) -> Outcome:
     best, cert = conservativity_fraction(spec, query)
     result = {"bestFraction": best, "verdict": cert.verdict}
     _attach_approx(args, result, {"bestFraction": best})
-    inputs = _echo(args, "spec", "multipliers", "base", "horizon", "epsilon")
-    return fp, inputs, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
+    return fp, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
 def _cmd_ergodic_match(args: argparse.Namespace) -> Outcome:
+    from .certificates import ProductQuery, ergodic_matching
+
     spec, fp = _load(args)
     query = ProductQuery(
         multipliers=args.multipliers,
@@ -416,11 +409,12 @@ def _cmd_ergodic_match(args: argparse.Namespace) -> Outcome:
     }
     _attach_approx(args, result, {"fraction": res.fraction, "dead": res.dead})
     evidence = {"certificate": res.certificate, "witness": res.witness}
-    inputs = _echo(args, "spec", "multipliers", "shifts", "base", "horizon")
-    return fp, inputs, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
+    return fp, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
 def _cmd_pattern(args: argparse.Namespace) -> Outcome:
+    from .certificates import PatternQuery, pattern_measure
+
     spec, fp = _load(args)
     query = PatternQuery(
         arity=len(args.moves),
@@ -442,12 +436,14 @@ def _cmd_pattern(args: argparse.Namespace) -> Outcome:
         result,
         {"confirmed": res.matched.confirmed, "bound": res.bound},
     )
-    inputs = _echo(args, "spec", "moves", "base", "cutoff", "dconst")
     evidence = {"certificate": res.certificate}
-    return fp, inputs, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
+    return fp, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
 def _cmd_mixing(args: argparse.Namespace) -> Outcome:
+    from .certificates import mixing_decay
+    from .construction import LevelRef
+
     spec, fp = _load(args)
     if not args.shifts and args.window is None:
         raise UsageError("give --shifts and/or --window")
@@ -461,12 +457,13 @@ def _cmd_mixing(args: argparse.Namespace) -> Outcome:
         "worstRatio": res.worst_ratio,
     }
     _attach_approx(args, result, {"worstRatio": res.worst_ratio})
-    inputs = _echo(args, "spec", "base", "shifts", "window")
     evidence = {"certificate": res.certificate}
-    return fp, inputs, result, evidence, _VERDICT_EXIT[res.verdict]
+    return fp, result, evidence, _VERDICT_EXIT[res.verdict]
 
 
 def _cmd_npc(args: argparse.Namespace) -> Outcome:
+    from .certificates import npc_certificate
+
     spec, fp = _load(args)
     cert = npc_certificate(spec, args.kappa, args.start, args.horizon)
     longest = max(row["longest"] for row in cert.evidence["progressions"])
@@ -476,11 +473,13 @@ def _cmd_npc(args: argparse.Namespace) -> Outcome:
         "proofSup": cert.evidence["proofSup"],
     }
     _attach_approx(args, result, {"proofSup": cert.evidence["proofSup"]})
-    inputs = _echo(args, "spec", "kappa", "start", "horizon")
-    return fp, inputs, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
+    return fp, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
 def _cmd_pwm(args: argparse.Namespace) -> Outcome:
+    from .certificates import pwm_witness
+    from .specio import tq_params_of
+
     spec, fp = _load(args)
     params = tq_params_of(spec)
     if params is None:
@@ -496,19 +495,21 @@ def _cmd_pwm(args: argparse.Namespace) -> Outcome:
     }
     _attach_approx(args, result, {"beta": res.beta})
     evidence = {"certificate": res.certificate, "witness": res.match}
-    inputs = _echo(args, "spec", "alpha", "shifts", "base", "horizon")
-    return fp, inputs, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
+    return fp, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
 def _cmd_non_ergodic(args: argparse.Namespace) -> Outcome:
+    from .certificates import non_ergodic_check
+
     spec, fp = _load(args)
     cert = non_ergodic_check(spec, args.alpha, args.shifts, args.base, args.horizon)
     result = {"verdict": cert.verdict, "scope": cert.evidence.get("scope")}
-    inputs = _echo(args, "spec", "alpha", "shifts", "base", "horizon")
-    return fp, inputs, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
+    return fp, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
 def _cmd_asymmetry(args: argparse.Namespace) -> Outcome:
+    from .certificates import asymmetry_statistic
+
     spec, fp = _load(args)
     res = asymmetry_statistic(spec, args.base, args.scale, args.eval)
     result = {
@@ -526,165 +527,212 @@ def _cmd_asymmetry(args: argparse.Namespace) -> Outcome:
             "zeroUpper": res.zero_side.upper,
         },
     )
-    inputs = _echo(args, "spec", "base", "scale", "eval")
     evidence = {"certificate": res.certificate}
-    return fp, inputs, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
+    return fp, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
+
+# One flag: its option string and the keyword arguments of ``add_argument``.
+Flag = tuple[str, dict[str, Any]]
 
 
-def _add_report_flags(p: argparse.ArgumentParser) -> None:
+def _required(option: str, kind: Any, metavar: str, **extra: Any) -> Flag:
+    return option, {"type": kind, "required": True, "metavar": metavar, **extra}
+
+
+def _optional(option: str, kind: Any, metavar: str, **extra: Any) -> Flag:
+    return option, {"type": kind, "metavar": metavar, **extra}
+
+
+_SPEC = _required("--spec", None, "PATH", help="spec JSON file")
+_LEVEL = _required("--base", _level_arg, "STAGE:HEIGHT")
+_BASE = _required("--base", _nonneg_int, "STAGE")
+_BASE_1 = _required("--base", _positive_int, "STAGE")
+_TO = _required("--to", _nonneg_int, "STAGE")
+_HORIZON = _required("--horizon", _positive_int, "STAGE")
+_HORIZON_8 = _optional("--horizon", _positive_int, "N", default=8)
+_MULTIPLIERS = _required("--multipliers", _int_list, "LIST")
+_ALPHA = _required("--alpha", _int_list, "LIST")
+_SHIFTS = _required("--shifts", _int_list, "LIST")
+_DIGITS = _required("--digits", _positive_int, "N")
+_DIGIT_SOURCE = (
+    _optional("--spec", None, "PATH", help="spec JSON file"),
+    _optional("--k", _positive_int, "K", help="digit base"),
+    _optional(
+        "--alphabet",
+        _int_list,
+        "LIST",
+        help="comma-separated digits (0 and K-1 required)",
+    ),
+)
+_STAGES = _required("--stages", _positive_int, "N")
+_MAX_LEN = _required("--max-len", _positive_int, "L")
+_STAGE = _required("--stage", _nonneg_int, "N")
+_SHIFT = _optional("--shift", _positive_int, "Z")
+_TARGET = _required("--target", _int_arg, "X")
+_EPSILON = _optional("--epsilon", _fraction_arg, "EPS", default="1/10")
+_MOVES = _required(
+    "--moves", _int_list, "LIST", help="raised-move count per coordinate"
+)
+_CUTOFF = _required("--cutoff", _positive_int, "STAGE")
+_DCONST = _optional("--dconst", _positive_int, "D")
+_SHIFTS_OR_NONE = _optional("--shifts", _int_list, "LIST", default=())
+_WINDOW = _optional("--window", _nonneg_int, "STAGE")
+_KAPPA = _required("--kappa", _positive_int, "K")
+_START = _optional("--start", _nonneg_int, "STAGE", default=0)
+_SCALE = _required("--scale", _positive_int, "STAGE")
+_EVAL = _required("--eval", _positive_int, "STAGE")
+
+# Every command: its help line and its flags, after --json and --approx.
+# Each flag is echoed into the report's ``inputs`` under its camelCase name,
+# except that the flags in _ECHO_IF_GIVEN are left out when not given.
+_COMMANDS: dict[str, tuple[str, tuple[Flag, ...]]] = {
+    "validate": ("parse a spec file and echo its normal form", (_SPEC,)),
+    "heights": ("column heights h_0..h_{N-1}", (_SPEC, _STAGES)),
+    "descendants": ("heights a level splits into", (_SPEC, _LEVEL, _TO)),
+    "diffset": ("difference multiset of the descendants", (_SPEC, _LEVEL, _TO)),
+    "ap": (
+        "longest run x,2x,..,lx inside the difference set",
+        (_SPEC, _LEVEL, _TO, _MAX_LEN),
+    ),
+    "partners": ("offsets with a partner at distance z, z+1", (_SPEC, _STAGE, _SHIFT)),
+    "membership": (
+        "digit representation of a target value",
+        (*_DIGIT_SOURCE, _DIGITS, _TARGET),
+    ),
+    "gaps": (
+        "missing-value counts: recursion vs brute force",
+        (*_DIGIT_SOURCE, _DIGITS),
+    ),
+    "coverage": ("low-range and parity coverage checks", (*_DIGIT_SOURCE, _DIGITS)),
+    "gamma": (
+        "shift keeping scaled powers representable",
+        (*_DIGIT_SOURCE, _MULTIPLIERS, _HORIZON_8),
+    ),
+    "conservativity": (
+        "returning-tuple fraction",
+        (_SPEC, _MULTIPLIERS, _BASE, _HORIZON, _EPSILON),
+    ),
+    "ergodic-match": (
+        "matched fraction for +-1 products",
+        (_SPEC, _MULTIPLIERS, _SHIFTS, _BASE, _HORIZON),
+    ),
+    "pattern": (
+        "capture bound for all-forward move patterns",
+        (_SPEC, _MOVES, _BASE, _CUTOFF, _DCONST),
+    ),
+    "mixing": (
+        "overlap ratios against the pairing bound",
+        (_SPEC, _LEVEL, _SHIFTS_OR_NONE, _WINDOW),
+    ),
+    "npc": (
+        "progression freeness with self-propagating ratios",
+        (_SPEC, _KAPPA, _START, _HORIZON),
+    ),
+    "pwm": (
+        "matched pair witness for products of powers",
+        (_SPEC, _ALPHA, _SHIFTS, _BASE_1, _HORIZON_8),
+    ),
+    "non-ergodic": (
+        "certify shifts as never realizable",
+        (_SPEC, _ALPHA, _SHIFTS, _BASE, _HORIZON),
+    ),
+    "asymmetry": (
+        "triple-overlap statistic vs its reversal",
+        (_SPEC, _BASE_1, _SCALE, _EVAL),
+    ),
+}
+
+_ECHO_IF_GIVEN = frozenset({"--spec", "--k", "--alphabet", "--shift"})
+
+# Commands whose handlers call ``certificates``.
+_CERTIFICATE_COMMANDS = frozenset({
+    "conservativity", "ergodic-match", "pattern", "mixing", "npc", "pwm",
+    "non-ergodic", "asymmetry",
+})
+
+
+def _new_parser(**kwargs: Any) -> argparse.ArgumentParser:
+    """An argument parser that reports usage problems via ``UsageError``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> Any:  # noqa: A003 - argparse API
+            raise UsageError(message)
+
+    return Parser(**kwargs)
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--json", metavar="PATH", help="write the report to PATH")
     p.add_argument(
         "--approx",
         action="store_true",
         help="include non-authoritative decimal renderings",
     )
-
-
-def _add_spec(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--spec", required=required, metavar="PATH", help="spec JSON file")
-
-
-def _add_digit_source(p: argparse.ArgumentParser) -> None:
-    _add_spec(p, required=False)
-    p.add_argument("--k", type=_positive_int, metavar="K", help="digit base")
-    p.add_argument(
-        "--alphabet",
-        type=_int_list,
-        metavar="LIST",
-        help="comma-separated digits (0 and K-1 required)",
-    )
+    for option, kwargs in _COMMANDS[command][1]:
+        p.add_argument(option, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """The parser of every command, for help, ``--version`` and usage errors."""
+    from ._version import __version__
+
+    parser = _new_parser(
         prog="ranklab",
         description="exact certificates for rank-one cutting-and-stacking maps",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {TOOL_VERSION}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-
-    def cmd(
-        name: str, handler: Callable[[argparse.Namespace], Outcome], help_: str
-    ) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
-        _add_report_flags(p)
-        return p
-
-    p = cmd("validate", _cmd_validate, "parse a spec file and echo its normal form")
-    _add_spec(p)
-
-    p = cmd("heights", _cmd_heights, "column heights h_0..h_{N-1}")
-    _add_spec(p)
-    p.add_argument("--stages", type=_positive_int, required=True, metavar="N")
-
-    p = cmd("descendants", _cmd_descendants, "heights a level splits into")
-    _add_spec(p)
-    p.add_argument("--base", type=_level_arg, required=True, metavar="STAGE:HEIGHT")
-    p.add_argument("--to", type=_nonneg_int, required=True, metavar="STAGE")
-
-    p = cmd("diffset", _cmd_diffset, "difference multiset of the descendants")
-    _add_spec(p)
-    p.add_argument("--base", type=_level_arg, required=True, metavar="STAGE:HEIGHT")
-    p.add_argument("--to", type=_nonneg_int, required=True, metavar="STAGE")
-
-    p = cmd("ap", _cmd_ap, "longest run x,2x,..,lx inside the difference set")
-    _add_spec(p)
-    p.add_argument("--base", type=_level_arg, required=True, metavar="STAGE:HEIGHT")
-    p.add_argument("--to", type=_nonneg_int, required=True, metavar="STAGE")
-    p.add_argument("--max-len", type=_positive_int, required=True, metavar="L")
-
-    p = cmd("partners", _cmd_partners, "offsets with a partner at distance z, z+1")
-    _add_spec(p)
-    p.add_argument("--stage", type=_nonneg_int, required=True, metavar="N")
-    p.add_argument("--shift", type=_positive_int, metavar="Z")
-
-    p = cmd("membership", _cmd_membership, "digit representation of a target value")
-    _add_digit_source(p)
-    p.add_argument("--digits", type=_positive_int, required=True, metavar="N")
-    p.add_argument("--target", type=_int_arg, required=True, metavar="X")
-
-    p = cmd("gaps", _cmd_gaps, "missing-value counts: recursion vs brute force")
-    _add_digit_source(p)
-    p.add_argument("--digits", type=_positive_int, required=True, metavar="N")
-
-    p = cmd("coverage", _cmd_coverage, "low-range and parity coverage checks")
-    _add_digit_source(p)
-    p.add_argument("--digits", type=_positive_int, required=True, metavar="N")
-
-    p = cmd("gamma", _cmd_gamma, "shift keeping scaled powers representable")
-    _add_digit_source(p)
-    p.add_argument("--multipliers", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--horizon", type=_positive_int, default=8, metavar="N")
-
-    p = cmd("conservativity", _cmd_conservativity, "returning-tuple fraction")
-    _add_spec(p)
-    p.add_argument("--multipliers", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--base", type=_nonneg_int, required=True, metavar="STAGE")
-    p.add_argument("--horizon", type=_positive_int, required=True, metavar="STAGE")
-    p.add_argument(
-        "--epsilon", type=_fraction_arg, default=Fraction(1, 10), metavar="EPS"
-    )
-
-    p = cmd("ergodic-match", _cmd_ergodic_match, "matched fraction for +-1 products")
-    _add_spec(p)
-    p.add_argument("--multipliers", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--shifts", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--base", type=_nonneg_int, required=True, metavar="STAGE")
-    p.add_argument("--horizon", type=_positive_int, required=True, metavar="STAGE")
-
-    p = cmd("pattern", _cmd_pattern, "capture bound for all-forward move patterns")
-    _add_spec(p)
-    p.add_argument(
-        "--moves",
-        type=_int_list,
-        required=True,
-        metavar="LIST",
-        help="raised-move count per coordinate",
-    )
-    p.add_argument("--base", type=_nonneg_int, required=True, metavar="STAGE")
-    p.add_argument("--cutoff", type=_positive_int, required=True, metavar="STAGE")
-    p.add_argument("--dconst", type=_positive_int, metavar="D")
-
-    p = cmd("mixing", _cmd_mixing, "overlap ratios against the pairing bound")
-    _add_spec(p)
-    p.add_argument("--base", type=_level_arg, required=True, metavar="STAGE:HEIGHT")
-    p.add_argument("--shifts", type=_int_list, default=(), metavar="LIST")
-    p.add_argument("--window", type=_nonneg_int, metavar="STAGE")
-
-    p = cmd("npc", _cmd_npc, "progression freeness with self-propagating ratios")
-    _add_spec(p)
-    p.add_argument("--kappa", type=_positive_int, required=True, metavar="K")
-    p.add_argument("--start", type=_nonneg_int, default=0, metavar="STAGE")
-    p.add_argument("--horizon", type=_positive_int, required=True, metavar="STAGE")
-
-    p = cmd("pwm", _cmd_pwm, "matched pair witness for products of powers")
-    _add_spec(p)
-    p.add_argument("--alpha", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--shifts", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--base", type=_positive_int, required=True, metavar="STAGE")
-    p.add_argument("--horizon", type=_positive_int, default=8, metavar="N")
-
-    p = cmd("non-ergodic", _cmd_non_ergodic, "certify shifts as never realizable")
-    _add_spec(p)
-    p.add_argument("--alpha", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--shifts", type=_int_list, required=True, metavar="LIST")
-    p.add_argument("--base", type=_nonneg_int, required=True, metavar="STAGE")
-    p.add_argument("--horizon", type=_positive_int, required=True, metavar="STAGE")
-
-    p = cmd("asymmetry", _cmd_asymmetry, "triple-overlap statistic vs its reversal")
-    _add_spec(p)
-    p.add_argument("--base", type=_positive_int, required=True, metavar="STAGE")
-    p.add_argument("--scale", type=_positive_int, required=True, metavar="STAGE")
-    p.add_argument("--eval", type=_positive_int, required=True, metavar="STAGE")
-
+    for name, (help_, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Arguments of one run, building only the parser of the command named.
+
+    Anything else (help, ``--version``, a missing or unknown command) goes
+    through :func:`build_parser`, whose messages list every command.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    command = argv[0]
+    parser = _new_parser(prog=f"ranklab {command}")
+    _add_flags(parser, command)
+    # argparse reads a token starting with "-" as an option unless it is a
+    # plain negative number, so ``--alpha -1,2`` would lose its value: such a
+    # value is joined to its list option as ``--alpha=-1,2``.
+    flags = _COMMANDS[command][1]
+    lists = {option for option, kwargs in flags if kwargs["type"] is _int_list}
+    tokens: list[str] = []
+    for token in argv[1:]:
+        negative = token[:1] == "-" and token[1:2].isdigit()
+        if negative and tokens and tokens[-1] in lists:
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = parser.parse_args(tokens)
+    args.command = command
+    return args
+
+
+def _inputs(args: argparse.Namespace) -> dict[str, Any]:
+    """The ``inputs`` block: the command's flags in camelCase, tuples as lists."""
+    inputs = {}
+    for option, _ in _COMMANDS[args.command][1]:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is None and option in _ECHO_IF_GIVEN:
+            continue
+        head, *rest = option[2:].split("-")
+        inputs[head + "".join(w.title() for w in rest)] = (
+            list(value) if isinstance(value, tuple) else value
+        )
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -694,26 +742,27 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse, dispatch, emit one report, and return the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    if argv and argv[0] in _CERTIFICATE_COMMANDS:
+        # Compiled before anything else is live; see the note on the handlers.
+        from . import certificates  # noqa: F401
+    from .reporting import Report, emit_report
+
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     started = time.monotonic()
     try:
-        fp, inputs, result, evidence, code = args.handler(args)
+        # Looked up at call time, so a replaced handler takes effect.
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        fp, result, evidence, code = handler(args)
+        inputs = _inputs(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        # A RankLabError is a refusal; anything else is a bug in ranklab, so
-        # its traceback goes to stderr beside the error report.
-        if not isinstance(exc, RankLabError):
-            import traceback  # here, to keep it off the start-up path
-
-            traceback.print_exc()
         fp, inputs, result, evidence, code = _error_outcome(argv, exc)
     report = Report(
         command=args.command,
@@ -725,16 +774,32 @@ def run(argv: Sequence[str] | None = None) -> int:
     )
     try:
         emit_report(report, args.json)
-    except IoError as exc:
-        # The report could not reach --json: put the error on stdout instead.
+    except Exception as exc:
+        # The report could not be written: an error report takes its place,
+        # on stdout when it was --json that failed.
+        path = None if isinstance(exc, IoError) else args.json
         fp, inputs, result, evidence, code = _error_outcome(argv, exc)
-        emit_report(Report(args.command, fp, inputs, result, evidence, report.duration_ms))
+        emit_report(
+            Report(args.command, fp, inputs, result, evidence, report.duration_ms), path
+        )
     return code
 
 
-def _error_outcome(argv: list[str], exc: Exception) -> Outcome:
+def _error_outcome(
+    argv: list[str], exc: Exception
+) -> tuple[str, dict[str, Any], dict[str, Any], dict[str, Any], int]:
+    """Fingerprint, inputs, result, evidence and exit code of an error report."""
+    # A RankLabError is a refusal; anything else is a bug in ranklab, so its
+    # traceback goes to stderr beside the error report.
+    if not isinstance(exc, RankLabError):
+        import traceback  # here, to keep it off the start-up path
+
+        traceback.print_exc()
     error = {"type": type(exc).__name__, "message": str(exc)}
-    return _NO_SPEC_FP, {"argv": argv}, {"error": error}, {}, EXIT_ERROR
+    from .reporting import fingerprint
+
+    # An error report carries the fingerprint of no spec.
+    return fingerprint(None), {"argv": argv}, {"error": error}, {}, EXIT_ERROR
 
 
 def main() -> None:

@@ -22,9 +22,8 @@ column at a finite stage is reported as *unresolved* mass rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._budget import charge
 from .errors import (
@@ -65,8 +64,7 @@ EXTENSION_REPEAT = "repeat-last"
 EXTENSION_RULE = "rule"
 
 
-@dataclass(frozen=True)
-class StageSpec:
+class StageSpec(NamedTuple):
     """One cutting step: ``r`` cuts and a spacer count per subcolumn.
 
     ``s[j]`` spacers go on top of subcolumn ``j``; ``s[r-1]`` is the rightmost
@@ -106,8 +104,7 @@ def _checked_stage(raw: object, index: int) -> StageSpec:
     return StageSpec(r, tuple(spacers))
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(NamedTuple):
     """Names the closed-form family a spec was generated from, if any.
 
     ``params`` is a JSON-ready mapping used verbatim for fingerprinting, so
@@ -263,8 +260,7 @@ def height_set(spec: RankOneSpec, n: int) -> tuple[int, ...]:
     return spec.height_set(n)
 
 
-@dataclass(frozen=True)
-class ColumnStats:
+class ColumnStats(NamedTuple):
     """Exact per-column bookkeeping."""
 
     stage: int
@@ -279,8 +275,7 @@ def column_stats(spec: RankOneSpec, n: int) -> ColumnStats:
     return ColumnStats(stage=n, height=h, level_width=w, total_measure=h * w)
 
 
-@dataclass(frozen=True)
-class LevelRef:
+class LevelRef(NamedTuple):
     """One level of one column: ``(stage, height)`` with 0 at the bottom."""
 
     stage: int
@@ -332,8 +327,12 @@ def descendant_heights(spec: RankOneSpec, level: LevelRef, j: int) -> tuple[int,
     return tuple(heights)
 
 
-@dataclass(frozen=True)
-class MeasureInterval:
+class _MeasureIntervalFields(NamedTuple):
+    confirmed: Fraction
+    unresolved: Fraction
+
+
+class MeasureInterval(_MeasureIntervalFields):
     """An exact two-sided answer: ``confirmed`` mass plus ``unresolved`` mass.
 
     The true measure lies in ``[confirmed, confirmed + unresolved]``;
@@ -341,10 +340,10 @@ class MeasureInterval:
     column at the evaluation stage and so cannot be decided there.
     """
 
-    confirmed: Fraction
-    unresolved: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    # A NamedTuple body may not define __init__: the checks live in a subclass.
+    def __init__(self, *args: object, **kwargs: object) -> None:
         assert self.confirmed >= 0 and self.unresolved >= 0
 
     @property
@@ -352,8 +351,7 @@ class MeasureInterval:
         return self.confirmed + self.unresolved
 
 
-@dataclass(frozen=True)
-class ImageOfLevel:
+class ImageOfLevel(NamedTuple):
     """Stage-``j`` splitting of ``T^m`` applied to a level.
 
     ``resolved`` lists the image sublevels (heights shifted by ``m`` inside

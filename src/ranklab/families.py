@@ -21,9 +21,8 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._budget import charge
 from .construction import FamilyTag, RankOneSpec, StageSpec
@@ -63,16 +62,20 @@ def iroot_ceil(x: int, e: int) -> int:
 # infinite-Chacon type
 
 
-@dataclass(frozen=True)
-class InfChaconParams:
-    """``t`` cuts, single spacer in gap ``q``, heights ``h' = m1*h + m0``."""
-
+class _InfChaconFields(NamedTuple):
     t: int
     q: int
     m1: int
     m0: int
 
-    def __post_init__(self) -> None:
+
+class InfChaconParams(_InfChaconFields):
+    """``t`` cuts, single spacer in gap ``q``, heights ``h' = m1*h + m0``."""
+
+    __slots__ = ()
+
+    # A NamedTuple body may not define __init__: the checks live in a subclass.
+    def __init__(self, *args: object, **kwargs: object) -> None:
         if self.t < 2:
             raise ParamOutOfRange(f"need at least 2 cuts, got t={self.t}")
         if not 1 <= self.q <= self.t - 1:
@@ -111,19 +114,22 @@ def make_inf_chacon(t: int = 3, q: int = 1, m1: int = 6, m0: int = 2) -> RankOne
 # (t, q) family
 
 
-@dataclass(frozen=True)
-class TQParams:
+class _TQFields(NamedTuple):
+    t: int
+    q: int
+    positions: tuple[int, ...]
+
+
+class TQParams(_TQFields):
     """``t`` cuts, full-height spacer blocks over ``positions``, one top spacer.
 
     ``k = t + q`` and the offsets are ``phi(i) * h_n`` where ``phi`` skips one
     value per spacer block passed, ending at ``phi(t-1) = k - 1``.
     """
 
-    t: int
-    q: int
-    positions: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         if self.t < 3:
             raise ParamOutOfRange(f"need t >= 3 cuts, got {self.t}")
         if self.q < 1:
@@ -189,8 +195,7 @@ def make_tq(t: int, q: int, positions: Sequence[int]) -> tuple[RankOneSpec, TQPa
 # separation check
 
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(NamedTuple):
     """Outcome of the four-element separation scan.
 
     ``min_abs`` is the smallest ``|x - z - y + z'|`` over quadruples that the
@@ -249,8 +254,14 @@ def separation_check(
 # asymmetric-index generator
 
 
-@dataclass(frozen=True)
-class AsymmParams:
+class _AsymmFields(NamedTuple):
+    k: int
+    p: int | None
+    prefix_stages: int
+    separation_factor: int
+
+
+class AsymmParams(_AsymmFields):
     """Schedule for the alternating separated/partner construction.
 
     ``k`` drives the partner-fraction decay (delta ~ 1/ceil((m+2)^(1/k)), so
@@ -261,12 +272,9 @@ class AsymmParams:
     separation bound ``2*C*h_n``.
     """
 
-    k: int
-    p: int | None
-    prefix_stages: int
-    separation_factor: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         if self.k < 1:
             raise ParamOutOfRange(f"index driver k must be >= 1, got {self.k}")
         if self.p is not None and self.p < 2:
@@ -279,8 +287,7 @@ class AsymmParams:
             )
 
 
-@dataclass(frozen=True)
-class AsymmStageSets:
+class AsymmStageSets(NamedTuple):
     """One generated stage, before conversion to cut/spacer form.
 
     On partner stages ``restricted`` holds the far-separated offsets (the

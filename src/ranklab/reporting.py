@@ -11,14 +11,11 @@ noise never changes it.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from ._version import __version__
 from .errors import IoError, is_plain_int
@@ -55,14 +52,18 @@ def jsonable(value: Any) -> Any:
     """Convert exact values into JSON-ready structures.
 
     Fractions become num/den string pairs (ints could silently overflow in
-    other JSON consumers; strings never do).  Sets are sorted, dataclasses
-    become field mappings, mapping keys are stringified.
+    other JSON consumers; strings never do).  Sets are sorted, named tuples
+    and dataclasses become field mappings, mapping keys are stringified.
     """
     if value is None or isinstance(value, (int, str, float)):  # bool is an int
         return value
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        return {name: jsonable(v) for name, v in value._asdict().items()}
+    if hasattr(type(value), "__dataclass_fields__"):
+        import dataclasses  # here: only certificates' records are dataclasses
+
         return {
             f.name: jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
@@ -90,12 +91,15 @@ def canonical_json(payload: Any) -> str:
 
 
 def fingerprint(payload: Any) -> str:
+    # Imported on first use: hashlib maps OpenSSL (~3.5 MB resident), which must
+    # not be live yet while ``certificates`` compiles (see ``cli``'s handlers).
+    import hashlib
+
     digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
     return f"sha256:{digest}"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     spec_fingerprint: str
     inputs: Mapping[str, Any]

@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from ._budget import charge
 from .construction import LevelRef, RankOneSpec, check_level
@@ -117,14 +116,18 @@ def descendant_contains(spec: RankOneSpec, level: LevelRef, j: int, value: int) 
 # difference multisets and partner sets
 
 
-@dataclass(frozen=True)
-class DifferenceMultiset:
-    """Counts of ordered differences ``d0 - d1`` over pairs of a finite set."""
-
+class _DifferenceMultisetFields(NamedTuple):
     size: int
     counts: Mapping[int, int]
 
-    def __post_init__(self) -> None:
+
+class DifferenceMultiset(_DifferenceMultisetFields):
+    """Counts of ordered differences ``d0 - d1`` over pairs of a finite set."""
+
+    __slots__ = ()
+
+    # A NamedTuple body may not define __init__: the checks live in a subclass.
+    def __init__(self, *args: object, **kwargs: object) -> None:
         assert self.counts.get(0, 0) == self.size
         assert sum(self.counts.values()) == self.size * self.size
 
@@ -217,8 +220,7 @@ def descendant_differences(
     return support
 
 
-@dataclass(frozen=True)
-class PartnerSet:
+class PartnerSet(NamedTuple):
     """Elements of a height set with a partner at distance ``z``.
 
     With the default ``lower`` side, ``members = {x in H : x - z in H}`` — the
@@ -253,8 +255,7 @@ def partner_set(heights: Sequence[int], z: int, side: str = "lower") -> PartnerS
     return PartnerSet(z, members, len(hset), side)
 
 
-@dataclass(frozen=True)
-class PartnerShift:
+class PartnerShift(NamedTuple):
     """The shift a matching construction pivots on at one stage.
 
     ``z`` is the least positive shift where the partner sets at ``z`` and
@@ -294,8 +295,7 @@ def partner_shift(heights: Sequence[int]) -> PartnerShift | None:
 # arithmetic progressions inside a difference set
 
 
-@dataclass(frozen=True)
-class APSearchResult:
+class APSearchResult(NamedTuple):
     """Longest run of multiples ``x, 2x, ..., lx`` inside a difference set.
 
     ``runs`` maps each positive difference ``x`` to the largest ``l`` (capped
@@ -348,8 +348,12 @@ def progression_runs(diffs: Collection[int], max_len: int) -> APSearchResult:
 # digit alphabets
 
 
-@dataclass(frozen=True)
-class DigitAlphabet:
+class _DigitAlphabetFields(NamedTuple):
+    k: int
+    digits: tuple[int, ...]
+
+
+class DigitAlphabet(_DigitAlphabetFields):
     """Digit set for base ``k`` with steps of 1 or 2 between digits.
 
     Contains 0 and ``k - 1``; consecutive digits differ by 1 or 2.  The gap
@@ -357,10 +361,8 @@ class DigitAlphabet:
     is enforced at construction time.
     """
 
-    k: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    # No __slots__ here: the cached tables below live in the instance dict.
+    def __init__(self, *args: object, **kwargs: object) -> None:
         if not isinstance(self.k, int) or self.k < 2:
             raise ParamOutOfRange(f"base must be an integer >= 2, got {self.k!r}")
         d = self.digits
@@ -478,8 +480,7 @@ def sumset_membership(
 # gap counts and coverage
 
 
-@dataclass(frozen=True)
-class GapCount:
+class GapCount(NamedTuple):
     """Missing-value count of D(n)' by recursion and by brute force.
 
     ``g`` counts the values in ``[1, k-1]`` outside A-A; ``recursion`` is the
@@ -520,8 +521,7 @@ def gap_count(alphabet: DigitAlphabet, n: int) -> GapCount:
     return GapCount(alphabet, n, g, unit_gaps, tuple(recursion), len(missing), missing)
 
 
-@dataclass(frozen=True)
-class CoverageChecks:
+class CoverageChecks(NamedTuple):
     """Exhaustive verdicts for the three coverage claims about D(n)'.
 
     * ``half_alphabet_ok`` — A-A contains all of ``[0, ceil(k/2)]`` and every
@@ -589,8 +589,7 @@ def coverage_checks(alphabet: DigitAlphabet, n: int) -> CoverageChecks:
 # gamma search
 
 
-@dataclass(frozen=True)
-class GammaWitness:
+class GammaWitness(NamedTuple):
     """A shift ``gamma`` keeping powers of ``k`` representable after scaling.
 
     Certifies ``k^m - gamma in D(m)'`` and ``k^n - gamma*beta in D(n)'`` for

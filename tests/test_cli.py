@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import spec_path
+import ranklab
 import ranklab.cli
-from ranklab import validate_report
+from ranklab import load_spec, validate_report
 from ranklab.cli import run
+
+REPO = Path(__file__).resolve().parent.parent
+
+COMMANDS = (
+    "validate", "heights", "descendants", "diffset", "ap", "partners",
+    "membership", "gaps", "coverage", "gamma", "conservativity",
+    "ergodic-match", "pattern", "mixing", "npc", "pwm", "non-ergodic",
+    "asymmetry",
+)
 
 
 def cli(capsys, *argv):
@@ -212,6 +228,41 @@ def test_pattern_cli(capsys):
     assert payload["result"]["matched"]["confirmed"] == rational(1, 9)
     assert payload["result"]["bound"] == rational(1, 16)
     assert payload["result"]["verdict"] == "holds"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conservativity", "--spec", spec_path("chacon.json"),
+         "--multipliers", "-1,2", "--base", "0", "--horizon", "2"),
+        ("conservativity", "--spec", spec_path("chacon.json"),
+         "--multipliers", "-1,-1,3", "--base", "0", "--horizon", "2"),
+        ("non-ergodic", "--spec", spec_path("all_but_last.json"),
+         "--alpha", "-1,2", "--shifts", "-1,0", "--base", "0", "--horizon", "3"),
+        ("pwm", "--spec", spec_path("tq41.json"),
+         "--alpha", "-3,2", "--shifts", "0,1,2", "--base", "1"),
+        ("mixing", "--spec", spec_path("mixing_window.json"),
+         "--base", "0:0", "--shifts", "-10,0,40"),
+    ],
+)
+def test_negative_first_lists_take_either_form(capsys, argv):
+    # argparse reads "-1,2" as an option, not as the value of the flag before it.
+    code, spaced = report(capsys, *argv)
+    assert code in (0, 2)
+    lists = [v for v in spaced["inputs"].values() if isinstance(v, list)]
+    assert any(v and v[0] < 0 for v in lists)
+    joined = []
+    for token in argv:
+        if token.startswith("-") and token[1:2].isdigit():
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert len(joined) < len(argv)
+    joined_code, with_equals = report(capsys, *joined)
+    assert joined_code == code
+    spaced.pop("durationMs")
+    with_equals.pop("durationMs")
+    assert with_equals == spaced
 
 
 def test_mixing_needs_shifts_or_window(capsys):
@@ -526,3 +577,99 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert "ranklab" in capsys.readouterr().out
+
+
+def test_unrenderable_report_yields_error_report(capsys):
+    # h_5599 has more than 4,300 digits, Python's limit for int -> str: the
+    # heights report cannot be serialized, so an error report replaces it.
+    code, out, err = cli(
+        capsys, "heights", "--spec", spec_path("chacon.json"), "--stages", "5600"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert validate_report(payload) == []
+    assert payload["command"] == "heights"
+    assert payload["result"]["error"]["type"] == "ValueError"
+    assert payload["inputs"]["argv"][-1] == "5600"
+    assert "Traceback" in err
+
+
+def _perfbench_jobs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", REPO / "perfbench" / "jobs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_workload_reports_match_golden(capsys, monkeypatch):
+    # The benchmark's 20 process runs, replayed in process: exit codes and
+    # durationMs-free fingerprints must equal the recorded ones.
+    jobs = _perfbench_jobs()
+    golden = jobs.load_golden()
+    monkeypatch.chdir(REPO)
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    specs = {path: load_spec(path) for path in jobs.SPEC_FILES["cli"]}
+    templates = jobs.templates("cli")
+    assert len(templates) == 20
+    for template in templates:
+        argv = jobs.instantiate(template, 0)
+        code = run(list(argv))
+        text = capsys.readouterr().out
+        assert jobs.check_report(golden, template, argv, code, text, specs) == [], argv
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+import ranklab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ranklab.cli.run(sys.argv[1:])
+print(json.dumps([code, sorted({"ranklab.certificates", "dataclasses"} & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("heights", "--spec", spec_path("chacon.json"), "--stages", "4"), []),
+        (("gaps", "--k", "9", "--alphabet", "0,2,3,5,6,8", "--digits", "3"), []),
+        (
+            ("npc", "--spec", spec_path("chacon.json"), "--kappa", "13", "--horizon", "6"),
+            ["dataclasses", "ranklab.certificates"],
+        ),
+    ],
+)
+def test_startup_loads_only_what_the_command_needs(argv, loaded):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(proc.stdout) == [0, loaded]
+
+
+def test_certificate_commands_are_the_ones_that_import_certificates():
+    # ``run`` imports ``certificates`` first for these commands (peak RSS).
+    for name in ranklab.cli._COMMANDS:
+        handler = getattr(ranklab.cli, "_cmd_" + name.replace("-", "_"))
+        imports = "from .certificates import" in inspect.getsource(handler)
+        assert imports == (name in ranklab.cli._CERTIFICATE_COMMANDS), name
+
+
+def test_package_exports_resolve_on_first_use():
+    assert set(ranklab.__all__) <= set(dir(ranklab))
+    for name in ranklab.__all__:
+        getattr(ranklab, name)
+    assert ranklab.MatchWitness is ranklab.certificates.MatchWitness
+    with pytest.raises(AttributeError):
+        ranklab.no_such_name
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in COMMANDS:
+        assert command in out
