@@ -29,6 +29,7 @@ _EXPORTS = {
         "LevelRef",
         "check_level",
         "level_width",
+        "descendant_extent",
         "descendant_heights",
         "MeasureInterval",
         "ImageOfLevel",
@@ -126,6 +127,7 @@ _EXPORTS = {
         "ScheduleInfeasible",
         "SpecFileError",
         "IoError",
+        "IntegerTooLong",
         "UsageError",
     ),
 }

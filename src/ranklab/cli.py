@@ -208,20 +208,23 @@ def _cmd_heights(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_descendants(args: argparse.Namespace) -> Outcome:
-    from .construction import LevelRef, descendant_heights, level_width
+    from ._budget import charge
+    from .construction import LevelRef, descendant_extent, descendant_heights, level_width
 
     spec, fp = _load(args)
     level = LevelRef(*args.base)
-    values = descendant_heights(spec, level, args.to)
-    width = level_width(spec, LevelRef(args.to, values[0]))
-    result = {
-        "count": len(values),
-        "min": values[0],
-        "max": values[-1],
-        "levelWidth": width,
-    }
+    count, lo, hi = descendant_extent(spec, level, args.to)
+    if count <= TABLE_CAP:
+        evidence = _value_table(descendant_heights(spec, level, args.to))
+    else:
+        # Too many to list: read from the height sets, charged as if listed,
+        # so that a refusal does not depend on the route.
+        charge(count, f"descendant set at stage {args.to}")
+        evidence = {"summary": {"count": count, "first": lo, "last": hi}}
+    width = level_width(spec, LevelRef(args.to, lo))
+    result = {"count": count, "min": lo, "max": hi, "levelWidth": width}
     _attach_approx(args, result, {"levelWidth": width})
-    return fp, result, _value_table(values), EXIT_OK
+    return fp, result, evidence, EXIT_OK
 
 
 def _cmd_diffset(args: argparse.Namespace) -> Outcome:

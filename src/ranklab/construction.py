@@ -50,6 +50,7 @@ __all__ = [
     "column_stats",
     "level_width",
     "check_level",
+    "descendant_extent",
     "descendant_heights",
     "image_of_level",
     "intersection_measure",
@@ -187,10 +188,14 @@ class RankOneSpec:
             for j in range(st.r - 1):
                 offsets.append(offsets[-1] + h + st.s[j])
             h_next = st.r * h + sum(st.s)
-            # Sanity: the defining identities of a height set.
-            assert offsets[0] == 0 and len(offsets) == st.r
-            assert all(b - a >= h for a, b in zip(offsets, offsets[1:]))
-            assert offsets[-1] == h_next - h - st.s[-1]
+            # Sanity: the defining identities of a height set, checked by
+            # explicit raises so that they also run under ``python -O``.
+            if offsets[0] != 0 or len(offsets) != st.r:
+                raise AssertionError(f"stage {n}: height set has the wrong shape")
+            if any(b - a < h for a, b in zip(offsets, offsets[1:])):
+                raise AssertionError(f"stage {n}: height set gap below the column height")
+            if offsets[-1] != h_next - h - st.s[-1]:
+                raise AssertionError(f"stage {n}: height set top disagrees with h_{n + 1}")
             self._stages.append(st)
             self._heights.append(h_next)
             self._height_sets.append(tuple(offsets))
@@ -299,31 +304,51 @@ def level_width(spec: RankOneSpec, level: LevelRef) -> Fraction:
     return spec.level_width(level.stage)
 
 
+def descendant_extent(spec: RankOneSpec, level: LevelRef, j: int) -> tuple[int, int, int]:
+    """``(count, min, max)`` of a level's stage-``j`` descendants, unlisted.
+
+    Each descendant ``e + o_i + ... + o_{j-1}`` (``o_n`` in ``H_n``) has exactly
+    one decomposition, so the count is the product of the cut counts, the
+    least is ``e`` and the greatest is ``e + max H_i + ... + max H_{j-1}``.
+    Raises what :func:`descendant_heights` raises, in the same order, except
+    that nothing is charged: the work is one step per stage.
+    """
+    check_level(spec, level)
+    if j < level.stage:
+        raise StageTooLow(f"target stage {j} precedes level stage {level.stage}")
+    count, top = 1, level.height
+    for n in range(level.stage, j):
+        offsets = spec.height_set(n)
+        count *= len(offsets)
+        top += offsets[-1]
+    return count, level.height, top
+
+
 def descendant_heights(spec: RankOneSpec, level: LevelRef, j: int) -> tuple[int, ...]:
     """Heights, in column ``j``, of the sublevels a level splits into, sorted.
 
     Stage by stage, a level at height ``e`` of column ``n`` reappears at
     heights ``e + H_n`` in column ``n+1``; iterating gives the elementwise
-    sumset ``{e} + H_i + ... + H_{j-1}``.  Offsets never collide (consecutive
-    height-set gaps are at least the column height), so the count is exactly
-    the product of the cut counts.  That product is charged against the
-    enumeration budget before anything is built.  Every stage-``n``
-    descendant lies below ``h_n``, so looping over offsets outermost emits
-    each stage already sorted.
+    sumset ``{e} + H_i + ... + H_{j-1}``.  Its size, the product of the cut
+    counts (:func:`descendant_extent`), is charged against the enumeration
+    budget before anything is built.  Looping over offsets outermost emits
+    each stage sorted and collision-free as long as every gap of ``H_n``
+    exceeds the span of the stage-``n`` descendants; nonnegative spacers make
+    the gaps at least ``h_n``, which exceeds that span.  That is checked once
+    per stage, in O(r_n), by an explicit raise that also runs under
+    ``python -O``.
     """
-    check_level(spec, level)
-    if j < level.stage:
-        raise StageTooLow(f"target stage {j} precedes level stage {level.stage}")
-    count = 1
-    for n in range(level.stage, j):
-        count *= spec.stage(n).r
+    count, _, _ = descendant_extent(spec, level, j)
     charge(count, f"descendant set at stage {j}")
     heights = [level.height]
     for n in range(level.stage, j):
-        heights = [o + e for o in spec.height_set(n) for e in heights]
-        assert all(b > a for a, b in zip(heights, heights[1:])), "descendants collided"
-    assert heights[0] == level.height
-    assert heights[-1] <= spec.height(j) - 1
+        offsets = spec.height_set(n)
+        span = heights[-1] - heights[0]
+        if any(b - a <= span for a, b in zip(offsets, offsets[1:])):
+            raise AssertionError(f"descendants collided at stage {n + 1}")
+        heights = [o + e for o in offsets for e in heights]
+    if heights[0] != level.height or heights[-1] > spec.height(j) - 1:
+        raise AssertionError(f"descendants left column {j}")
     return tuple(heights)
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "ScheduleInfeasible",
     "SpecFileError",
     "IoError",
+    "IntegerTooLong",
     "UsageError",
 ]
 
@@ -106,6 +107,10 @@ class SpecFileError(RankLabError):
 
 class IoError(RankLabError):
     """Reading an input file or writing a report failed."""
+
+
+class IntegerTooLong(RankLabError):
+    """A report value has more decimal digits than the interpreter will write."""
 
 
 class UsageError(RankLabError):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Mapping, NamedTuple
 
 from ._version import __version__
-from .errors import IoError, is_plain_int
+from .errors import IntegerTooLong, IoError, is_plain_int
 
 __all__ = [
     "TOOL_VERSION",
@@ -47,18 +47,46 @@ REPORT_KEYS = {
 _DECIMAL = re.compile(r"^-?(0|[1-9][0-9]*)$")
 _FINGERPRINT = re.compile(r"^sha256:[0-9a-f]{64}$")
 
+# Python refuses to write an int of more than sys.get_int_max_str_digits()
+# decimal digits (0: no limit; 3.10 before 3.10.7 has none).  The limit is
+# never below 640 digits, and an int of at most 3 * 640 bits has fewer.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_ALWAYS_WRITABLE_BITS = 3 * 640
+
+
+def _writable(value: Any) -> Any:
+    """*value*, unless it is an int too long for the interpreter to write.
+
+    ``10**limit`` has more than ``3 * limit`` bits, so the bit length settles
+    all but the longest ints without computing it; no int is ever converted.
+    """
+    if isinstance(value, int) and value.bit_length() > _ALWAYS_WRITABLE_BITS:
+        limit = _max_str_digits()
+        if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+            raise IntegerTooLong(
+                f"a report value of {value.bit_length()} bits has more than {limit}"
+                " decimal digits, the interpreter's limit for writing an integer"
+            )
+    return value
+
 
 def jsonable(value: Any) -> Any:
     """Convert exact values into JSON-ready structures.
 
     Fractions become num/den string pairs (ints could silently overflow in
     other JSON consumers; strings never do).  Sets are sorted, named tuples
-    and dataclasses become field mappings, mapping keys are stringified.
+    and dataclasses become field mappings, mapping keys are stringified.  An
+    int too long to write raises :class:`~ranklab.errors.IntegerTooLong`.
     """
-    if value is None or isinstance(value, (int, str, float)):  # bool is an int
+    if isinstance(value, int):  # bool is an int
+        return _writable(value)
+    if value is None or isinstance(value, (str, float)):
         return value
     if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+        return {
+            "num": str(_writable(value.numerator)),
+            "den": str(_writable(value.denominator)),
+        }
     if isinstance(value, tuple) and hasattr(value, "_asdict"):
         return {name: jsonable(v) for name, v in value._asdict().items()}
     if hasattr(type(value), "__dataclass_fields__"):
@@ -69,7 +97,7 @@ def jsonable(value: Any) -> Any:
             for f in dataclasses.fields(value)
         }
     if isinstance(value, Mapping):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        return {str(_writable(k)): jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return [jsonable(v) for v in sorted(value)]
     if isinstance(value, (list, tuple)):

@@ -477,6 +477,60 @@ def test_internal_error_yields_error_report(capsys, monkeypatch):
         run(list(args))
 
 
+@pytest.mark.parametrize(
+    "name, base, to",
+    [
+        ("chacon.json", "0:0", 9),  # 19,683 descendants: summarized by default
+        ("chacon.json", "1:5", 5),
+        ("asymm.json", "0:0", 3),
+        ("tq41.json", "2:7", 3),
+    ],
+)
+def test_descendant_summary_routes_agree(capsys, monkeypatch, name, base, to):
+    # With every set listed, and with every set read from the height sets.
+    argv = ("descendants", "--spec", spec_path(name), "--base", base, "--to", to)
+    monkeypatch.setattr(ranklab.cli, "TABLE_CAP", 10**7)
+    code, listed = report(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(ranklab.cli, "TABLE_CAP", 1)
+    code, summarized = report(capsys, *argv)
+    assert code == 0
+    values = listed["evidence"]["values"]
+    assert summarized["result"] == listed["result"]
+    assert summarized["evidence"] == {
+        "summary": {"count": len(values), "first": values[0], "last": values[-1]}
+    }
+    assert listed["result"]["count"] == len(values)
+    assert (listed["result"]["min"], listed["result"]["max"]) == (values[0], values[-1])
+    monkeypatch.setattr(ranklab.cli, "TABLE_CAP", len(values))  # listed up to the cap
+    assert report(capsys, *argv)[1] == listed
+
+
+@pytest.mark.parametrize("cap", [1, 10**10])
+@pytest.mark.parametrize(
+    "budget, to, units", [(None, 20, 3486784401), ("10", 8, 6561)]
+)
+def test_descendant_refusal_does_not_depend_on_the_route(
+    capsys, monkeypatch, cap, budget, to, units
+):
+    # Read from the height sets (cap 1) or listed (cap 10**10): one charge.
+    monkeypatch.setattr(ranklab.cli, "TABLE_CAP", cap)
+    if budget is None:
+        monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RANKLAB_BUDGET", budget)
+    code, payload = report(
+        capsys, "descendants", "--spec", spec_path("chacon.json"),
+        "--base", "0:0", "--to", to,
+    )
+    assert code == 1
+    assert payload["result"]["error"] == {
+        "type": "BudgetExceeded",
+        "message": f"descendant set at stage {to} needs ~{units} enumeration units,"
+        f" over the budget of {budget or 5000000} (raise RANKLAB_BUDGET to allow it)",
+    }
+
+
 def test_huge_descendant_set_is_refused_under_default_budget(capsys, monkeypatch):
     # 3^20 ~ 3.5e9 descendants: refused up front, never allocated.
     monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
@@ -580,18 +634,23 @@ def test_version_flag(capsys):
 
 
 def test_unrenderable_report_yields_error_report(capsys):
-    # h_5599 has more than 4,300 digits, Python's limit for int -> str: the
-    # heights report cannot be serialized, so an error report replaces it.
-    code, out, err = cli(
-        capsys, "heights", "--spec", spec_path("chacon.json"), "--stages", "5600"
-    )
-    assert code == 1
-    payload = json.loads(out)
-    assert validate_report(payload) == []
-    assert payload["command"] == "heights"
-    assert payload["result"]["error"]["type"] == "ValueError"
-    assert payload["inputs"]["argv"][-1] == "5600"
-    assert "Traceback" in err
+    # h_5599, and the largest stage-8001 descendant of level 8000:0, have more
+    # than 4,300 digits, Python's limit for int -> str: the reports cannot be
+    # written, so a named refusal replaces them, without a traceback.
+    limit = sys.get_int_max_str_digits()
+    for argv in (
+        ("heights", "--spec", spec_path("chacon.json"), "--stages", "5600"),
+        ("descendants", "--spec", spec_path("chacon.json"), "--base", "8000:0", "--to", "8001"),
+    ):
+        code, out, err = cli(capsys, *argv)
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert validate_report(payload) == []
+        assert payload["command"] == argv[0]
+        assert payload["result"]["error"]["type"] == "IntegerTooLong"
+        assert f"more than {limit} decimal digits" in payload["result"]["error"]["message"]
+        assert payload["inputs"]["argv"] == list(argv)
 
 
 def _perfbench_jobs():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ from ranklab import (
     StageUnavailable,
     check_level,
     column_stats,
+    descendant_extent,
     descendant_heights,
     height_set,
     image_of_level,
@@ -236,6 +241,85 @@ def test_descendant_recursion_property(spec, data):
     got = descendant_heights(spec, lvl, j + 1)
     assert list(got) == expected
     assert len(set(expected)) == len(expected)
+
+
+@settings(deadline=None, max_examples=80)
+@given(spec=small_specs(), data=st.data())
+def test_descendant_extent_matches_enumeration(spec, data):
+    # The closed form (count, min, max) against the listed descendants, for
+    # any level and any target, the level's own stage included.
+    stage = data.draw(st.integers(min_value=0, max_value=3))
+    lvl = LevelRef(stage, data.draw(st.integers(0, spec.height(stage) - 1)))
+    j = data.draw(st.integers(min_value=stage, max_value=3))
+    vals = descendant_heights(spec, lvl, j)
+    assert descendant_extent(spec, lvl, j) == (len(vals), vals[0], vals[-1])
+
+
+def test_descendant_extent_refuses_like_the_enumeration(chacon):
+    with pytest.raises(ParamOutOfRange):
+        descendant_extent(chacon, LevelRef(1, 8), 0)  # level first
+    with pytest.raises(StageTooLow):
+        descendant_extent(chacon, LevelRef(2, 0), 1)
+    spec = validate_spec({"h0": 1, "stages": [{"r": 2, "s": [0, 0]}]})
+    with pytest.raises(StageUnavailable):
+        descendant_extent(spec, LevelRef(0, 0), 2)
+
+
+def _colliding_spec():
+    # H_1 faked as (0, 2, 4): its gaps equal the span 2 of the stage-1
+    # descendants (0, 1, 2) of level 0:0, so 0 + 2 and 2 + 0 collide.
+    spec = RankOneSpec([StageSpec(3, (0, 0, 0))] * 2)
+    spec.height_set = lambda n: ((0, 1, 2), (0, 2, 4))[n]
+    return spec
+
+
+def _negative_spacer_spec():
+    # A spacer of -3 smuggled past validation: the height set's gap is -2.
+    spec = RankOneSpec([StageSpec(2, (0, 0))])
+    spec._explicit = (StageSpec(2, (-3, 0)),)
+    return spec
+
+
+def test_broken_height_sets_are_refused():
+    with pytest.raises(AssertionError, match="^descendants collided at stage 2$"):
+        descendant_heights(_colliding_spec(), LevelRef(0, 0), 2)
+    with pytest.raises(AssertionError, match="^stage 0: height set gap below the column"):
+        _negative_spacer_spec().height(1)
+    spec = RankOneSpec([StageSpec(2, (0, 0))])
+    spec.height_set = lambda n: (0, 5)  # no collision, but above h_1 = 2
+    with pytest.raises(AssertionError, match="^descendants left column 1$"):
+        descendant_heights(spec, LevelRef(0, 0), 1)
+
+
+_UNDER_O = """
+import sys
+from ranklab import LevelRef, descendant_heights
+from test_construction import _colliding_spec, _negative_spacer_spec
+
+print(sys.flags.optimize)
+for probe in (
+    lambda: descendant_heights(_colliding_spec(), LevelRef(0, 0), 2),
+    lambda: _negative_spacer_spec().height(1),
+):
+    try:
+        probe()
+    except AssertionError as exc:
+        print(exc)
+"""
+
+
+def test_broken_height_sets_are_refused_under_python_O():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "1",
+        "descendants collided at stage 2",
+        "stage 0: height set gap below the column height",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from ranklab import (
+    IntegerTooLong,
     IoError,
     Report,
     TOOL_VERSION,
@@ -46,6 +48,25 @@ def test_jsonable_containers():
         "stage": 2,
         "ratio": {"num": "1", "den": "2"},
     }
+
+
+def test_jsonable_refuses_ints_too_long_to_write():
+    # The limit is exact: limit digits are written, limit + 1 are refused,
+    # as values, fraction parts and mapping keys alike.
+    limit = sys.get_int_max_str_digits()
+    longest = 10**limit - 1
+    assert jsonable(longest) == longest
+    assert jsonable(-longest) == -longest
+    assert jsonable(2 ** (3 * limit)) == 2 ** (3 * limit)  # past the bit-length test
+    assert jsonable({longest: Fraction(1, longest)})[str(longest)]["den"] == str(longest)
+    for value in (10**limit, -(10**limit), Fraction(1, 10**limit), {10**limit: 0}, [0, 10**limit]):
+        with pytest.raises(IntegerTooLong, match=f"more than {limit} decimal digits"):
+            jsonable(value)
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        assert jsonable(10**limit) == 10**limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_jsonable_rejects_unknown_types():
