@@ -31,9 +31,9 @@ from .construction import (
     LevelRef,
     MeasureInterval,
     RankOneSpec,
+    _intersection_measure,
     check_level,
     descendant_heights,
-    intersection_measure,
 )
 from .errors import (
     BudgetExceeded,
@@ -1206,19 +1206,14 @@ def npc_certificate(
         spacing_rows.append(row)
 
     # One pass from the start stage up, each stage's differences extending the
-    # last; ``runs`` keeps one key per positive difference.
-    searches = {}
-    known = None
+    # last; ``diffs`` keeps each stage's bitset (or set, on a sparse stage).
+    searches, diffs, free, ap_rows = {}, {}, {}, []
     for j in range(start, horizon + 1):
         values = descendant_heights(spec, base, j)
         charge(len(values) ** 2, "difference set for progression search")
-        known = (j, descendant_differences(spec, base, j, values, known=known))
-        searches[j] = progression_runs(known[1], kappa + 1)
-
-    ap_rows = []
-    free = {}
-    for j in range(start, horizon + 1):
-        res = searches[j]
+        known = (j - 1, diffs[j - 1]) if j > start else None
+        diffs[j] = descendant_differences(spec, base, j, values, known=known)
+        res = searches[j] = progression_runs(diffs[j], kappa + 1)
         free[j] = res.longest <= kappa
         ap_rows.append(
             {
@@ -1231,8 +1226,12 @@ def npc_certificate(
 
     replay_rows = []
     for n in range(start, horizon):
-        new = searches[n + 1].runs.keys() - searches[n].runs.keys()
-        min_new = min(new) if new else None
+        if isinstance(diffs[n], int) and isinstance(diffs[n + 1], int):
+            new = diffs[n + 1] & ~diffs[n]  # bitsets: the lowest new bit
+            min_new = (new & -new).bit_length() - 1 if new else None
+        else:
+            old = searches[n].runs
+            min_new = next((x for x in searches[n + 1].runs if x not in old), None)
         c1_bound = spec.height(n) - max_drop[n]
         c1 = min_new is None or min_new >= c1_bound
         c2 = spec.height(n) > 2 * max_drop[n]
@@ -1633,15 +1632,20 @@ def asymmetry_statistic(
     h = spec.height(scale_stage)
     zero_exps = (0, h + 1, 2 * h + 1)
     fwd_exps = (0, h, 2 * h + 1)
-    zero_side = intersection_measure(spec, level, zero_exps, eval_stage)
-    forward_side = intersection_measure(spec, level, fwd_exps, eval_stage)
+    # Both sides and the last adjacency row share one set of the evaluation
+    # stage's descendants.  Its two reuses are charged as the enumerations
+    # they replace, so budget ledgers and refusals stay as they were.
+    at_eval = set(descendant_heights(spec, level, eval_stage))
+    for _ in range(2):
+        charge(len(at_eval), f"descendant set at stage {eval_stage}")
+    zero_side = _intersection_measure(spec, level, zero_exps, eval_stage, at_eval)
+    forward_side = _intersection_measure(spec, level, fwd_exps, eval_stage, at_eval)
 
     adjacency_rows = []
     adjacency_free = True
     for j in range(base_stage, eval_stage + 1):
-        values = descendant_heights(spec, level, j)
-        vset = set(values)
-        pairs = sum(1 for x in values if x + 1 in vset)
+        vset = set(descendant_heights(spec, level, j)) if j < eval_stage else at_eval
+        pairs = sum(1 for x in vset if x + 1 in vset)
         adjacency_rows.append({"stage": j, "adjacentPairs": pairs})
         adjacency_free = adjacency_free and pairs == 0
 

@@ -265,9 +265,8 @@ def _cmd_ap(args: argparse.Namespace) -> Outcome:
         "progression": list(res.progression),
         "capReached": cap_reached,
     }
-    if len(res.runs) <= RUNS_CAP:
-        runs = sorted(res.runs.items())
-        evidence: dict[str, Any] = {"runs": [[x, ln] for x, ln in runs]}
+    if len(res.runs) <= RUNS_CAP:  # ``runs`` iterates in ascending order
+        evidence: dict[str, Any] = {"runs": [[x, ln] for x, ln in res.runs.items()]}
     else:
         evidence = {
             "runCount": len(res.runs),

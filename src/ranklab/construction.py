@@ -34,6 +34,7 @@ from .errors import (
     SpecError,
     StageTooLow,
     StageUnavailable,
+    ensure,
     is_plain_int,
 )
 
@@ -177,7 +178,8 @@ class RankOneSpec:
             elif self.extension == EXTENSION_REPEAT:
                 st = self._explicit[-1]
             elif self.extension == EXTENSION_RULE:
-                assert self._rule is not None
+                if self._rule is None:
+                    raise AssertionError(f"stage {n}: the extension rule is missing")
                 st = _checked_stage(self._rule(n, h), n)
             else:
                 raise StageUnavailable(
@@ -369,7 +371,7 @@ class MeasureInterval(_MeasureIntervalFields):
 
     # A NamedTuple body may not define __init__: the checks live in a subclass.
     def __init__(self, *args: object, **kwargs: object) -> None:
-        assert self.confirmed >= 0 and self.unresolved >= 0
+        ensure(self.confirmed >= 0 and self.unresolved >= 0, "negative measure bracket")
 
     @property
     def upper(self) -> Fraction:
@@ -404,7 +406,7 @@ def image_of_level(spec: RankOneSpec, level: LevelRef, m: int, j: int) -> ImageO
         else:
             unresolved.append(LevelRef(j, e))
     total = (len(resolved) + len(unresolved)) * spec.level_width(j)
-    assert total == level_width(spec, level)
+    ensure(total == level_width(spec, level), "image sublevels miss the level's width")
     return ImageOfLevel(tuple(resolved), tuple(unresolved))
 
 
@@ -434,14 +436,20 @@ def intersection_measure(
     """
     if not exponents:
         raise ParamOutOfRange("need at least one exponent")
+    dset = set(descendant_heights(spec, level, j))
+    return _intersection_measure(spec, level, exponents, j, dset)
+
+
+def _intersection_measure(
+    spec: RankOneSpec, level: LevelRef, exponents: Sequence[int], j: int, dset: set[int]
+) -> MeasureInterval:
+    """:func:`intersection_measure` on ``dset``, the stage-``j`` descendants."""
     base = min(exponents)
     shifts = [m - base for m in exponents]
-    heights = descendant_heights(spec, level, j)
-    dset = set(heights)
     h_j = spec.height(j)
     confirmed = 0
     unresolved = 0
-    for e in heights:
+    for e in dset:
         out_of_range = False
         failed = False
         for m in shifts:
@@ -459,5 +467,5 @@ def intersection_measure(
             confirmed += 1
     w = spec.level_width(j)
     result = MeasureInterval(confirmed * w, unresolved * w)
-    assert result.upper <= level_width(spec, level)
+    ensure(result.upper <= level_width(spec, level), "bracket exceeds the level's width")
     return result

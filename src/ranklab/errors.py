@@ -36,6 +36,12 @@ def is_plain_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def ensure(ok: object, message: str) -> None:
+    """Guard a computed result by an explicit raise, which ``python -O`` keeps."""
+    if not ok:
+        raise AssertionError(message)
+
+
 class RankLabError(Exception):
     """Base class for all errors raised deliberately by this package."""
 

@@ -22,12 +22,14 @@ argument.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._budget import charge
 from .construction import FamilyTag, RankOneSpec, StageSpec
-from .errors import ParamOutOfRange, ScheduleInfeasible
-from .sumsets import DigitAlphabet, partner_set
+from .errors import ParamOutOfRange, ScheduleInfeasible, ensure
+
+if TYPE_CHECKING:
+    from .sumsets import DigitAlphabet
 
 __all__ = [
     "InfChaconParams",
@@ -160,11 +162,13 @@ class TQParams(_TQFields):
             out.append(i + skipped)
             if i in posset:
                 skipped += 1
-        assert out[-1] == self.k - 1
+        ensure(out[-1] == self.k - 1, "digit map misses the largest digit")
         return tuple(out)
 
     @property
     def alphabet(self) -> DigitAlphabet:
+        from .sumsets import DigitAlphabet  # loading a spec needs no sumsets
+
         return DigitAlphabet(self.k, self.phi)
 
     def height_set(self, h: int) -> tuple[int, ...]:
@@ -341,20 +345,22 @@ def asymm_stage_sets(params: AsymmParams, n: int, h: int) -> AsymmStageSets:
         pairs += [anchor, anchor + width]
         anchor = 4 * (anchor + width)
     top = pairs[-1]
-    assert top == max(pairs)
+    ensure(top == max(pairs), "pair anchors do not increase")
     far_base = 4 * top + 2 * C * h
     far = tuple(far_base * 4**i for i in range(r - 4 * c))
     heights = tuple(pairs + list(far))
-    assert len(heights) == r
-    # The pairing realizes the promised matched fraction exactly.
-    assert len(partner_set(heights, z).members) == c
-    assert len(partner_set(heights, z + 1).members) == c
+    ensure(len(heights) == r, f"{len(heights)} heights for {r} cuts")
+    # The pairing realizes the promised matched fraction exactly: c members
+    # of the partner sets at z and z + 1.
+    hset = set(heights)
+    for shift in (z, z + 1):
+        ensure(sum(x - shift in hset for x in hset) == c, f"partners at {shift} miscounted")
     return AsymmStageSets(n, heights, far, z, c, delta, Fraction(c, r))
 
 
 def _stage_from_heights(heights: tuple[int, ...], h: int) -> StageSpec:
     s = [b - a - h for a, b in zip(heights, heights[1:])]
-    assert all(v >= 0 for v in s), "offset gaps below the column height"
+    ensure(all(v >= 0 for v in s), "offset gaps below the column height")
     s.append(heights[-1] + h)  # right spacer = max H + h, the mixing hypothesis
     return StageSpec(len(heights), tuple(s))
 

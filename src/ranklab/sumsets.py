@@ -21,8 +21,8 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cached_property
-from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._budget import charge
 from .construction import LevelRef, RankOneSpec, check_level
@@ -30,6 +30,7 @@ from .errors import (
     HorizonExceeded,
     ParamOutOfRange,
     PreconditionViolated,
+    ensure,
     is_plain_int,
 )
 
@@ -95,7 +96,7 @@ def descendant_decompose(
         hi = rem - base
         i0 = bisect_left(offsets, lo)
         i1 = bisect_right(offsets, hi)
-        assert i1 - i0 <= 1, "offset window spans a height-set gap"
+        ensure(i1 - i0 <= 1, "offset window spans a height-set gap")
         if i1 == i0:
             return None
         x = offsets[i0]
@@ -104,7 +105,7 @@ def descendant_decompose(
     if rem != base:
         return None
     chosen.reverse()
-    assert base + sum(chosen) == value
+    ensure(base + sum(chosen) == value, "offsets do not sum to the value")
     return tuple(chosen)
 
 
@@ -128,8 +129,8 @@ class DifferenceMultiset(_DifferenceMultisetFields):
 
     # A NamedTuple body may not define __init__: the checks live in a subclass.
     def __init__(self, *args: object, **kwargs: object) -> None:
-        assert self.counts.get(0, 0) == self.size
-        assert sum(self.counts.values()) == self.size * self.size
+        ensure(self.counts.get(0, 0) == self.size, "0 not counted per value")
+        ensure(sum(self.counts.values()) == self.size**2, "counts miss ordered pairs")
 
     def count(self, value: int) -> int:
         return self.counts.get(value, 0)
@@ -172,36 +173,40 @@ def descendant_differences(
     j: int,
     values: Sequence[int],
     counted: bool = False,
-    known: tuple[int, set[int] | dict[int, int]] | None = None,
-) -> set[int] | dict[int, int]:
+    known: tuple[int, int | set[int] | dict[int, int]] | None = None,
+) -> int | set[int] | dict[int, int]:
     """Nonnegative differences of ``level``'s stage-``j`` descendants, 0 included.
 
     ``values`` are those descendants as ``descendant_heights`` returns them
-    (sorted, distinct); the caller enumerates and charges them.  The result
-    is a set, or with ``counted`` a dict from each difference to its number
-    of ordered pairs.  ``known`` is ``(n, result)`` for an earlier stage
-    ``n`` of the same level and kind, to extend instead of starting over.
+    (sorted, distinct); the caller enumerates and charges them.  With
+    ``counted``, the result maps each difference to its number of ordered
+    pairs.  Else it is an ``int`` with bit ``d`` set for each difference
+    ``d``, or their set where that would take over 64 bits per pair.
+    ``known`` is ``(n, result)`` for an earlier stage ``n``, to extend.
 
     A stage-``n`` descendant is ``e + o_i + ... + o_{n-1}`` with one ``o_q``
-    in each ``H_q``, uniquely, so the ordered differences at stage ``n + 1``
-    are those at stage ``n`` plus one element of ``H_n - H_n``, pair for
-    pair.  A stage-``n`` difference ``p`` is below ``h_n`` in size and a
-    nonzero ``t`` in ``H_n - H_n`` is at least ``h_n``, so the nonnegative
-    half extends by itself: ``p`` stays and, for each positive ``t``, yields
-    ``t + p`` and ``t - p`` (once when ``p = 0``).  A step predicted to cost
-    more than the ``V(V-1)/2`` pairs of ``values`` (support size times
-    ``|H_n - H_n|``) is replaced by counting those pairs directly.
+    in each ``H_q``, uniquely.  A stage-``n`` difference ``p`` is below
+    ``h_n`` and a positive ``t`` in ``H_n - H_n`` at least ``h_n``, so the
+    nonnegative differences extend by themselves: ``p`` stays and, for each
+    ``t``, yields ``t + p`` and ``t - p`` (once when ``p = 0``), the latter
+    read off the bitset's mirror (bit ``top - p`` for each ``p``).  A step
+    predicted to cost more than the ``V(V-1)/2`` pairs of ``values``
+    (entries, or 64ths of the bitset, times ``|H_n - H_n|``) collects those
+    pairs instead, so no bitset passes 64 bits per pair.
     """
-    if known is None:
-        known = (level.stage, {0: 1} if counted else {0})
+    if known is None or not (counted or isinstance(known[1], int)):
+        known = (level.stage, {0: 1} if counted else 1)
     n, support = known
     pairs = len(values) * (len(values) - 1) // 2
+    if not counted:
+        top, mirror = support.bit_length() - 1, int(bin(support)[:1:-1], 2)
     while n < j:
         offsets = spec.height_set(n)
         steps = Counter(b - a for a, b in itertools.combinations(offsets, 2))
-        if len(support) * (2 * len(steps) + 1) > pairs:
-            return _pair_differences(values, counted)
+        span = offsets[-1] - offsets[0]
         if counted:
+            if len(support) * (2 * len(steps) + 1) > pairs:
+                return _pair_differences(values, counted)
             r = len(offsets)  # t = 0 keeps each p, r times as often
             grown: Any = defaultdict(int, {p: c * r for p, c in support.items()})
             for t, w in steps.items():
@@ -211,10 +216,13 @@ def descendant_differences(
                         grown[t - p] += c * w
             grown.default_factory = None
         else:
-            grown = set(support)
+            if len(steps) * (top + span + 1) > 64 * pairs:  # bits over 64 per pair
+                return _pair_differences(values, counted)
+            grown, flipped = support, mirror << span
             for t in steps:
-                grown.update(map(t.__add__, support))
-                grown.update(map(t.__sub__, support))
+                grown |= support << t | mirror << (t - top)
+                flipped |= mirror << (span - t) | support << (top + span - t)
+            mirror, top = flipped, top + span
         support = grown
         n += 1
     return support
@@ -246,12 +254,9 @@ def partner_set(heights: Sequence[int], z: int, side: str = "lower") -> PartnerS
     hset = set(heights)
     if not hset:
         raise ParamOutOfRange("partner set of an empty height set")
-    if side == "lower":
-        members = tuple(sorted(x for x in hset if x - z in hset))
-        assert all(m - z in hset for m in members)
-    else:
-        members = tuple(sorted(x for x in hset if x + z in hset))
-        assert all(m + z in hset for m in members)
+    step = -z if side == "lower" else z  # the partner of x is x + step
+    members = tuple(sorted(x for x in hset if x + step in hset))
+    ensure(all(m + step in hset for m in members), "a member lacks its partner")
     return PartnerSet(z, members, len(hset), side)
 
 
@@ -309,6 +314,32 @@ class APSearchResult(NamedTuple):
     runs: Mapping[int, int]
 
 
+class _RunLengths(Mapping[int, int]):
+    """Read-only ``runs``: ``has`` tests a difference, ``keys`` lists the
+    ``size`` positive ones, and only runs past length 1 are stored."""
+
+    def __init__(self, has: Callable[[int], bool], keys: Callable[[], list[int]],
+                 size: int, long: dict[int, int]) -> None:
+        self._has, self._keys, self._size, self._long = has, keys, size, long
+
+    def __getitem__(self, x: int) -> int:
+        if x not in self._long and not (isinstance(x, int) and x > 0 and self._has(x)):
+            raise KeyError(x)
+        return self._long.get(x, 1)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return self._size
+
+
+def _ones(bits: str) -> list[int]:
+    """Indices of ``"1"`` in ``bits`` past index 0, ascending, found by C loops."""
+    gaps = bits[1:].split("1")[:-1]  # the zeros before each "1"
+    return list(map(int.__add__, itertools.accumulate(map(len, gaps)), itertools.count(1)))
+
+
 def ap_search(values: Iterable[int], max_len: int) -> APSearchResult:
     if max_len < 1:
         raise ParamOutOfRange(f"max_len must be >= 1, got {max_len}")
@@ -317,31 +348,37 @@ def ap_search(values: Iterable[int], max_len: int) -> APSearchResult:
     return progression_runs(_pair_differences(vals, counted=False), max_len)
 
 
-def progression_runs(diffs: Collection[int], max_len: int) -> APSearchResult:
+def progression_runs(diffs: int | Collection[int], max_len: int) -> APSearchResult:
     """Runs ``x, 2x, ..., lx`` with ``l <= max_len`` inside nonnegative differences.
 
-    ``diffs`` is a set such as :func:`descendant_differences` returns; 0 is
-    skipped.  Only ``x`` with ``2x`` at most the largest difference can run
-    past length 1, so the scan stops at the first ``x`` beyond half of it.
+    ``diffs`` is a bitset or a set, as :func:`descendant_differences` returns;
+    0 is skipped.  Only ``x`` with ``2x`` present can run past length 1; on a
+    bitset they are the mask ANDed with its even bits read as halves.
     """
-    positive = sorted(diffs)
-    if positive and positive[0] == 0:
-        del positive[0]
-    runs = dict.fromkeys(positive, 1)
-    longest, witness = (1, positive[0]) if positive else (0, None)
-    half = positive[-1] // 2 if positive else 0
-    for x in positive:
-        if x > half:
-            break
-        length = 1
-        while length < max_len and (length + 1) * x in diffs:
+    if isinstance(diffs, int):
+        bits = bin(diffs)[:1:-1]  # character d is bit d
+        has = partial(bits.startswith, "1")
+        halves = int(bits[::2][::-1], 2)  # bit x is bit 2x of diffs
+        candidates = _ones(bin(halves & diffs)[:1:-1])
+        keys, size = partial(_ones, bits), diffs.bit_count() - 1
+        first = bits.find("1", 1)
+    else:
+        positive = sorted(x for x in diffs if x > 0)
+        has, keys, size = diffs.__contains__, positive.copy, len(positive)
+        candidates = [x for x in positive if 2 * x in diffs]
+        first = positive[0] if positive else None
+    long = {}
+    longest, witness = (1, first) if size else (0, None)
+    for x in candidates if max_len > 1 else ():
+        length = 2
+        while length < max_len and has((length + 1) * x):
             length += 1
-        runs[x] = length
+        long[x] = length
         if length > longest:
             longest = length
             witness = x
     progression = tuple(witness * i for i in range(1, longest + 1)) if witness else ()
-    return APSearchResult(longest, witness, progression, runs)
+    return APSearchResult(longest, witness, progression, _RunLengths(has, keys, size, long))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +454,7 @@ def admissible_alphabets(k: int) -> tuple[DigitAlphabet, ...]:
             for g in gaps:
                 digits.append(digits[-1] + g)
             out.append(DigitAlphabet(k, tuple(digits)))
-    assert len({a.digits for a in out}) == len(out)
+    ensure(len({a.digits for a in out}) == len(out), "an alphabet was generated twice")
     return tuple(out)
 
 
@@ -432,7 +469,7 @@ def truncated_sumset(alphabet: DigitAlphabet, n: int) -> tuple[int, ...]:
         values = {v + c * scale for v in values for c in alphabet.diffs}
         scale *= alphabet.k
     out = tuple(sorted(values))
-    assert not n or (out[0] == -(scale - 1) and out[-1] == scale - 1)
+    ensure(not n or (out[0] == -(scale - 1) and out[-1] == scale - 1), "span is off")
     return out
 
 
@@ -471,8 +508,8 @@ def sumset_membership(
 
     digits = descend(0, target)
     if digits is not None:
-        assert sum(c * k**l for l, c in enumerate(digits)) == target
-        assert all(c in alphabet.diffs for c in digits)
+        ensure(sum(c * k**l for l, c in enumerate(digits)) == target, "digits miss target")
+        ensure(all(c in alphabet.diffs for c in digits), "a digit is outside A - A")
     return digits
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import inspect
 import json
@@ -503,7 +504,10 @@ def test_descendant_summary_routes_agree(capsys, monkeypatch, name, base, to):
     assert listed["result"]["count"] == len(values)
     assert (listed["result"]["min"], listed["result"]["max"]) == (values[0], values[-1])
     monkeypatch.setattr(ranklab.cli, "TABLE_CAP", len(values))  # listed up to the cap
-    assert report(capsys, *argv)[1] == listed
+    again = report(capsys, *argv)[1]
+    again.pop("durationMs")  # wall time, outside the report fingerprint
+    listed.pop("durationMs")
+    assert again == listed
 
 
 @pytest.mark.parametrize("cap", [1, 10**10])
@@ -679,12 +683,52 @@ def test_cli_workload_reports_match_golden(capsys, monkeypatch):
         assert jobs.check_report(golden, template, argv, code, text, specs) == [], argv
 
 
+def test_npc_report_matches_golden_under_python_O():
+    # Guards are explicit raises, so ``python -O`` runs them and must give the
+    # same report as the benchmark recorded.
+    jobs = _perfbench_jobs()
+    template = ("npc", "--spec", "specs/chacon.json", "--kappa", "13", "--horizon", "6")
+    assert template in jobs.templates("cli")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("RANKLAB_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ranklab", *template], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    specs = {path: load_spec(REPO / path) for path in jobs.SPEC_FILES["cli"]}
+    problems = jobs.check_report(
+        jobs.load_golden(), template, template, proc.returncode, proc.stdout, specs
+    )
+    assert problems == [], proc.stderr
+
+
+def test_result_guards_run_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "from ranklab.errors import ensure; ensure(0, 'kept')"],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "AssertionError: kept"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((REPO / "src" / "ranklab").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_guards_with_assert(path):
+    # ``python -O`` strips ``assert`` statements, so no module may use one.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"bare assert at {path.name} lines {lines}"
+
+
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
 import ranklab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = ranklab.cli.run(sys.argv[1:])
-print(json.dumps([code, sorted({"ranklab.certificates", "dataclasses"} & set(sys.modules))]))
+print(json.dumps([code, sorted({"ranklab.certificates", "ranklab.sumsets", "dataclasses"}
+                                & set(sys.modules))]))
 """
 
 
@@ -692,11 +736,14 @@ print(json.dumps([code, sorted({"ranklab.certificates", "dataclasses"} & set(sys
     "argv, loaded",
     [
         (("heights", "--spec", spec_path("chacon.json"), "--stages", "4"), []),
-        (("gaps", "--k", "9", "--alphabet", "0,2,3,5,6,8", "--digits", "3"), []),
+        (("gaps", "--k", "9", "--alphabet", "0,2,3,5,6,8", "--digits", "3"),
+         ["ranklab.sumsets"]),
         (
             ("npc", "--spec", spec_path("chacon.json"), "--kappa", "13", "--horizon", "6"),
-            ["dataclasses", "ranklab.certificates"],
+            ["dataclasses", "ranklab.certificates", "ranklab.sumsets"],
         ),
+        (("validate", "--spec", spec_path("asymm.json")), []),  # families load no sumsets
+        (("validate", "--spec", spec_path("tq41.json")), []),
     ],
 )
 def test_startup_loads_only_what_the_command_needs(argv, loaded):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -100,12 +101,16 @@ def test_difference_multiset_empty_rejected():
 
 @st.composite
 def _descendant_cases(draw):
-    """A small spec, a level, a target stage and an optional earlier stage."""
+    """A small spec, a level, a target stage and an optional earlier stage.
+
+    Spacers up to 10**9 make some difference sets sparse, so both the bitset
+    and the set route of :func:`descendant_differences` run.
+    """
     stages = []
+    spacers = st.integers(0, 12) | st.integers(0, 10**9)
     for _ in range(draw(st.integers(1, 4))):
         r = draw(st.integers(2, 4))
-        stages.append({"r": r, "s": draw(st.lists(st.integers(0, 12), min_size=r,
-                                                   max_size=r))})
+        stages.append({"r": r, "s": draw(st.lists(spacers, min_size=r, max_size=r))})
     spec = validate_spec({"h0": draw(st.integers(1, 3)), "stages": stages})
     stage = draw(st.integers(0, len(stages)))
     level = LevelRef(stage, draw(st.integers(0, spec.height(stage) - 1)))
@@ -118,22 +123,42 @@ def _pinned(name, level, j, known):
     return (load_spec(spec_path(name)), level, j, known)
 
 
-@settings(deadline=None, max_examples=100)
+def _bits(diffs):
+    """The differences a bitset or a set of them holds, as a set."""
+    if isinstance(diffs, int):
+        return {d for d, bit in enumerate(bin(diffs)[:1:-1]) if bit == "1"}
+    return set(diffs)
+
+
+def _dense(values):
+    """Whether the bitset route is allowed: at most 64 bits per pair."""
+    pairs = len(values) * (len(values) - 1) // 2
+    return values[-1] - values[0] + 1 <= 64 * max(pairs, 1)
+
+
+@settings(deadline=None, max_examples=150)
 @given(_descendant_cases(), st.integers(1, 6))
 @example(_pinned("chacon.json", LevelRef(1, 2), 6, None), 14)  # convolution
 @example(_pinned("chacon.json", LevelRef(0, 0), 5, 2), 3)
 @example(_pinned("asymm.json", LevelRef(1, 0), 2, None), 14)  # pairwise
+@example(_pinned("asymm.json", LevelRef(0, 0), 4, 2), 5)  # sparse after dense
+@example(_pinned("chacon.json", LevelRef(1, 0), 4, None), 1)  # runs of one
 def test_descendant_differences_match_pair_oracle(case, max_len):
     spec, level, j, known = case
     values = descendant_heights(spec, level, j)
     expected = {d: c for d, c in difference_multiset(values).counts.items() if d >= 0}
-    for counted, want in ((True, expected), (False, set(expected))):
+    for counted in (True, False):
         start = None
         if known is not None:
             earlier = descendant_heights(spec, level, known)
             start = (known, descendant_differences(spec, level, known, earlier, counted))
         got = descendant_differences(spec, level, j, values, counted, start)
-        assert (dict(got) if counted else got) == want
+        if counted:
+            assert dict(got) == expected
+    # ``got`` is now the uncounted result: a bitset only within 64 bits per pair.
+    assert _bits(got) == set(expected)
+    if not _dense(values):
+        assert isinstance(got, set)
     runs = {}
     for x in sorted(d for d in expected if d):
         runs[x] = 1
@@ -141,10 +166,12 @@ def test_descendant_differences_match_pair_oracle(case, max_len):
             runs[x] += 1
     longest = max(runs.values(), default=0)
     witness = min((x for x, n in runs.items() if n == longest), default=None)
-    res = progression_runs(set(expected), max_len)
-    assert (res.runs, res.longest, res.witness) == (runs, longest, witness)
-    assert res.progression == tuple(witness * i for i in range(1, longest + 1))
-    assert ap_search(values, max_len) == res
+    for diffs in (got, set(expected)):  # both routes of the search
+        res = progression_runs(diffs, max_len)
+        assert (res.runs, res.longest, res.witness) == (runs, longest, witness)
+        assert list(res.runs) == list(runs) and len(res.runs) == len(runs)
+        assert res.progression == tuple(witness * i for i in range(1, longest + 1))
+        assert ap_search(values, max_len) == res
 
 
 @pytest.mark.parametrize(
@@ -156,8 +183,11 @@ def test_descendant_differences_match_pair_oracle(case, max_len):
     ],
 )
 def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
-    # One step from a single descendant predicts |H - H| > r(r-1)/2 units of
-    # work and pairs the values instead; every longer walk convolves.
+    # Counted: one step from a single descendant predicts |H - H| > r(r-1)/2
+    # units of work and pairs the values instead; every longer walk
+    # convolves.  Uncounted: a bitset within 64 bits per pair, else the pairs;
+    # chacon's differences fit, asymm's far-apart offsets do not.
+    dense = name == "chacon.json"
     spec = load_spec(spec_path(name))
     values = descendant_heights(spec, level, j)
     paired = []
@@ -167,9 +197,48 @@ def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
     )
     counts = descendant_differences(spec, level, j, values, counted=True)
     diffs = descendant_differences(spec, level, j, values)
-    assert paired == ([True, False] if pairwise else [])
-    assert diffs == set(counts) and counts[0] == len(values)
+    assert paired == [True] * pairwise + [False] * (not dense)
+    assert isinstance(diffs, int) == dense == _dense(values)
+    assert _bits(diffs) == set(counts) and counts[0] == len(values)
     assert sum(counts.values()) * 2 - len(values) == len(values) ** 2
+
+
+@pytest.mark.parametrize("spacer, dense", [(62, True), (63, False)])
+def test_bitset_holds_at_most_64_bits_per_pair(spacer, dense):
+    # Two descendants, one pair: differences {0, 1 + spacer} fit the bitset
+    # only while its 2 + spacer bits are at most 64.
+    spec = validate_spec({"h0": 1, "stages": [{"r": 2, "s": [spacer, 0]}]})
+    values = descendant_heights(spec, LevelRef(0, 0), 1)
+    diffs = descendant_differences(spec, LevelRef(0, 0), 1, values)
+    assert diffs == ((1 << 1 + spacer | 1) if dense else {0, 1 + spacer})
+
+
+def test_sparse_route_never_allocates_the_bitset(monkeypatch):
+    # Four descendants spread over ~3 * 10**7 heights: the bitset would take
+    # ~3.75 MB, against 64 bits for each of the 6 pairs.
+    spec = validate_spec(
+        {"h0": 1, "stages": [{"r": 2, "s": [10**7, 0]}, {"r": 2, "s": [10**7, 0]}]}
+    )
+    values = descendant_heights(spec, LevelRef(0, 0), 2)
+    paired = []
+    real = sumsets._pair_differences
+    monkeypatch.setattr(
+        sumsets, "_pair_differences", lambda v, c: paired.append(c) or real(v, c)
+    )
+    tracemalloc.start()
+    try:
+        diffs = descendant_differences(spec, LevelRef(0, 0), 2, values)
+        res = progression_runs(diffs, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paired == [False]
+    assert diffs == {b - a for a in values for b in values if b >= a}
+    assert peak < 100_000
+    # The descendants are 0, d, 2d, 3d for d = 10**7 + 1.
+    d = 10**7 + 1
+    assert dict(res.runs) == {d: 3, 2 * d: 1, 3 * d: 1}
+    assert res.progression == (d, 2 * d, 3 * d)
 
 
 # ---------------------------------------------------------------------------
