@@ -24,15 +24,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from ._budget import charge
+from ._budget import charge, enumeration_budget
 from .construction import (
     LevelRef,
     MeasureInterval,
     RankOneSpec,
     _intersection_measure,
     check_level,
+    descendant_extent,
     descendant_heights,
 )
 from .errors import (
@@ -933,17 +934,44 @@ class MixingEntry:
     note: str | None = None
 
 
+class _Concat(Sequence[Any]):
+    """Read-only concatenation: part ``k`` fills ``[ends[k], ends[k+1])``
+    with its items if it is a range, else with copies of itself."""
+
+    def __init__(self, parts: list[Any], ends: list[int]) -> None:
+        self._parts, self._ends = parts, ends
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, i: int) -> Any:
+        j = range(len(self))[i]  # negative indices and IndexError as for a tuple
+        k = bisect_right(self._ends, j)
+        part = self._parts[k - 1]  # a range is indexed from its end
+        return part[j - self._ends[k]] if isinstance(part, range) else part
+
+    def __iter__(self) -> Iterator[Any]:
+        lengths = map(int.__sub__, self._ends[1:], self._ends)
+        return itertools.chain.from_iterable(
+            p if isinstance(p, range) else itertools.repeat(p, n)
+            for p, n in zip(self._parts, lengths))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class MixingResult:
     """A sweep's verdict and summary, with one compact row per shift.
 
-    ``rows[i]`` holds the fields after ``m`` of the entry for ``shifts[i]``;
-    shifts of one window with equal counts share a row.  ``entries`` builds
+    ``rows[i]`` holds the fields after ``m`` of the entry for ``shifts[i]``.
+    Both are read-only views: ``shifts`` over runs of consecutive shifts,
+    ``rows`` over segments of shifts that share a row.  ``entries`` builds
     the :class:`MixingEntry` tuple on first read.
     """
 
-    shifts: tuple[int, ...]
-    rows: tuple[tuple[Any, ...], ...] = field(repr=False)
+    shifts: Sequence[int]
+    rows: Sequence[tuple[Any, ...]] = field(repr=False)
     verdict: str
     certificate: Certificate
     in_window: int
@@ -957,15 +985,6 @@ class MixingResult:
 
 _ZERO_ROW = (None, None, Fraction(1), None, None, None, None, None, "zero shift")
 _BEYOND_ROW = (None,) * 8 + ("beyond the materialized stages",)
-
-
-def _window_bounds(spec: RankOneSpec, level: LevelRef, n: int) -> tuple[int, int]:
-    """Shift window owned by stage ``n``: [max(1, maxD_n), maxD_{n+1}]."""
-    lo = 0
-    for q in range(level.stage, n):
-        lo += max(spec.height_set(q))
-    hi = lo + max(spec.height_set(n))
-    return max(1, lo), hi
 
 
 def _window_tops(spec: RankOneSpec, level: LevelRef, reach: int) -> list[int]:
@@ -987,20 +1006,13 @@ def _window_tops(spec: RankOneSpec, level: LevelRef, reach: int) -> list[int]:
     return tops
 
 
-class _ScanCounts:
-    """Difference multiplicities looked up by scanning the values: V steps each."""
-
-    def __init__(self, values: Sequence[int]) -> None:
-        self._values, self._members = values, set(values)
-
-    def get(self, d: int, default: int = 0) -> int:
-        return sum(1 for f in self._values if f + d in self._members) or default
-
-
 class _Window:
     """One shift window: stage ``n``'s pairing data, evaluated at stage ``n + 1``."""
 
     def __init__(self, spec: RankOneSpec, level: LevelRef, n: int, owned: int) -> None:
+        size = descendant_extent(spec, level, n + 1)[0]
+        if owned * size > enumeration_budget() >= size:  # refuse before building
+            charge(owned * size, "overlap counts across a shift window")
         self.values = descendant_heights(spec, level, n + 1)
         charge(owned * len(self.values), "overlap counts across a shift window")
         self.n = n
@@ -1008,11 +1020,18 @@ class _Window:
         # Multiplicity of each positive difference among the sorted distinct
         # values.  Counting all V(V-1)/2 pairs pays off only when at least V/2
         # lookups are due; either way the work stays within the charged units.
-        pairs = itertools.combinations(self.values, 2)
+        # ``cuts`` then lists each |m| whose counts may differ from |m| - 1's:
+        # every difference, every difference + 1 and the V pushed-out steps.
+        # Without them (the scan route) each shift scans the V values.
+        self.cuts: list[int] | None = None
         if 2 * owned >= len(self.values):
-            self.counts: Any = Counter(b - a for a, b in pairs)
+            counts = Counter(b - a for a, b in itertools.combinations(self.values, 2))
+            self.count: Callable[[int], int] = counts.__getitem__  # 0 if missing
+            self.cuts = sorted({*counts, *(d + 1 for d in counts),
+                                *(self.top + 1 - f for f in self.values)})
         else:
-            self.counts = _ScanCounts(self.values)
+            members = set(self.values)
+            self.count = lambda d: sum(f + d in members for f in self.values)
         ps = partner_shift(spec.height_set(n))
         self.delta = ps.delta if ps is not None else Fraction(0)
         stage = spec.stage(n)
@@ -1045,54 +1064,78 @@ def mixing_decay(
     that hypothesis the entry is reported but carries no verdict weight.
     ``window=n`` enumerates every shift in stage ``n``'s window.
 
-    Cost: the V stage-``n+1`` descendants are sorted and distinct, so the
-    overlap at shift m is the multiplicity of difference |m| among them and
-    the pushed-out count is one bisect.  Counting a window's differences once
-    costs O(V²); each shift then costs one bisect to find its window and
-    O(log V) for its counts: O(V² + shifts·log V) instead of O(shifts·V).
-    A window owning fewer than V/2 shifts scans its V values per shift
-    instead, so the work never exceeds the units charged.  One ``Fraction``
-    is made per distinct pair of counts in a window.  ``entries`` is built
-    on demand; the certificate summary is gathered during the sweep.
+    Cost: shifts are kept as runs of consecutive integers, split at 0 and
+    at ±each window top.  Over the V sorted distinct stage-``n+1``
+    descendants, the overlap at m is the multiplicity of difference |m|,
+    nonzero only at the V(V-1)/2 differences, and the pushed-out count steps
+    only at V thresholds.  Sorting these cut points once per window costs
+    O(V² log V); they split each piece of a run into segments of constant
+    counts, one evaluation each: O(V² log V + runs + segments), with nothing
+    stored per shift.  A window owning fewer than V/2 shifts scans its V
+    values per shift instead (one-shift segments), so the work never exceeds
+    the units charged.  One ``Fraction`` is made per distinct pair of counts
+    in a window.  ``shifts`` and ``rows`` are views over runs and segments.
     """
     check_level(spec, level)
-    shifts: list[int] = list(ms)
+    runs: list[range] = []  # consecutive ascending named shifts merged
+    for m in ms:
+        run = runs.pop() if runs and runs[-1].stop == m else range(m, m)
+        runs.append(range(run.start, m + 1))
     if window is not None:
         if window < level.stage:
             raise StageTooLow(
                 f"window stage {window} precedes level stage {level.stage}"
             )
-        lo, hi = _window_bounds(spec, level, window)
-        shifts.extend(range(lo, hi + 1))
-    tops = _window_tops(spec, level, max(map(abs, shifts), default=0))
+        # Stage ``window`` owns the shifts [max(1, maxD_n), maxD_{n+1}].
+        lo = sum(max(spec.height_set(q)) for q in range(level.stage, window))
+        runs.append(range(max(1, lo), lo + max(spec.height_set(window)) + 1))
+    tops = _window_tops(spec, level, max((max(-r[0], r[-1]) for r in runs), default=0))
 
-    # Each evaluation column is built and charged once, in order of first use.
-    owned = Counter(bisect_left(tops, abs(m)) for m in shifts if m)
-    windows: list[_Window | None] = [None] * (len(tops) + 1)
-    for i, count in owned.items():
-        if i < len(tops):
-            windows[i] = _Window(spec, level, level.stage + i, count)
+    # Pieces (first m, stop, window index) in shift order; 0 and shifts past
+    # the last top have no window.  Each evaluation column is built and
+    # charged once, in order of first use.
+    edges = sorted({0, 1, *(t + 1 for t in tops), *(-t for t in tops)})
+    pieces: list[tuple[int, int, int]] = []
+    owned: Counter[int] = Counter()
+    for r in runs:
+        cut = edges[bisect_right(edges, r.start):bisect_left(edges, r.stop)]
+        for a, b in zip([r.start, *cut], [*cut, r.stop]):
+            pieces.append((a, b, bisect_left(tops, abs(a)) if a else len(tops)))
+            owned[pieces[-1][2]] += b - a
+    windows = {i: _Window(spec, level, level.stage + i, count)
+               for i, count in owned.items() if i < len(tops)}
 
-    rows: list[tuple[Any, ...]] = []
+    parts: list[tuple[Any, ...]] = []  # each segment's row, filling the
+    ends = [0]  # shifts from ends[k] to ends[k + 1]
     violating: list[int] = []
-    for idx, m in enumerate(shifts):
-        mm = abs(m)
-        w = windows[bisect_left(tops, mm)] if mm else None
+    for a, b, i in pieces:
+        w = windows.get(i)
         if w is None:
-            rows.append(_BEYOND_ROW if mm else _ZERO_ROW)
+            parts.append(_BEYOND_ROW if a else _ZERO_ROW)
+            ends.append(ends[-1] + b - a)
             continue
-        values = w.values
-        key = (w.counts.get(mm, 0), len(values) - bisect_right(values, w.top - mm))
-        rec = w.records.get(key)
-        if rec is None:
-            rec = w.records[key] = [w.row(*key), m]
-        elif m < rec[1]:
-            rec[1] = m
-        rows.append(rec[0])
-        if rec[0][7]:  # the row's violation flag
-            violating.append(idx)
+        lo, hi = (a, b) if a > 0 else (1 - b, 1 - a)  # |m| in [lo, hi)
+        cut = range(lo + 1, hi) if w.cuts is None else (
+            w.cuts[bisect_right(w.cuts, lo):bisect_left(w.cuts, hi)])
+        spans = list(zip([lo, *cut], [*cut, hi]))
+        # Negative pieces run down through |m|; either way a segment's least
+        # m is its first in shift order.
+        for s, e in spans if a > 0 else reversed(spans):
+            key = (w.count(s), len(w.values) - bisect_right(w.values, w.top - s))
+            m = s if a > 0 else 1 - e
+            rec = w.records.get(key)
+            if rec is None:
+                rec = w.records[key] = [w.row(*key), m]
+            elif m < rec[1]:
+                rec[1] = m
+            if rec[0][7]:  # the row's violation flag
+                violating.extend(range(ends[-1], ends[-1] + e - s))
+            parts.append(rec[0])
+            ends.append(ends[-1] + e - s)
+    shifts = _Concat(runs, list(itertools.accumulate(map(len, runs), initial=0)))
+    rows = _Concat(parts, ends)
 
-    used = [w for w in windows if w is not None]
+    used = [windows[i] for i in sorted(windows)]
     if violating:
         verdict = VERDICT_FAILS
     elif any(w.hyp for w in used):
@@ -1131,7 +1174,7 @@ def mixing_decay(
         evidence=evidence,
     )
     return MixingResult(
-        tuple(shifts), tuple(rows), verdict, cert,
+        shifts, rows, verdict, cert,
         in_window, len(violating), None if worst is None else worst.ratio,
     )
 

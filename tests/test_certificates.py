@@ -7,6 +7,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import spec_path
 from ranklab import (
+    BudgetExceeded,
     HypothesisUnmet,
     LevelRef,
     MixingEntry,
@@ -46,6 +48,7 @@ from ranklab import (
     validate_spec,
     verify_match_witness,
 )
+from ranklab import certificates
 from ranklab.certificates import _anchored_matched, _difference_matched, _slide_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -371,6 +374,19 @@ def _mixing_cases(draw):
     if extension == "error":
         shifts.append(draw(st.sampled_from([10**6, -(10**6)])))
     shifts = draw(st.permutations(shifts + shifts[:3]))
+    # Runs of consecutive shifts across 0 and across ±each window top (the
+    # last one leads past the materialized stages under "error"), some
+    # descending, some with a duplicate at either end.
+    tops = list(itertools.accumulate(max(spec.height_set(n))
+                                     for n in range(stage, len(stages))))
+    for _ in range(draw(st.integers(0, 4))):
+        centre = draw(st.sampled_from([0, *tops, *(-t for t in tops)]))
+        run = list(range(centre - draw(st.integers(0, 5)),
+                         centre + draw(st.integers(1, 6))))
+        if draw(st.booleans()):
+            run.reverse()
+        shifts += draw(st.sampled_from([[], run[:1]])) + run + draw(
+            st.sampled_from([[], run[-1:]]))
     window = draw(st.none() | st.integers(stage, len(stages) - 1))
     return spec, level, shifts, window
 
@@ -381,6 +397,17 @@ def _mixing_cases(draw):
 # Past 512 entries, with +m and -m tied for the worst ratio.
 @example((load_spec(spec_path("mixing_window.json")), LevelRef(0, 0),
           list(range(-300, 300)), None))
+# Runs across the window top ±40 and 0, a descending negative stretch,
+# duplicates beside runs, and a run past the last materialized stage.
+@example((validate_spec({"h0": 1, "stages": [{"r": 3, "s": [9, 29, 41]},
+                                             {"r": 2, "s": [3, 0]}]}),
+          LevelRef(0, 0),
+          [*range(-45, -36), 5, 5, *range(5, 9), 8, *range(-3, 4),
+           *range(-40, -50, -1), *range(37, 46), *range(370, 380)], 1))
+# 1,000 negative shifts of one row, all ratio 0: the worst entry is the
+# least m, -1000.
+@example((validate_spec({"h0": 1, "stages": [{"r": 2, "s": [1000, 0]}]}),
+          LevelRef(0, 0), list(range(-1000, 0)), None))
 def test_mixing_matches_per_shift_oracle(case):
     spec, level, ms, window = case
     shifts = list(ms)
@@ -407,6 +434,80 @@ def test_mixing_matches_per_shift_oracle(case):
             "worstRatio": max(in_window, key=lambda e: (e.ratio, -e.m), default=None),
             "windows": sorted({e.window for e in in_window}),
         }
+
+
+def test_mixing_views_behave_like_tuples(mixing_window):
+    # Runs across 0 and the top ±40, duplicates, then the whole window.
+    ms = [-42, *range(-41, -38), 0, 0, 1, 2, *range(30, 45), 7, 7, 6]
+    res = mixing_decay(mixing_window, LevelRef(0, 0), ms, window=0)
+    expected = _mixing_oracle(mixing_window, LevelRef(0, 0), [*ms, *range(1, 41)])
+    shifts = tuple(e.m for e in expected)
+    rows = tuple(dataclasses.astuple(e)[1:] for e in expected)
+    for view, want in ((res.shifts, shifts), (res.rows, rows)):
+        assert len(view) == len(want) == 66
+        for i in (0, -1, 33, 17, -20, 65, -66):
+            assert view[i] == want[i], i
+        for i in (66, -67):
+            with pytest.raises(IndexError):
+                view[i]
+        assert tuple(view) == want and list(iter(view)) == list(want)
+        assert view == want and want == view and view == list(want)
+        assert view != want[:-1] and view != (*want[:-1], None) and view != 3
+    assert res.entries == expected
+
+
+def test_mixing_sweep_stores_nothing_per_shift(asymm, monkeypatch):
+    # 186,945 shifts over 30 descendants: the sweep keeps runs and segments
+    # only, so its peak stays far below one list entry per shift.
+    monkeypatch.setenv("RANKLAB_BUDGET", "10000000")
+    asymm.height_set(3)  # materialize the stages outside the trace
+    tracemalloc.start()
+    try:
+        res = mixing_decay(asymm, LevelRef(0, 0), window=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.shifts) == 186945
+    assert peak < 1_000_000
+
+
+def test_mixing_deep_window_takes_the_scan_route(chacon, monkeypatch):
+    # A few shifts in a window of 729 descendants look their counts up by
+    # scanning; a full window counts its pairs once and sorts its cut points.
+    made = []
+
+    class Spy(certificates._Window):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((len(self.values), self.cuts is None))
+
+    monkeypatch.setattr(certificates, "_Window", Spy)
+    top = sum(max(chacon.height_set(n)) for n in range(6))
+    mixing_decay(chacon, LevelRef(0, 0), (top, -top, top - 1))
+    assert made == [(729, True)]
+    made.clear()
+    mixing_decay(chacon, LevelRef(1, 0), window=2)
+    # Window 1 (3 values) owns only the range's left edge.
+    assert made == [(3, True), (9, False)]
+
+
+def test_mixing_deep_window_is_refused_before_its_column(chacon, monkeypatch):
+    # Window 10 owns ~1.7e8 shifts against 177,147 descendants.  Only the
+    # range's left edge, which window 9 owns, gets a column; window 10 is
+    # refused before its own is built, with the overlap charge's message.
+    built = []
+
+    def spy(spec, level, j):
+        built.append(j)
+        return descendant_heights(spec, level, j)
+
+    monkeypatch.setattr(certificates, "descendant_heights", spy)
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded) as info:
+        mixing_decay(chacon, LevelRef(0, 0), window=10)
+    assert info.value.what == "overlap counts across a shift window"
+    assert info.value.units == 29991924739071
+    assert built == [10]
 
 
 def test_mixing_few_shifts_in_a_deep_window(chacon):

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -681,6 +682,60 @@ def test_cli_workload_reports_match_golden(capsys, monkeypatch):
         code = run(list(argv))
         text = capsys.readouterr().out
         assert jobs.check_report(golden, template, argv, code, text, specs) == [], argv
+
+
+@pytest.mark.parametrize("workload", ["mixing", "enumerate"])
+def test_in_process_workload_reports_match_golden(workload, capsys, monkeypatch):
+    # Every job of the in-process workloads, for every seeded height h, with
+    # the environment the benchmark gives it; golden.json is only read.
+    jobs = _perfbench_jobs()
+    golden = jobs.load_golden()
+    monkeypatch.chdir(REPO)
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    for name, value in jobs.job_env(workload).items():
+        monkeypatch.setenv(name, value)
+    specs = {path: load_spec(path) for path in jobs.SPEC_FILES[workload]}
+    seen = set()
+    for h in range(8):
+        for template in jobs.templates(workload):
+            argv = jobs.instantiate(template, h)
+            if argv in seen:
+                continue
+            seen.add(argv)
+            code = run(list(argv))
+            text = capsys.readouterr().out
+            assert jobs.check_report(golden, template, argv, code, text, specs) == [], argv
+    assert len(seen) == {"mixing": 11, "enumerate": 22}[workload]
+
+
+_DEEP_WINDOW_MESSAGE = (
+    "overlap counts across a shift window needs ~29991924739071 enumeration units,"
+    " over the budget of 5000000 (raise RANKLAB_BUDGET to allow it)"
+)
+
+
+def test_deep_window_is_refused_before_its_shifts_are_listed(capsys, monkeypatch):
+    # The window holds ~1.7e8 shifts; it is charged as runs, never listed.
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    tracemalloc.start()
+    try:
+        payload = report(capsys, "mixing", "--spec", spec_path("chacon.json"),
+                         "--base", "0:0", "--window", "10")[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload["result"]["error"] == {
+        "type": "BudgetExceeded", "message": _DEEP_WINDOW_MESSAGE,
+    }
+    assert peak < 20_000_000
+
+
+def test_deeper_window_is_refused_by_the_budget(capsys, monkeypatch):
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    code, payload = report(capsys, "mixing", "--spec", spec_path("chacon.json"),
+                           "--base", "0:0", "--window", "12")
+    assert code == 1
+    assert payload["result"]["error"]["type"] == "BudgetExceeded"
 
 
 def test_npc_report_matches_golden_under_python_O():
