@@ -16,6 +16,7 @@ decimal renderings of the headline rationals (clearly grouped under an
 
 from __future__ import annotations
 
+import importlib
 import sys
 import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -179,12 +180,12 @@ def _value_table(
 # command handlers
 #
 # ``_cmd_<name>`` handles command ``<name>`` (dashes as underscores).  Each
-# imports what it calls, so a command loads only the modules it needs.
-# Without cached bytecode, ``certificates`` is compiled on every start, and
-# the compiler's working memory lands on top of whatever is live.  So ``run``
-# imports it first for the commands in _CERTIFICATE_COMMANDS, before argparse,
-# ``reporting`` or a spec, and the handlers import it before the spec: the
-# process's peak RSS stays where it was when the package imported it eagerly.
+# imports what it calls, so a command loads only the modules it needs; a
+# certificate command imports the part of ``certificates`` that the command
+# table names for it, never the other parts.  Without cached bytecode each
+# imported module is compiled on every start, and the compiler's working
+# memory lands on top of whatever is live, so ``run`` imports that part
+# first, before argparse or a spec.
 
 
 def _cmd_validate(args: argparse.Namespace) -> Outcome:
@@ -376,7 +377,7 @@ def _cmd_gamma(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_conservativity(args: argparse.Namespace) -> Outcome:
-    from .certificates import ProductQuery, conservativity_fraction
+    from .certificates.products import ProductQuery, conservativity_fraction
 
     spec, fp = _load(args)
     query = ProductQuery(
@@ -393,7 +394,7 @@ def _cmd_conservativity(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_ergodic_match(args: argparse.Namespace) -> Outcome:
-    from .certificates import ProductQuery, ergodic_matching
+    from .certificates.matching import ProductQuery, ergodic_matching
 
     spec, fp = _load(args)
     query = ProductQuery(
@@ -415,7 +416,7 @@ def _cmd_ergodic_match(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_pattern(args: argparse.Namespace) -> Outcome:
-    from .certificates import PatternQuery, pattern_measure
+    from .certificates.matching import PatternQuery, pattern_measure
 
     spec, fp = _load(args)
     query = PatternQuery(
@@ -443,7 +444,7 @@ def _cmd_pattern(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_mixing(args: argparse.Namespace) -> Outcome:
-    from .certificates import mixing_decay
+    from .certificates.mixing import mixing_decay
     from .construction import LevelRef
 
     spec, fp = _load(args)
@@ -464,7 +465,7 @@ def _cmd_mixing(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_npc(args: argparse.Namespace) -> Outcome:
-    from .certificates import npc_certificate
+    from .certificates.npc import npc_certificate
 
     spec, fp = _load(args)
     cert = npc_certificate(spec, args.kappa, args.start, args.horizon)
@@ -479,7 +480,7 @@ def _cmd_npc(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_pwm(args: argparse.Namespace) -> Outcome:
-    from .certificates import pwm_witness
+    from .certificates.pwm import pwm_witness
     from .specio import tq_params_of
 
     spec, fp = _load(args)
@@ -501,7 +502,7 @@ def _cmd_pwm(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_non_ergodic(args: argparse.Namespace) -> Outcome:
-    from .certificates import non_ergodic_check
+    from .certificates.products import non_ergodic_check
 
     spec, fp = _load(args)
     cert = non_ergodic_check(spec, args.alpha, args.shifts, args.base, args.horizon)
@@ -510,7 +511,7 @@ def _cmd_non_ergodic(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_asymmetry(args: argparse.Namespace) -> Outcome:
-    from .certificates import asymmetry_statistic
+    from .certificates.asymmetry import asymmetry_statistic
 
     spec, fp = _load(args)
     res = asymmetry_statistic(spec, args.base, args.scale, args.eval)
@@ -587,73 +588,84 @@ _START = _optional("--start", _nonneg_int, "STAGE", default=0)
 _SCALE = _required("--scale", _positive_int, "STAGE")
 _EVAL = _required("--eval", _positive_int, "STAGE")
 
-# Every command: its help line and its flags, after --json and --approx.
-# Each flag is echoed into the report's ``inputs`` under its camelCase name,
-# except that the flags in _ECHO_IF_GIVEN are left out when not given.
-_COMMANDS: dict[str, tuple[str, tuple[Flag, ...]]] = {
-    "validate": ("parse a spec file and echo its normal form", (_SPEC,)),
-    "heights": ("column heights h_0..h_{N-1}", (_SPEC, _STAGES)),
-    "descendants": ("heights a level splits into", (_SPEC, _LEVEL, _TO)),
-    "diffset": ("difference multiset of the descendants", (_SPEC, _LEVEL, _TO)),
+# Every command: its help line, its flags after --json and --approx, and the
+# part of ``certificates`` its handler imports (None if it issues no
+# certificate).  Each flag is echoed into the report's ``inputs`` under its
+# camelCase name, except that the flags in _ECHO_IF_GIVEN are left out when not given.
+_COMMANDS: dict[str, tuple[str, tuple[Flag, ...], str | None]] = {
+    "validate": ("parse a spec file and echo its normal form", (_SPEC,), None),
+    "heights": ("column heights h_0..h_{N-1}", (_SPEC, _STAGES), None),
+    "descendants": ("heights a level splits into", (_SPEC, _LEVEL, _TO), None),
+    "diffset": ("difference multiset of the descendants", (_SPEC, _LEVEL, _TO), None),
     "ap": (
         "longest run x,2x,..,lx inside the difference set",
         (_SPEC, _LEVEL, _TO, _MAX_LEN),
+        None,
     ),
-    "partners": ("offsets with a partner at distance z, z+1", (_SPEC, _STAGE, _SHIFT)),
+    "partners": (
+        "offsets with a partner at distance z, z+1", (_SPEC, _STAGE, _SHIFT), None
+    ),
     "membership": (
         "digit representation of a target value",
         (*_DIGIT_SOURCE, _DIGITS, _TARGET),
+        None,
     ),
     "gaps": (
         "missing-value counts: recursion vs brute force",
         (*_DIGIT_SOURCE, _DIGITS),
+        None,
     ),
-    "coverage": ("low-range and parity coverage checks", (*_DIGIT_SOURCE, _DIGITS)),
+    "coverage": (
+        "low-range and parity coverage checks", (*_DIGIT_SOURCE, _DIGITS), None
+    ),
     "gamma": (
         "shift keeping scaled powers representable",
         (*_DIGIT_SOURCE, _MULTIPLIERS, _HORIZON_8),
+        None,
     ),
     "conservativity": (
         "returning-tuple fraction",
         (_SPEC, _MULTIPLIERS, _BASE, _HORIZON, _EPSILON),
+        "products",
     ),
     "ergodic-match": (
         "matched fraction for +-1 products",
         (_SPEC, _MULTIPLIERS, _SHIFTS, _BASE, _HORIZON),
+        "matching",
     ),
     "pattern": (
         "capture bound for all-forward move patterns",
         (_SPEC, _MOVES, _BASE, _CUTOFF, _DCONST),
+        "matching",
     ),
     "mixing": (
         "overlap ratios against the pairing bound",
         (_SPEC, _LEVEL, _SHIFTS_OR_NONE, _WINDOW),
+        "mixing",
     ),
     "npc": (
         "progression freeness with self-propagating ratios",
         (_SPEC, _KAPPA, _START, _HORIZON),
+        "npc",
     ),
     "pwm": (
         "matched pair witness for products of powers",
         (_SPEC, _ALPHA, _SHIFTS, _BASE_1, _HORIZON_8),
+        "pwm",
     ),
     "non-ergodic": (
         "certify shifts as never realizable",
         (_SPEC, _ALPHA, _SHIFTS, _BASE, _HORIZON),
+        "products",
     ),
     "asymmetry": (
         "triple-overlap statistic vs its reversal",
         (_SPEC, _BASE_1, _SCALE, _EVAL),
+        "asymmetry",
     ),
 }
 
 _ECHO_IF_GIVEN = frozenset({"--spec", "--k", "--alphabet", "--shift"})
-
-# Commands whose handlers call ``certificates``.
-_CERTIFICATE_COMMANDS = frozenset({
-    "conservativity", "ergodic-match", "pattern", "mixing", "npc", "pwm",
-    "non-ergodic", "asymmetry",
-})
 
 
 def _new_parser(**kwargs: Any) -> argparse.ArgumentParser:
@@ -690,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, (help_, _) in _COMMANDS.items():
+    for name, (help_, _, _) in _COMMANDS.items():
         _add_flags(sub.add_parser(name, help=help_), name)
     return parser
 
@@ -744,9 +756,10 @@ def _inputs(args: argparse.Namespace) -> dict[str, Any]:
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse, dispatch, emit one report, and return the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _CERTIFICATE_COMMANDS:
+    part = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else None
+    if part is not None:
         # Compiled before anything else is live; see the note on the handlers.
-        from . import certificates  # noqa: F401
+        importlib.import_module(f".certificates.{part}", __package__)
     from .reporting import Report, emit_report
 
     try:

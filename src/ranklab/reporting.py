@@ -90,7 +90,7 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, tuple) and hasattr(value, "_asdict"):
         return {name: jsonable(v) for name, v in value._asdict().items()}
     if hasattr(type(value), "__dataclass_fields__"):
-        import dataclasses  # here: only certificates' records are dataclasses
+        import dataclasses  # here: ranklab's own records are all NamedTuples
 
         return {
             f.name: jsonable(getattr(value, f.name))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -48,8 +47,9 @@ from ranklab import (
     validate_spec,
     verify_match_witness,
 )
-from ranklab import certificates
-from ranklab.certificates import _anchored_matched, _difference_matched, _slide_scan
+from ranklab import _budget, construction
+from ranklab.certificates import mixing
+from ranklab.certificates.products import _anchored_matched, _difference_matched, _slide_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -125,20 +125,19 @@ def test_matching_fraction_frozen(chacon):
 def test_bogus_witness_is_refused(chacon):
     w = ergodic_matching(chacon, ProductQuery((1, -1), (0, 1), 1, 2)).witness
     with pytest.raises(PreconditionViolated, match="coordinate 0"):
-        verify_match_witness(chacon, dataclasses.replace(w, residual=w.residual + 1))
+        verify_match_witness(chacon, w._replace(residual=w.residual + 1))
     with pytest.raises(PreconditionViolated, match="arity"):
-        verify_match_witness(chacon, dataclasses.replace(w, shifts=(0,)))
+        verify_match_witness(chacon, w._replace(shifts=(0,)))
 
 
 def test_bogus_witness_is_refused_under_optimize():
     # Bare asserts vanish under ``python -O``; the witness check must not.
     script = (
-        "import dataclasses\n"
         "from ranklab import ProductQuery, ergodic_matching, load_spec,"
         " verify_match_witness\n"
         f"spec = load_spec({spec_path('chacon.json')!r})\n"
         "w = ergodic_matching(spec, ProductQuery((1, -1), (0, 1), 1, 2)).witness\n"
-        "verify_match_witness(spec, dataclasses.replace(w, residual=w.residual + 1))\n"
+        "verify_match_witness(spec, w._replace(residual=w.residual + 1))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
@@ -442,7 +441,7 @@ def test_mixing_views_behave_like_tuples(mixing_window):
     res = mixing_decay(mixing_window, LevelRef(0, 0), ms, window=0)
     expected = _mixing_oracle(mixing_window, LevelRef(0, 0), [*ms, *range(1, 41)])
     shifts = tuple(e.m for e in expected)
-    rows = tuple(dataclasses.astuple(e)[1:] for e in expected)
+    rows = tuple(tuple(e)[1:] for e in expected)
     for view, want in ((res.shifts, shifts), (res.rows, rows)):
         assert len(view) == len(want) == 66
         for i in (0, -1, 33, 17, -20, 65, -66):
@@ -476,12 +475,12 @@ def test_mixing_deep_window_takes_the_scan_route(chacon, monkeypatch):
     # scanning; a full window counts its pairs once and sorts its cut points.
     made = []
 
-    class Spy(certificates._Window):
+    class Spy(mixing._Window):
         def __init__(self, *args):
             super().__init__(*args)
             made.append((len(self.values), self.cuts is None))
 
-    monkeypatch.setattr(certificates, "_Window", Spy)
+    monkeypatch.setattr(mixing, "_Window", Spy)
     top = sum(max(chacon.height_set(n)) for n in range(6))
     mixing_decay(chacon, LevelRef(0, 0), (top, -top, top - 1))
     assert made == [(729, True)]
@@ -501,7 +500,7 @@ def test_mixing_deep_window_is_refused_before_its_column(chacon, monkeypatch):
         built.append(j)
         return descendant_heights(spec, level, j)
 
-    monkeypatch.setattr(certificates, "descendant_heights", spy)
+    monkeypatch.setattr(construction, "descendant_heights", spy)
     monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
     with pytest.raises(BudgetExceeded) as info:
         mixing_decay(chacon, LevelRef(0, 0), window=10)
@@ -850,15 +849,12 @@ def test_asymmetry_chacon_frozen(chacon):
 def test_asymmetry_builds_the_evaluation_stage_once(chacon, monkeypatch):
     # Both sides and the last adjacency row share one enumeration of stage 5,
     # yet the budget sees the three charges the separate enumerations made.
-    import ranklab.certificates as certificates
-    import ranklab.construction as construction
-
     charges, built = [], []
     real_heights = construction.descendant_heights
-    for module in (certificates, construction):
+    for module in (_budget, construction):
         monkeypatch.setattr(module, "charge", lambda units, what: charges.append((units, what)))
     monkeypatch.setattr(
-        certificates, "descendant_heights",
+        construction, "descendant_heights",
         lambda spec, level, j: built.append(j) or real_heights(spec, level, j),
     )
     res = asymmetry_statistic(chacon, base_stage=1, scale_stage=1, eval_stage=5)

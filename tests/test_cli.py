@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib.util
+import io
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import spec_path
 import ranklab
@@ -767,8 +773,12 @@ def test_result_guards_run_under_python_O():
     assert proc.stderr.splitlines()[-1] == "AssertionError: kept"
 
 
+_PACKAGE = REPO / "src" / "ranklab"
+
+
 @pytest.mark.parametrize(
-    "path", sorted((REPO / "src" / "ranklab").glob("*.py")), ids=lambda p: p.name
+    "path", sorted(_PACKAGE.rglob("*.py")),
+    ids=lambda p: p.relative_to(_PACKAGE).as_posix(),
 )
 def test_no_module_guards_with_assert(path):
     # ``python -O`` strips ``assert`` statements, so no module may use one.
@@ -782,9 +792,14 @@ import contextlib, io, json, sys
 import ranklab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = ranklab.cli.run(sys.argv[1:])
-print(json.dumps([code, sorted({"ranklab.certificates", "ranklab.sumsets", "dataclasses"}
-                                & set(sys.modules))]))
+watched = ("ranklab.certificates", "ranklab.sumsets", "dataclasses")
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(watched))]))
 """
+
+
+def _certificate_part(part, *others):
+    """Modules a certificate command loads: the core, its part, maybe sumsets."""
+    return ["ranklab.certificates", f"ranklab.certificates.{part}", *others]
 
 
 @pytest.mark.parametrize(
@@ -795,10 +810,46 @@ print(json.dumps([code, sorted({"ranklab.certificates", "ranklab.sumsets", "data
          ["ranklab.sumsets"]),
         (
             ("npc", "--spec", spec_path("chacon.json"), "--kappa", "13", "--horizon", "6"),
-            ["dataclasses", "ranklab.certificates", "ranklab.sumsets"],
+            _certificate_part("npc", "ranklab.sumsets"),
         ),
         (("validate", "--spec", spec_path("asymm.json")), []),  # families load no sumsets
         (("validate", "--spec", spec_path("tq41.json")), []),
+        # Every other certificate command: its own part, no other, no dataclasses.
+        (
+            ("conservativity", "--spec", spec_path("chacon.json"), "--multipliers", "1,1",
+             "--base", "0", "--horizon", "2"),
+            _certificate_part("products", "ranklab.sumsets"),
+        ),
+        (
+            ("ergodic-match", "--spec", spec_path("chacon.json"), "--multipliers", "1,-1",
+             "--shifts", "0,1", "--base", "1", "--horizon", "2"),
+            _certificate_part("matching", "ranklab.sumsets"),
+        ),
+        (
+            ("pattern", "--spec", spec_path("chacon.json"), "--moves", "0,1", "--base", "1",
+             "--cutoff", "3"),
+            _certificate_part("matching", "ranklab.sumsets"),
+        ),
+        (
+            ("mixing", "--spec", spec_path("mixing_window.json"), "--base", "0:0",
+             "--shifts", "0,10,40"),
+            _certificate_part("mixing", "ranklab.sumsets"),
+        ),
+        (
+            ("pwm", "--spec", spec_path("tq41.json"), "--alpha", "2,-3", "--shifts", "0,1,2",
+             "--base", "1"),
+            _certificate_part("pwm", "ranklab.sumsets"),
+        ),
+        (
+            ("non-ergodic", "--spec", spec_path("chacon.json"), "--alpha", "1,2",
+             "--shifts", "0,1", "--base", "0", "--horizon", "3"),
+            _certificate_part("products", "ranklab.sumsets"),
+        ),
+        (  # the only certificate command that needs no sumsets
+            ("asymmetry", "--spec", spec_path("chacon.json"), "--base", "1", "--scale", "1",
+             "--eval", "5"),
+            _certificate_part("asymmetry"),
+        ),
     ],
 )
 def test_startup_loads_only_what_the_command_needs(argv, loaded):
@@ -811,11 +862,18 @@ def test_startup_loads_only_what_the_command_needs(argv, loaded):
 
 
 def test_certificate_commands_are_the_ones_that_import_certificates():
-    # ``run`` imports ``certificates`` first for these commands (peak RSS).
-    for name in ranklab.cli._COMMANDS:
-        handler = getattr(ranklab.cli, "_cmd_" + name.replace("-", "_"))
-        imports = "from .certificates import" in inspect.getsource(handler)
-        assert imports == (name in ranklab.cli._CERTIFICATE_COMMANDS), name
+    # ``run`` imports the part the table names first (peak RSS), so a handler
+    # imports from that part of ``certificates`` and from no other.
+    import ranklab.certificates as certificates
+
+    parts = set()
+    for name, (_, _, part) in ranklab.cli._COMMANDS.items():
+        source = inspect.getsource(getattr(ranklab.cli, "_cmd_" + name.replace("-", "_")))
+        imported = re.findall(r"from \.certificates\.(\w+) import", source)
+        assert imported == ([] if part is None else [part]), name
+        assert ("from .certificates" in source) == (part is not None), name
+        parts.add(part)
+    assert parts - {None} == set(certificates._PARTS)
 
 
 def test_package_exports_resolve_on_first_use():
@@ -827,6 +885,20 @@ def test_package_exports_resolve_on_first_use():
         ranklab.no_such_name
 
 
+def test_certificate_exports_resolve_on_first_use():
+    import ranklab.certificates as certificates
+
+    assert set(certificates.__all__) <= set(dir(certificates))
+    for name in certificates.__all__:
+        value = getattr(certificates, name)
+        assert getattr(ranklab, name, value) is value
+        module = getattr(value, "__module__", certificates.__name__)
+        assert module.startswith(certificates.__name__), name
+    assert certificates.mixing_decay is certificates.mixing.mixing_decay
+    with pytest.raises(AttributeError):
+        certificates.no_such_name
+
+
 def test_help_names_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--help"])
@@ -834,3 +906,89 @@ def test_help_names_every_command(capsys):
     out = capsys.readouterr().out
     for command in COMMANDS:
         assert command in out
+
+
+# ---------------------------------------------------------------------------
+# every command under random arguments
+
+_SPEC_FILES = sorted(str(p) for p in (REPO / "specs").glob("*.json"))
+# Stages that must lie below another flag's are drawn from the low end, so
+# that most runs get past the argument checks into the computation.
+_LOW_STAGES = {"--base", "--start", "--scale", "--stage"}
+_LIST_ENTRY = st.one_of(st.sampled_from([-1, 0, 1, 2]), st.integers(-2, 12))
+
+
+def _value_text(option, kind, arity):
+    """Strategy for the well-formed text of one flag's value, kept small.
+
+    List flags get ``arity`` entries, or one more (``pwm``'s shifts).
+    """
+    c = ranklab.cli
+    top = 2 if option in _LOW_STAGES else 6
+    return {
+        c._int_arg: st.integers(-20, 400).map(str),
+        c._positive_int: st.integers(1, max(top, 3)).map(str),
+        c._nonneg_int: st.integers(0, top).map(str),
+        c._level_arg: st.builds("{}:{}".format, st.integers(0, 2), st.integers(0, 3)),
+        c._int_list: st.sampled_from([arity, arity, arity + 1]).flatmap(
+            lambda n: st.lists(_LIST_ENTRY, min_size=n, max_size=n)
+        ).map(lambda xs: ",".join(map(str, xs))),
+        c._fraction_arg: st.sampled_from(["1/10", "0", "1", "-1/2", "9/10"]),
+        None: st.sampled_from(_SPEC_FILES),
+    }[kind]
+
+
+_MALFORMED = st.sampled_from(["", "x", "0", "-1", "1,,2", "1:", "-", "no_such_spec.json"])
+
+
+def _valid_runs():
+    """The benchmark's ``cli`` runs, one per command and more: argv that work."""
+    jobs = _perfbench_jobs()
+    runs = [jobs.instantiate(template, 1) for template in jobs.templates("cli")]
+    return [[str(REPO / a) if a.startswith("specs/") else a for a in argv] for argv in runs]
+
+
+_VALID_RUNS = st.sampled_from(_valid_runs())
+
+
+@st.composite
+def _argv(draw):
+    """A working run with each flag kept, redrawn, malformed or left out."""
+    command, *rest = draw(_VALID_RUNS)
+    known = dict(zip(rest[::2], rest[1::2]))
+    argv = [command]
+    arity = draw(st.integers(1, 3))
+    for option, kwargs in ranklab.cli._COMMANDS[command][1]:
+        choice = draw(st.integers(0, 19))
+        if option in known and choice < 8:
+            value = known[option]
+        elif choice < (17 if option in known or kwargs.get("required") else 5):
+            value = draw(_value_text(option, kwargs["type"], arity))
+        elif choice == 17:
+            value = draw(_MALFORMED)
+        else:
+            continue
+        argv += [option, value]
+    if draw(st.booleans()):
+        argv.append("--approx")
+    return argv
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_every_command_yields_a_report_or_a_usage_error(argv):
+    # Any argv either exits 64 with a usage message and no report, or exits
+    # 0/1/2 with one valid report and nothing on stderr (no traceback).  The
+    # budget keeps every run small; the benchmark's npc run is refused by it.
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"RANKLAB_BUDGET": "100000"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code == 64:
+        assert out.getvalue() == "" and err.getvalue().startswith("usage error: "), argv
+        return
+    assert code in (0, 1, 2) and err.getvalue() == "", (argv, err.getvalue())
+    payload = json.loads(out.getvalue())
+    assert validate_report(payload) == [], argv
+    assert payload["command"] == argv[0]
+    assert ("error" in payload["result"]) == (code == 1), argv
