@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..construction import LevelRef, RankOneSpec, check_level
-from ..errors import ParamOutOfRange, PreconditionViolated, is_plain_int
+from ..errors import CheckedRecord, ParamOutOfRange, PreconditionViolated, is_plain_int
 from ..reporting import TOOL_VERSION
 from ..specio import spec_fingerprint
 
@@ -91,13 +91,12 @@ class _CertificateFields(NamedTuple):
     tool_version: str = TOOL_VERSION
 
 
-class Certificate(_CertificateFields):
+class Certificate(CheckedRecord, _CertificateFields):
     """A verdict with replayable evidence, bound to one exact construction."""
 
     __slots__ = ()
 
-    # A NamedTuple body may not define __init__: the checks live in a subclass.
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         _require(self.kind in CERTIFICATE_KINDS, f"unknown certificate kind {self.kind}")
         _require(self.verdict in _VERDICTS, f"unknown verdict {self.verdict}")
 
@@ -130,7 +129,7 @@ class _ProductQueryFields(NamedTuple):
     epsilon: Fraction = Fraction(1, 10)
 
 
-class ProductQuery(_ProductQueryFields):
+class ProductQuery(CheckedRecord, _ProductQueryFields):
     """Shifted product question: one coordinate per entry of ``multipliers``.
 
     Coordinate ``l`` carries the power ``multipliers[l]`` of the base map and
@@ -140,7 +139,7 @@ class ProductQuery(_ProductQueryFields):
 
     __slots__ = ()
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         if not self.multipliers:
             raise ParamOutOfRange("product query needs at least one coordinate")
         _require_ints(self.multipliers, "multipliers must be nonzero integers", bool)

@@ -8,7 +8,7 @@ from typing import Any, NamedTuple, Sequence
 
 from .. import _budget, construction, sumsets
 from ..construction import LevelRef, MeasureInterval, RankOneSpec
-from ..errors import NoPartnerStages, ParamOutOfRange
+from ..errors import CheckedRecord, NoPartnerStages, ParamOutOfRange
 from ..sumsets import PartnerShift
 from . import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, Certificate
 from . import MatchWitness, ProductQuery, _certificate, _check_shift_bounds
@@ -51,43 +51,27 @@ def _move_plan(
 
 def _stage_sets(
     ps: PartnerShift, signature: Sequence[int], move: _Move
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
     """Per-coordinate required offsets and offset deltas for one move stage.
 
-    Returns ``(required, deltas)`` where a tuple advances the matching iff
-    coordinate ``l``'s stage offset lies in ``required[l]``, in which case its
-    partner offset differs by ``deltas[l]`` (new offset = old - delta).
+    Returns ``(required, deltas, step)`` where a tuple advances the matching
+    iff coordinate ``l``'s stage offset lies in ``required[l]``, in which case
+    its partner offset differs by ``deltas[l]`` (new offset = old - delta),
+    and the stage adds ``step`` to the shared residual.  Coordinate ``l``
+    uses the pairs at width ``z + 1`` when it is the moving coordinate of a
+    raised-forward move or a bystander of any other move, else at width
+    ``z``: a forward coordinate sits at the pair's upper end, an inverse one
+    at its lower end.
     """
     z = ps.z
-    s_z = ps.at_z.members
-    s_z1 = ps.at_z_plus_1.members
-    s_z_low = tuple(x - z for x in s_z)
-    s_z1_low = tuple(x - z - 1 for x in s_z1)
     required: list[tuple[int, ...]] = []
     deltas: list[int] = []
     for l, e in enumerate(signature):
-        if move.kind == _RAISED_FORWARD:
-            if e > 0 and l == move.coord:
-                required.append(s_z1), deltas.append(z + 1)
-            elif e > 0:
-                required.append(s_z), deltas.append(z)
-            else:
-                required.append(s_z_low), deltas.append(-z)
-        elif move.kind == _LOWERED_FORWARD:
-            if e > 0 and l == move.coord:
-                required.append(s_z), deltas.append(z)
-            elif e > 0:
-                required.append(s_z1), deltas.append(z + 1)
-            else:
-                required.append(s_z1_low), deltas.append(-(z + 1))
-        else:
-            if e < 0 and l == move.coord:
-                required.append(s_z_low), deltas.append(-z)
-            elif e < 0:
-                required.append(s_z1_low), deltas.append(-(z + 1))
-            else:
-                required.append(s_z1), deltas.append(z + 1)
-    return tuple(required), tuple(deltas)
+        w = z + ((l == move.coord) == (move.kind == _RAISED_FORWARD))
+        upper = ps.at_z.members if w == z else ps.at_z_plus_1.members
+        required.append(upper if e > 0 else tuple(x - w for x in upper))
+        deltas.append(w if e > 0 else -w)
+    return tuple(required), tuple(deltas), z + (move.kind != _RAISED_FORWARD)
 
 
 def _hit_region(ps: PartnerShift) -> tuple[int, ...]:
@@ -97,6 +81,59 @@ def _hit_region(ps: PartnerShift) -> tuple[int, ...]:
     region |= {x - z for x in ps.at_z.members}
     region |= {x - z - 1 for x in ps.at_z_plus_1.members}
     return tuple(sorted(region))
+
+
+def _stages(
+    spec: RankOneSpec, first: int, stop: int, gamma: int
+) -> list[tuple[int, PartnerShift | None]]:
+    """Each stage in ``[first, stop)`` with its partner shift, if it has one.
+
+    Every required set of a move stage has one entry per pair at ``z``,
+    whatever the move, because the pairs at ``z`` and ``z + 1`` are equally
+    many: the move distribution relies on that.
+    """
+    stages = [(n, sumsets.partner_shift(spec.height_set(n))) for n in range(first, stop)]
+    for _, ps in stages:
+        _require(
+            ps is None or len(ps.at_z.members) == len(ps.at_z_plus_1.members),
+            "a partner shift needs as many pairs at z + 1 as at z",
+        )
+    if gamma > 0 and all(ps is None for _, ps in stages):
+        raise NoPartnerStages(f"no stage in [{first}, {stop}) has a partner shift")
+    return stages
+
+
+def _advance(
+    mass: Sequence[Fraction], p_hit: Fraction, p_move: Fraction
+) -> tuple[list[Fraction], Fraction]:
+    """One partner stage of the exact distribution over moves completed.
+
+    ``mass[t]`` is the mass of tuples that have made ``t`` of the
+    ``len(mass) - 1`` planned moves.  An unfinished tuple misses the stage's
+    hit region with chance ``1 - p_hit``, makes its next move with chance
+    ``p_move`` and dies otherwise; finished tuples ignore later hits.
+    Returns the next masses and the mass that died.
+    """
+    _require(p_move <= p_hit, "required offsets must lie in the hit region")
+    *moving, done = mass
+    advanced = [m * (1 - p_hit) for m in moving] + [done]
+    for t, m in enumerate(moving):
+        advanced[t + 1] += m * p_move
+    return advanced, sum(moving, Fraction(0)) * (p_hit - p_move)
+
+
+def _matching_plan(
+    spec: RankOneSpec, query: ProductQuery
+) -> tuple[tuple[_Move, ...], int, list[tuple[int, PartnerShift | None]]]:
+    """Moves, anchor index and stages of a product of powers +-1."""
+    for l, m in enumerate(query.multipliers):
+        if m not in (1, -1):
+            raise ParamOutOfRange(
+                f"matching handles powers +-1 only; coordinate {l} has {m}"
+            )
+    _check_shift_bounds(spec, query)
+    moves, ref = _move_plan(query.multipliers, query.shifts)
+    return moves, ref, _stages(spec, query.base_stage, query.horizon, len(moves))
 
 
 class ErgodicMatchResult(NamedTuple):
@@ -116,62 +153,31 @@ def ergodic_matching(spec: RankOneSpec, query: ProductQuery) -> ErgodicMatchResu
     partner tuples realizing ``a - d - b = power * residual`` with one shared
     residual; the construction is replayed on an explicit lex-least witness.
     """
-    for l, m in enumerate(query.multipliers):
-        if m not in (1, -1):
-            raise ParamOutOfRange(
-                f"matching handles powers +-1 only; coordinate {l} has {m}"
-            )
-    _check_shift_bounds(spec, query)
+    moves, ref, stages = _matching_plan(spec, query)
     signature = query.multipliers
     k = len(signature)
-    moves, ref = _move_plan(signature, query.shifts)
     gamma = len(moves)
-    base = LevelRef(query.base_stage, 0)
-
-    stage_rows = []
-    partner_stages: list[tuple[int, PartnerShift]] = []
-    for n in range(query.base_stage, query.horizon):
-        ps = sumsets.partner_shift(spec.height_set(n))
-        stage_rows.append(
-            {
-                "stage": n,
-                "offsets": len(spec.height_set(n)),
-                "shift": None if ps is None else ps.z,
-                "pairs": None if ps is None else len(ps.at_z.members),
-            }
-        )
-        if ps is not None:
-            partner_stages.append((n, ps))
-    if gamma > 0 and not partner_stages:
-        raise NoPartnerStages(
-            f"no stage in [{query.base_stage}, {query.horizon}) has a partner shift"
-        )
+    partner_stages = [(n, ps) for n, ps in stages if ps is not None]
+    stage_rows = [
+        {
+            "stage": n,
+            "offsets": len(spec.height_set(n)),
+            "shift": None if ps is None else ps.z,
+            "pairs": None if ps is None else len(ps.at_z.members),
+        }
+        for n, ps in stages
+    ]
 
     # Exact distribution over moves completed, tuple offsets being uniform
     # and independent across stages.
-    alive = [Fraction(0)] * (gamma + 1)
-    alive[0] = Fraction(1)
+    alive = [Fraction(1)] + [Fraction(0)] * gamma
     dead = Fraction(0)
     for n, ps in partner_stages:
-        hset = spec.height_set(n)
-        region = _hit_region(ps)
-        p_hit = Fraction(len(region), len(hset)) ** k
-        advanced = [Fraction(0)] * (gamma + 1)
-        for t in range(gamma + 1):
-            if not alive[t]:
-                continue
-            if t == gamma:
-                advanced[t] += alive[t]  # finished tuples ignore later hits
-                continue
-            required, _ = _stage_sets(ps, signature, moves[t])
-            p_move = Fraction(1)
-            for req in required:
-                p_move *= Fraction(len(req), len(hset))
-            _require(p_move <= p_hit, "required offsets must lie in the hit region")
-            advanced[t + 1] += alive[t] * p_move
-            advanced[t] += alive[t] * (1 - p_hit)
-            dead += alive[t] * (p_hit - p_move)
-        alive = advanced
+        size = len(spec.height_set(n))
+        p_hit = Fraction(len(_hit_region(ps)), size) ** k
+        p_move = Fraction(len(ps.at_z.members), size) ** k
+        alive, died = _advance(alive, p_hit, p_move)
+        dead += died
     fraction = alive[gamma]
     pending = sum(alive[:gamma], Fraction(0))
     _require(fraction + pending + dead == 1, "matched, pending and dead mass must sum to 1")
@@ -179,8 +185,8 @@ def ergodic_matching(spec: RankOneSpec, query: ProductQuery) -> ErgodicMatchResu
     witness = None
     if fraction > 0:
         witness = _build_match_witness(
-            spec, base, signature, query.shifts, query.horizon,
-            moves, ref, partner_stages,
+            spec, LevelRef(query.base_stage, 0), signature, query.shifts,
+            query.horizon, moves, ref, partner_stages,
         )
         verify_match_witness(spec, witness)
 
@@ -230,21 +236,16 @@ def _build_match_witness(
 ) -> MatchWitness:
     """Lex-least matched tuple: smallest required offset at each move stage."""
     k = len(powers)
-    gamma = len(moves)
-    _require(len(partner_stages) >= gamma, "fewer partner stages than moves")
-    move_at = {partner_stages[t][0]: t for t in range(gamma)}
+    _require(len(partner_stages) >= len(moves), "fewer partner stages than moves")
+    move_at = {n: (ps, move) for (n, ps), move in zip(partner_stages, moves)}
     a_rows: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     d_rows: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     shift_sum = 0
     for n in range(base.stage, horizon):
         if n in move_at:
-            t = move_at[n]
-            ps = dict(partner_stages)[n]
-            required, deltas = _stage_sets(ps, powers, moves[t])
-            if moves[t].kind == _RAISED_FORWARD:
-                shift_sum += ps.z
-            else:
-                shift_sum += ps.z + 1
+            ps, move = move_at[n]
+            required, deltas, step = _stage_sets(ps, powers, move)
+            shift_sum += step
             for c in range(k):
                 offset = min(required[c])
                 a_rows[c].append((n, offset))
@@ -279,28 +280,18 @@ def exhaustive_matches(
     distribution computed by :func:`ergodic_matching`, and injectivity of the
     map, are exactly the properties the fast route relies on.
     """
-    for l, m in enumerate(query.multipliers):
-        if m not in (1, -1):
-            raise ParamOutOfRange(
-                f"matching handles powers +-1 only; coordinate {l} has {m}"
-            )
-    _check_shift_bounds(spec, query)
+    moves, ref, stages = _matching_plan(spec, query)
     signature = query.multipliers
     k = len(signature)
-    moves, ref = _move_plan(signature, query.shifts)
     gamma = len(moves)
     base = LevelRef(query.base_stage, 0)
     values = construction.descendant_heights(spec, base, query.horizon)
-    span = query.horizon - query.base_stage
-    _budget.charge(len(values) ** k * span, "exhaustive tuple matching")
+    _budget.charge(len(values) ** k * len(stages), "exhaustive tuple matching")
 
     decomp = {
         v: sumsets.descendant_decompose(spec, base, query.horizon, v) for v in values
     }
-    stage_info: list[tuple[tuple[int, ...], PartnerShift | None]] = []
-    for n in range(query.base_stage, query.horizon):
-        ps = sumsets.partner_shift(spec.height_set(n))
-        stage_info.append((() if ps is None else _hit_region(ps), ps))
+    regions = [() if ps is None else _hit_region(ps) for _, ps in stages]
 
     out: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     for avec in itertools.product(values, repeat=k):
@@ -308,26 +299,20 @@ def exhaustive_matches(
         t = 0
         shift_sum = 0
         d_offs = [list(o) for o in offs]
-        ok = True
-        for idx in range(span):
-            region, ps = stage_info[idx]
-            if ps is None:
-                continue
+        for idx, (_, ps) in enumerate(stages):
+            if ps is None or t == gamma:
+                continue  # finished tuples ignore later hits
             stage_offs = tuple(offs[c][idx] for c in range(k))
-            if not all(o in region for o in stage_offs):
+            if not all(o in regions[idx] for o in stage_offs):
                 continue
-            if t == gamma:
-                continue  # finished; later hits are free
-            required, deltas = _stage_sets(ps, signature, moves[t])
-            if all(o in req for o, req in zip(stage_offs, required)):
-                for c in range(k):
-                    d_offs[c][idx] = offs[c][idx] - deltas[c]
-                shift_sum += ps.z if moves[t].kind == _RAISED_FORWARD else ps.z + 1
-                t += 1
-            else:
-                ok = False
-                break
-        if not ok or t < gamma:
+            required, deltas, step = _stage_sets(ps, signature, moves[t])
+            if not all(o in req for o, req in zip(stage_offs, required)):
+                break  # a hit off the planned move kills the tuple
+            for c in range(k):
+                d_offs[c][idx] = offs[c][idx] - deltas[c]
+            shift_sum += step
+            t += 1
+        if t < gamma:
             continue
         dvec = tuple(
             base.height + sum(d_offs[c]) for c in range(k)
@@ -356,7 +341,7 @@ class _PatternQueryFields(NamedTuple):
     dconst: int | None = None
 
 
-class PatternQuery(_PatternQueryFields):
+class PatternQuery(CheckedRecord, _PatternQueryFields):
     """All-forward product question with per-coordinate move counts.
 
     ``shifts[l]`` is how many raised moves coordinate ``l`` owes; the pattern
@@ -367,7 +352,7 @@ class PatternQuery(_PatternQueryFields):
 
     __slots__ = ()
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         if self.arity < 1:
             raise ParamOutOfRange(f"arity must be >= 1, got {self.arity}")
         if len(self.shifts) != self.arity:
@@ -413,63 +398,28 @@ def pattern_measure(spec: RankOneSpec, query: PatternQuery) -> PatternResult:
     k = query.arity
     gamma = query.gamma
     dconst = query.capture_constant
-    signature = (1,) * k
-    moves: list[_Move] = []
-    for l in range(k):
-        moves.extend([_Move(l, _RAISED_FORWARD)] * query.shifts[l])
-    _require(len(moves) == gamma, "move list disagrees with the move counts")
+    stages = _stages(spec, query.base_stage, query.cutoff, gamma)
 
-    partner_stages = []
+    strict = lax = [Fraction(1)] + [Fraction(0)] * gamma
     stage_rows = []
-    for n in range(query.base_stage, query.cutoff):
-        ps = sumsets.partner_shift(spec.height_set(n))
-        if ps is not None:
-            partner_stages.append((n, ps))
-    if gamma > 0 and not partner_stages:
-        raise NoPartnerStages(
-            f"no stage in [{query.base_stage}, {query.cutoff}) has a partner shift"
-        )
-
-    strict = [Fraction(0)] * (gamma + 1)
-    strict[0] = Fraction(1)
-    lax = [Fraction(0)] * (gamma + 1)
-    lax[0] = Fraction(1)
-    for n, ps in partner_stages:
-        hset = spec.height_set(n)
-        region = _hit_region(ps)
-        p_hit = Fraction(len(region), len(hset)) ** k
-        row = {
-            "stage": n,
-            "shift": ps.z,
-            "pairs": len(ps.at_z.members),
-            "region": len(region),
-        }
-        strict_next = [Fraction(0)] * (gamma + 1)
-        lax_next = [Fraction(0)] * (gamma + 1)
-        for t in range(gamma + 1):
-            if t == gamma:
-                strict_next[t] += strict[t]
-                lax_next[t] += lax[t]
-                continue
-            required, _ = _stage_sets(ps, signature, moves[t])
-            p_move = Fraction(1)
-            e_size = 1
-            for req in required:
-                p_move *= Fraction(len(req), len(hset))
-                e_size *= len(req)
-            if len(region) ** k > dconst * e_size:
+    for n, ps in stages:
+        if ps is None:
+            continue
+        size = len(spec.height_set(n))
+        region, pairs = len(_hit_region(ps)), len(ps.at_z.members)
+        row = {"stage": n, "shift": ps.z, "pairs": pairs, "region": region}
+        # Every move's required set is the pairs at z or z + 1, one per
+        # coordinate, so the capture check is the same for each move.
+        if gamma > 0:
+            if region**k > dconst * pairs**k:
                 raise ParamOutOfRange(
                     f"dconst {dconst} too small at stage {n}:"
-                    f" hit region {len(region)}^{k} vs required {e_size}"
+                    f" hit region {region}^{k} vs required {pairs**k}"
                 )
-            if t == 0:
-                row["required"] = e_size
-            strict_next[t + 1] += strict[t] * p_move
-            strict_next[t] += strict[t] * (1 - p_hit)
-            lax_next[t + 1] += lax[t] * p_hit
-            lax_next[t] += lax[t] * (1 - p_hit)
-        strict = strict_next
-        lax = lax_next
+            row["required"] = pairs**k
+        p_hit = Fraction(region, size) ** k
+        strict, _ = _advance(strict, p_hit, Fraction(pairs, size) ** k)
+        lax, _ = _advance(lax, p_hit, p_hit)
         stage_rows.append(row)
 
     confirmed = strict[gamma]

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._budget import charge
 from .errors import (
+    CheckedRecord,
     CutTooSmall,
     LengthMismatch,
     NegativeSpacer,
@@ -359,7 +360,7 @@ class _MeasureIntervalFields(NamedTuple):
     unresolved: Fraction
 
 
-class MeasureInterval(_MeasureIntervalFields):
+class MeasureInterval(CheckedRecord, _MeasureIntervalFields):
     """An exact two-sided answer: ``confirmed`` mass plus ``unresolved`` mass.
 
     The true measure lies in ``[confirmed, confirmed + unresolved]``;
@@ -369,8 +370,7 @@ class MeasureInterval(_MeasureIntervalFields):
 
     __slots__ = ()
 
-    # A NamedTuple body may not define __init__: the checks live in a subclass.
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         ensure(self.confirmed >= 0 and self.unresolved >= 0, "negative measure bracket")
 
     @property

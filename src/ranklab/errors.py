@@ -9,6 +9,8 @@ resource limits.
 
 from __future__ import annotations
 
+from typing import Any, Iterable
+
 __all__ = [
     "RankLabError",
     "SpecError",
@@ -40,6 +42,28 @@ def ensure(ok: object, message: str) -> None:
     """Guard a computed result by an explicit raise, which ``python -O`` keeps."""
     if not ok:
         raise AssertionError(message)
+
+
+class CheckedRecord:
+    """First base of a ``NamedTuple`` record whose fields are checked on creation.
+
+    A ``NamedTuple`` body may not define ``__init__``, so a record subclasses
+    its fields class with this base in front and puts its checks in
+    ``_check``.  ``_make`` goes through the constructor, so ``_replace``
+    checks the new fields too.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        self._check()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> Any:
+        return cls(*iterable)
+
+    def _check(self) -> None:
+        raise NotImplementedError(f"{type(self).__name__} defines no _check")
 
 
 class RankLabError(Exception):

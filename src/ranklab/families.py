@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._budget import charge
 from .construction import FamilyTag, RankOneSpec, StageSpec
-from .errors import ParamOutOfRange, ScheduleInfeasible, ensure
+from .errors import CheckedRecord, ParamOutOfRange, ScheduleInfeasible, ensure
 
 if TYPE_CHECKING:
     from .sumsets import DigitAlphabet
@@ -71,13 +71,12 @@ class _InfChaconFields(NamedTuple):
     m0: int
 
 
-class InfChaconParams(_InfChaconFields):
+class InfChaconParams(CheckedRecord, _InfChaconFields):
     """``t`` cuts, single spacer in gap ``q``, heights ``h' = m1*h + m0``."""
 
     __slots__ = ()
 
-    # A NamedTuple body may not define __init__: the checks live in a subclass.
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         if self.t < 2:
             raise ParamOutOfRange(f"need at least 2 cuts, got t={self.t}")
         if not 1 <= self.q <= self.t - 1:
@@ -122,7 +121,7 @@ class _TQFields(NamedTuple):
     positions: tuple[int, ...]
 
 
-class TQParams(_TQFields):
+class TQParams(CheckedRecord, _TQFields):
     """``t`` cuts, full-height spacer blocks over ``positions``, one top spacer.
 
     ``k = t + q`` and the offsets are ``phi(i) * h_n`` where ``phi`` skips one
@@ -131,7 +130,7 @@ class TQParams(_TQFields):
 
     __slots__ = ()
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         if self.t < 3:
             raise ParamOutOfRange(f"need t >= 3 cuts, got {self.t}")
         if self.q < 1:
@@ -265,7 +264,7 @@ class _AsymmFields(NamedTuple):
     separation_factor: int
 
 
-class AsymmParams(_AsymmFields):
+class AsymmParams(CheckedRecord, _AsymmFields):
     """Schedule for the alternating separated/partner construction.
 
     ``k`` drives the partner-fraction decay (delta ~ 1/ceil((m+2)^(1/k)), so
@@ -278,7 +277,7 @@ class AsymmParams(_AsymmFields):
 
     __slots__ = ()
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         if self.k < 1:
             raise ParamOutOfRange(f"index driver k must be >= 1, got {self.k}")
         if self.p is not None and self.p < 2:

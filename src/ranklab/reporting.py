@@ -75,8 +75,9 @@ def jsonable(value: Any) -> Any:
 
     Fractions become num/den string pairs (ints could silently overflow in
     other JSON consumers; strings never do).  Sets are sorted, named tuples
-    and dataclasses become field mappings, mapping keys are stringified.  An
-    int too long to write raises :class:`~ranklab.errors.IntegerTooLong`.
+    become field mappings, mapping keys are stringified.  An int too long to
+    write raises :class:`~ranklab.errors.IntegerTooLong`; any other type,
+    dataclasses included, raises ``TypeError``.
     """
     if isinstance(value, int):  # bool is an int
         return _writable(value)
@@ -89,13 +90,6 @@ def jsonable(value: Any) -> Any:
         }
     if isinstance(value, tuple) and hasattr(value, "_asdict"):
         return {name: jsonable(v) for name, v in value._asdict().items()}
-    if hasattr(type(value), "__dataclass_fields__"):
-        import dataclasses  # here: ranklab's own records are all NamedTuples
-
-        return {
-            f.name: jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
     if isinstance(value, Mapping):
         return {str(_writable(k)): jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):

@@ -27,6 +27,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Named
 from ._budget import charge
 from .construction import LevelRef, RankOneSpec, check_level
 from .errors import (
+    CheckedRecord,
     HorizonExceeded,
     ParamOutOfRange,
     PreconditionViolated,
@@ -122,13 +123,12 @@ class _DifferenceMultisetFields(NamedTuple):
     counts: Mapping[int, int]
 
 
-class DifferenceMultiset(_DifferenceMultisetFields):
+class DifferenceMultiset(CheckedRecord, _DifferenceMultisetFields):
     """Counts of ordered differences ``d0 - d1`` over pairs of a finite set."""
 
     __slots__ = ()
 
-    # A NamedTuple body may not define __init__: the checks live in a subclass.
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         ensure(self.counts.get(0, 0) == self.size, "0 not counted per value")
         ensure(sum(self.counts.values()) == self.size**2, "counts miss ordered pairs")
 
@@ -390,7 +390,7 @@ class _DigitAlphabetFields(NamedTuple):
     digits: tuple[int, ...]
 
 
-class DigitAlphabet(_DigitAlphabetFields):
+class DigitAlphabet(CheckedRecord, _DigitAlphabetFields):
     """Digit set for base ``k`` with steps of 1 or 2 between digits.
 
     Contains 0 and ``k - 1``; consecutive digits differ by 1 or 2.  The gap
@@ -399,7 +399,7 @@ class DigitAlphabet(_DigitAlphabetFields):
     """
 
     # No __slots__ here: the cached tables below live in the instance dict.
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def _check(self) -> None:
         if not isinstance(self.k, int) or self.k < 2:
             raise ParamOutOfRange(f"base must be an integer >= 2, got {self.k!r}")
         d = self.digits

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spec_path
@@ -48,7 +48,7 @@ from ranklab import (
     verify_match_witness,
 )
 from ranklab import _budget, construction
-from ranklab.certificates import mixing
+from ranklab.certificates import matching, mixing
 from ranklab.certificates.products import _anchored_matched, _difference_matched, _slide_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,11 +188,66 @@ def test_matching_no_partner_stages(dyadic):
     # {0, h} offers no z with partners at both z and z+1.
     with pytest.raises(NoPartnerStages):
         ergodic_matching(dyadic, ProductQuery((1, -1), (0, 1), 1, 4))
+    with pytest.raises(NoPartnerStages):  # the slow route scans the same stages
+        exhaustive_matches(dyadic, ProductQuery((1, -1), (0, 1), 1, 4))
 
 
 def test_matching_shift_bounds(chacon):
     with pytest.raises(ParamOutOfRange):
         ergodic_matching(chacon, ProductQuery((1, -1), (0, 8), 1, 3))
+
+
+def _stage_sets_by_case(ps, signature, move):
+    """The move rule spelled out case by case: the oracle for the width rule."""
+    z = ps.z
+    s_z = ps.at_z.members
+    s_z1 = ps.at_z_plus_1.members
+    s_z_low = tuple(x - z for x in s_z)
+    s_z1_low = tuple(x - z - 1 for x in s_z1)
+    required, deltas = [], []
+    for l, e in enumerate(signature):
+        if move.kind == matching._RAISED_FORWARD:
+            if e > 0 and l == move.coord:
+                required.append(s_z1), deltas.append(z + 1)
+            elif e > 0:
+                required.append(s_z), deltas.append(z)
+            else:
+                required.append(s_z_low), deltas.append(-z)
+        elif move.kind == matching._LOWERED_FORWARD:
+            if e > 0 and l == move.coord:
+                required.append(s_z), deltas.append(z)
+            elif e > 0:
+                required.append(s_z1), deltas.append(z + 1)
+            else:
+                required.append(s_z1_low), deltas.append(-(z + 1))
+        else:
+            if e < 0 and l == move.coord:
+                required.append(s_z_low), deltas.append(-z)
+            elif e < 0:
+                required.append(s_z1_low), deltas.append(-(z + 1))
+            else:
+                required.append(s_z1), deltas.append(z + 1)
+    step = z if move.kind == matching._RAISED_FORWARD else z + 1
+    return tuple(required), tuple(deltas), step
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4).filter(lambda s: 1 in s),
+    st.data(),
+)
+def test_width_rule_matches_the_case_by_case_rule(signature, data):
+    shifts = data.draw(st.lists(st.integers(0, 3), min_size=len(signature),
+                                max_size=len(signature)))
+    heights = data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=9, unique=True))
+    ps = partner_shift(sorted(heights))
+    assume(ps is not None)
+    moves, _ = matching._move_plan(signature, shifts)
+    for move in set(moves):
+        got = matching._stage_sets(ps, signature, move)
+        assert got == _stage_sets_by_case(ps, signature, move)
+        # The move distribution takes every required set to be this large.
+        assert all(len(req) == len(ps.at_z.members) for req in got[0])
 
 
 # ---------------------------------------------------------------------------

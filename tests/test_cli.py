@@ -787,6 +787,59 @@ def test_no_module_guards_with_assert(path):
     assert lines == [], f"bare assert at {path.name} lines {lines}"
 
 
+@pytest.mark.parametrize(
+    "path", sorted(_PACKAGE.rglob("*.py")),
+    ids=lambda p: p.relative_to(_PACKAGE).as_posix(),
+)
+def test_no_record_checks_itself_in_init(path):
+    # ``_replace`` skips ``__init__``; a record's checks go in ``_check``
+    # behind ``errors.CheckedRecord``, whose ``_make`` reruns them.  Records
+    # and their fields classes live in one module, so one file is enough.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    records = {"NamedTuple"}
+    for cls in classes:  # ast.walk meets a base class before its subclasses
+        if any(ast.unparse(base).split(".")[-1] in records for base in cls.bases):
+            records.add(cls.name)
+    offenders = [
+        cls.name for cls in classes if cls.name in records and any(
+            isinstance(node, ast.FunctionDef) and node.name == "__init__"
+            for node in cls.body
+        )
+    ]
+    assert offenders == [], f"{path.name}: {offenders} define __init__ over a NamedTuple"
+
+
+@pytest.mark.parametrize(
+    "good, field, bad, error",
+    [
+        (ranklab.Certificate("asymmetry", "holds", {}, {}, "sha256:0"),
+         "verdict", "bogus", ranklab.PreconditionViolated),
+        (ranklab.ProductQuery((1, 1), (0, 0), 0, 2),
+         "horizon", -5, ranklab.ParamOutOfRange),
+        (ranklab.PatternQuery(2, (0, 1), 1, 3),
+         "arity", 0, ranklab.ParamOutOfRange),
+        (ranklab.MeasureInterval(1, 2), "confirmed", -1, AssertionError),
+        (ranklab.InfChaconParams(3, 1, 6, 2), "t", 1, ranklab.ParamOutOfRange),
+        (ranklab.TQParams(4, 1, (0,)), "positions", (0, 1),
+         ranklab.ParamOutOfRange),
+        (ranklab.AsymmParams(2, 3, 4, 2), "separation_factor", 1,
+         ranklab.ParamOutOfRange),
+        (ranklab.difference_multiset((0, 1, 3)), "size", 4, AssertionError),
+        (ranklab.DigitAlphabet(9, (0, 2, 3, 5, 6, 8)), "k", 1,
+         ranklab.ParamOutOfRange),
+    ],
+    ids=["Certificate", "ProductQuery", "PatternQuery", "MeasureInterval",
+         "InfChaconParams", "TQParams", "AsymmParams", "DifferenceMultiset",
+         "DigitAlphabet"],
+)
+def test_replace_checks_like_the_constructor(good, field, bad, error):
+    with pytest.raises(error):
+        type(good)(**{**good._asdict(), field: bad})
+    with pytest.raises(error):
+        good._replace(**{field: bad})
+
+
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
 import ranklab.cli
