@@ -23,7 +23,6 @@ _EXPORTS = {
         "StageSpec",
         "RankOneSpec",
         "validate_spec",
-        "height_set",
         "ColumnStats",
         "column_stats",
         "LevelRef",
@@ -32,15 +31,10 @@ _EXPORTS = {
         "descendant_extent",
         "descendant_heights",
         "MeasureInterval",
-        "ImageOfLevel",
-        "image_of_level",
         "intersection_measure",
     ),
     "sumsets": (
         "descendant_decompose",
-        "descendant_contains",
-        "DifferenceMultiset",
-        "difference_multiset",
         "descendant_differences",
         "PartnerSet",
         "partner_set",

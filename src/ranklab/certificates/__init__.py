@@ -148,6 +148,7 @@ class ProductQuery(CheckedRecord, _ProductQueryFields):
                 f"{len(self.shifts)} shifts for {len(self.multipliers)} coordinates"
             )
         _require_ints(self.shifts, "shifts must be integers")
+        _require_ints((self.base_stage, self.horizon), "stages must be integers")
         if self.base_stage < 0:
             raise ParamOutOfRange(f"base stage must be >= 0, got {self.base_stage}")
         if self.horizon <= self.base_stage:

@@ -353,6 +353,8 @@ class PatternQuery(CheckedRecord, _PatternQueryFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        _require_ints((self.arity, self.base_stage, self.cutoff),
+                      "arity and stages must be integers")
         if self.arity < 1:
             raise ParamOutOfRange(f"arity must be >= 1, got {self.arity}")
         if len(self.shifts) != self.arity:
@@ -366,8 +368,8 @@ class PatternQuery(CheckedRecord, _PatternQueryFields):
             raise ParamOutOfRange(
                 f"cutoff {self.cutoff} must exceed base stage {self.base_stage}"
             )
-        if self.dconst is not None and self.dconst < 1:
-            raise ParamOutOfRange(f"dconst must be >= 1, got {self.dconst}")
+        if self.dconst is not None:
+            _require_ints((self.dconst,), "dconst must be an integer >= 1", lambda d: d >= 1)
 
     @property
     def gamma(self) -> int:

@@ -114,7 +114,7 @@ class _Window:
         _budget.charge(owned * len(self.values), "overlap counts across a shift window")
         self.n = n
         self.top = spec.height(n + 1) - 1
-        # Multiplicity of each positive difference among the sorted distinct
+        # Multiplicity of each nonnegative difference among the sorted distinct
         # values.  Counting all V(V-1)/2 pairs pays off only when at least V/2
         # lookups are due; either way the work stays within the charged units.
         # ``cuts`` then lists each |m| whose counts may differ from |m| - 1's:
@@ -122,7 +122,7 @@ class _Window:
         # Without them (the scan route) each shift scans the V values.
         self.cuts: list[int] | None = None
         if 2 * owned >= len(self.values):
-            counts = Counter(b - a for a, b in itertools.combinations(self.values, 2))
+            counts = sumsets._pair_differences(self.values, counted=True)
             self.count: Callable[[int], int] = counts.__getitem__  # 0 if missing
             self.cuts = sorted({*counts, *(d + 1 for d in counts),
                                 *(self.top + 1 - f for f in self.values)})

@@ -18,9 +18,6 @@ from . import ProductQuery, _certificate, _check_shift_bounds, _require, _requir
 
 def _residue_matched(values: Sequence[int], alpha0: int) -> int:
     m = abs(alpha0)
-    if m == 1:
-        # Any other descendant is reachable with a nonzero power.
-        return len(values) if len(values) > 1 else 0
     classes: dict[int, int] = {}
     for a in values:
         classes[a % m] = classes.get(a % m, 0) + 1
@@ -39,18 +36,11 @@ def _anchored_matched(
     """
     m = abs(alpha0)
     groups: dict[tuple, int] = {}
-    if arity == 2:
-        for a0 in values:
-            key0 = a0 % m
-            for a1 in values:
-                key = (a1 - a0, key0)
-                groups[key] = groups.get(key, 0) + 1
-    else:
-        for tup in itertools.product(values, repeat=arity):
-            key = (tuple(t - tup[0] for t in tup[1:]), tup[0] % m)
-            groups[key] = groups.get(key, 0) + 1
+    for tup in itertools.product(values, repeat=arity):
+        key = (tuple(t - tup[0] for t in tup[1:]), tup[0] % m)
+        groups[key] = groups.get(key, 0) + 1
     matched = sum(c for c in groups.values() if c >= 2)
-    zero = (0,) * (arity - 1) if arity > 2 else 0
+    zero = (0,) * (arity - 1)
     diag_matched = sum(
         c for key, c in groups.items() if key[0] == zero and c >= 2
     )

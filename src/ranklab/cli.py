@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     import argparse
     from fractions import Fraction
 
-    from .construction import MeasureInterval
+    from .construction import MeasureInterval, RankOneSpec
     from .sumsets import DigitAlphabet
 
 __all__ = ["main", "run"]
@@ -48,9 +48,10 @@ _VERDICT_EXIT = {
     "fails": EXIT_PROPERTY_FAILED,
 }
 
-# A handler returns (spec fingerprint, result, evidence, exit code); ``run``
-# adds the ``inputs`` block, echoed from the command's flags.
-Outcome = tuple[str, dict[str, Any], dict[str, Any], int]
+# A handler gets the spec or digit alphabet that ``run`` loaded and returns
+# (result, evidence, exit code); ``run`` adds the spec fingerprint and the
+# ``inputs`` block, echoed from the command's flags.
+Outcome = tuple[dict[str, Any], dict[str, Any], int]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def _attach_approx(
         result["approx"] = rendered
 
 
-def _load(args: argparse.Namespace) -> tuple[Any, str]:
+def _load(args: argparse.Namespace) -> tuple[RankOneSpec, str]:
     from .specio import load_spec, spec_fingerprint
 
     spec = load_spec(args.spec)
@@ -179,19 +180,19 @@ def _value_table(
 # ---------------------------------------------------------------------------
 # command handlers
 #
-# ``_cmd_<name>`` handles command ``<name>`` (dashes as underscores).  Each
-# imports what it calls, so a command loads only the modules it needs; a
-# certificate command imports the part of ``certificates`` that the command
-# table names for it, never the other parts.  Without cached bytecode each
-# imported module is compiled on every start, and the compiler's working
-# memory lands on top of whatever is live, so ``run`` imports that part
-# first, before argparse or a spec.
+# ``_cmd_<name>`` handles command ``<name>`` (dashes as underscores), given
+# the input ``run`` loaded: the spec, or the digit alphabet for a command
+# with the digit-source flags.  Each imports what it calls, so a command
+# loads only the modules it needs; a certificate command imports the part of
+# ``certificates`` that the command table names for it, never the other
+# parts.  Without cached bytecode each imported module is compiled on every
+# start, and the compiler's working memory lands on top of whatever is live,
+# so ``run`` imports that part first, before argparse or a spec.
 
 
-def _cmd_validate(args: argparse.Namespace) -> Outcome:
+def _cmd_validate(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .specio import spec_payload
 
-    spec, fp = _load(args)
     preview = []
     for n in range(6):
         try:
@@ -199,20 +200,18 @@ def _cmd_validate(args: argparse.Namespace) -> Outcome:
         except RankLabError:
             break
     result = {"valid": True, "spec": spec_payload(spec)}
-    return fp, result, {"heightPreview": preview}, EXIT_OK
+    return result, {"heightPreview": preview}, EXIT_OK
 
 
-def _cmd_heights(args: argparse.Namespace) -> Outcome:
-    spec, fp = _load(args)
+def _cmd_heights(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     hs = [spec.height(n) for n in range(args.stages)]
-    return fp, {"heights": hs}, {}, EXIT_OK
+    return {"heights": hs}, {}, EXIT_OK
 
 
-def _cmd_descendants(args: argparse.Namespace) -> Outcome:
+def _cmd_descendants(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from ._budget import charge
     from .construction import LevelRef, descendant_extent, descendant_heights, level_width
 
-    spec, fp = _load(args)
     level = LevelRef(*args.base)
     count, lo, hi = descendant_extent(spec, level, args.to)
     if count <= TABLE_CAP:
@@ -225,15 +224,14 @@ def _cmd_descendants(args: argparse.Namespace) -> Outcome:
     width = level_width(spec, LevelRef(args.to, lo))
     result = {"count": count, "min": lo, "max": hi, "levelWidth": width}
     _attach_approx(args, result, {"levelWidth": width})
-    return fp, result, evidence, EXIT_OK
+    return result, evidence, EXIT_OK
 
 
-def _cmd_diffset(args: argparse.Namespace) -> Outcome:
+def _cmd_diffset(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from ._budget import charge
     from .construction import LevelRef, descendant_heights
     from .sumsets import descendant_differences
 
-    spec, fp = _load(args)
     level = LevelRef(*args.base)
     values = descendant_heights(spec, level, args.to)
     charge(len(values) ** 2, "difference multiset")
@@ -245,15 +243,14 @@ def _cmd_diffset(args: argparse.Namespace) -> Outcome:
         "maxDifference": positive[-1] if positive else 0,
     }
     evidence = _value_table(positive, "positive", lambda v: [v, counts[v]])
-    return fp, result, evidence, EXIT_OK
+    return result, evidence, EXIT_OK
 
 
-def _cmd_ap(args: argparse.Namespace) -> Outcome:
+def _cmd_ap(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from ._budget import charge
     from .construction import LevelRef, descendant_heights
     from .sumsets import descendant_differences, progression_runs
 
-    spec, fp = _load(args)
     level = LevelRef(*args.base)
     values = descendant_heights(spec, level, args.to)
     charge(len(values) ** 2, "difference set for progression search")
@@ -275,13 +272,12 @@ def _cmd_ap(args: argparse.Namespace) -> Outcome:
             "witness": res.witness,
         }
     code = EXIT_PROPERTY_FAILED if cap_reached else EXIT_OK
-    return fp, result, evidence, code
+    return result, evidence, code
 
 
-def _cmd_partners(args: argparse.Namespace) -> Outcome:
+def _cmd_partners(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .sumsets import partner_set, partner_shift
 
-    spec, fp = _load(args)
     heights = spec.height_set(args.stage)
     if args.shift is not None:
         s0 = partner_set(heights, args.shift)
@@ -294,10 +290,10 @@ def _cmd_partners(args: argparse.Namespace) -> Outcome:
         }
         _attach_approx(args, result, {"delta": s0.delta})
         evidence = {"membersAtZ": list(s0.members), "membersAtZPlus1": list(s1.members)}
-        return fp, result, evidence, EXIT_OK
+        return result, evidence, EXIT_OK
     ps = partner_shift(heights)
     if ps is None:
-        return fp, {"found": False}, {"heights": list(heights)}, EXIT_OK
+        return {"found": False}, {"heights": list(heights)}, EXIT_OK
     result = {
         "found": True,
         "z": ps.z,
@@ -309,26 +305,24 @@ def _cmd_partners(args: argparse.Namespace) -> Outcome:
         "membersAtZ": list(ps.at_z.members),
         "membersAtZPlus1": list(ps.at_z_plus_1.members),
     }
-    return fp, result, evidence, EXIT_OK
+    return result, evidence, EXIT_OK
 
 
-def _cmd_membership(args: argparse.Namespace) -> Outcome:
+def _cmd_membership(args: argparse.Namespace, alphabet: DigitAlphabet) -> Outcome:
     from .sumsets import sumset_membership
 
-    alphabet, fp = _digit_alphabet(args)
     digits = sumset_membership(alphabet, args.digits, args.target)
     result = {
         "member": digits is not None,
         "representation": None if digits is None else list(digits),
         "base": alphabet.k,
     }
-    return fp, result, {}, EXIT_OK
+    return result, {}, EXIT_OK
 
 
-def _cmd_gaps(args: argparse.Namespace) -> Outcome:
+def _cmd_gaps(args: argparse.Namespace, alphabet: DigitAlphabet) -> Outcome:
     from .sumsets import gap_count
 
-    alphabet, fp = _digit_alphabet(args)
     gc = gap_count(alphabet, args.digits)
     result = {
         "g": gc.g,
@@ -343,13 +337,12 @@ def _cmd_gaps(args: argparse.Namespace) -> Outcome:
         else {"missingCount": len(gc.missing)}
     )
     code = EXIT_OK if gc.matches else EXIT_PROPERTY_FAILED
-    return fp, result, evidence, code
+    return result, evidence, code
 
 
-def _cmd_coverage(args: argparse.Namespace) -> Outcome:
+def _cmd_coverage(args: argparse.Namespace, alphabet: DigitAlphabet) -> Outcome:
     from .sumsets import coverage_checks
 
-    alphabet, fp = _digit_alphabet(args)
     cc = coverage_checks(alphabet, args.digits)
     result = {
         "passed": cc.passed,
@@ -360,26 +353,24 @@ def _cmd_coverage(args: argparse.Namespace) -> Outcome:
     }
     evidence = {"failures": [[kind, value] for kind, value in cc.failures]}
     code = EXIT_OK if cc.passed else EXIT_PROPERTY_FAILED
-    return fp, result, evidence, code
+    return result, evidence, code
 
 
-def _cmd_gamma(args: argparse.Namespace) -> Outcome:
+def _cmd_gamma(args: argparse.Namespace, alphabet: DigitAlphabet) -> Outcome:
     from .sumsets import gamma_search
 
-    alphabet, fp = _digit_alphabet(args)
     gw = gamma_search(alphabet, args.multipliers, args.horizon)
     result = {"n": gw.n, "m": gw.m, "gamma": gw.gamma}
     evidence = {
         "zeroDigits": list(gw.zero_digits),
         "multiplierDigits": [[b, list(d)] for b, d in gw.beta_digits],
     }
-    return fp, result, evidence, EXIT_OK
+    return result, evidence, EXIT_OK
 
 
-def _cmd_conservativity(args: argparse.Namespace) -> Outcome:
+def _cmd_conservativity(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .certificates.products import ProductQuery, conservativity_fraction
 
-    spec, fp = _load(args)
     query = ProductQuery(
         multipliers=args.multipliers,
         shifts=(0,) * len(args.multipliers),
@@ -390,13 +381,12 @@ def _cmd_conservativity(args: argparse.Namespace) -> Outcome:
     best, cert = conservativity_fraction(spec, query)
     result = {"bestFraction": best, "verdict": cert.verdict}
     _attach_approx(args, result, {"bestFraction": best})
-    return fp, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
+    return result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
-def _cmd_ergodic_match(args: argparse.Namespace) -> Outcome:
+def _cmd_ergodic_match(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .certificates.matching import ProductQuery, ergodic_matching
 
-    spec, fp = _load(args)
     query = ProductQuery(
         multipliers=args.multipliers,
         shifts=args.shifts,
@@ -412,13 +402,12 @@ def _cmd_ergodic_match(args: argparse.Namespace) -> Outcome:
     }
     _attach_approx(args, result, {"fraction": res.fraction, "dead": res.dead})
     evidence = {"certificate": res.certificate, "witness": res.witness}
-    return fp, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
+    return result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
-def _cmd_pattern(args: argparse.Namespace) -> Outcome:
+def _cmd_pattern(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .certificates.matching import PatternQuery, pattern_measure
 
-    spec, fp = _load(args)
     query = PatternQuery(
         arity=len(args.moves),
         shifts=args.moves,
@@ -440,14 +429,13 @@ def _cmd_pattern(args: argparse.Namespace) -> Outcome:
         {"confirmed": res.matched.confirmed, "bound": res.bound},
     )
     evidence = {"certificate": res.certificate}
-    return fp, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
+    return result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
-def _cmd_mixing(args: argparse.Namespace) -> Outcome:
+def _cmd_mixing(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .certificates.mixing import mixing_decay
     from .construction import LevelRef
 
-    spec, fp = _load(args)
     if not args.shifts and args.window is None:
         raise UsageError("give --shifts and/or --window")
     level = LevelRef(*args.base)
@@ -461,13 +449,12 @@ def _cmd_mixing(args: argparse.Namespace) -> Outcome:
     }
     _attach_approx(args, result, {"worstRatio": res.worst_ratio})
     evidence = {"certificate": res.certificate}
-    return fp, result, evidence, _VERDICT_EXIT[res.verdict]
+    return result, evidence, _VERDICT_EXIT[res.verdict]
 
 
-def _cmd_npc(args: argparse.Namespace) -> Outcome:
+def _cmd_npc(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .certificates.npc import npc_certificate
 
-    spec, fp = _load(args)
     cert = npc_certificate(spec, args.kappa, args.start, args.horizon)
     longest = max(row["longest"] for row in cert.evidence["progressions"])
     result = {
@@ -476,14 +463,13 @@ def _cmd_npc(args: argparse.Namespace) -> Outcome:
         "proofSup": cert.evidence["proofSup"],
     }
     _attach_approx(args, result, {"proofSup": cert.evidence["proofSup"]})
-    return fp, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
+    return result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
-def _cmd_pwm(args: argparse.Namespace) -> Outcome:
+def _cmd_pwm(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .certificates.pwm import pwm_witness
     from .specio import tq_params_of
 
-    spec, fp = _load(args)
     params = tq_params_of(spec)
     if params is None:
         raise ParamOutOfRange(
@@ -498,22 +484,20 @@ def _cmd_pwm(args: argparse.Namespace) -> Outcome:
     }
     _attach_approx(args, result, {"beta": res.beta})
     evidence = {"certificate": res.certificate, "witness": res.match}
-    return fp, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
+    return result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
-def _cmd_non_ergodic(args: argparse.Namespace) -> Outcome:
+def _cmd_non_ergodic(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .certificates.products import non_ergodic_check
 
-    spec, fp = _load(args)
     cert = non_ergodic_check(spec, args.alpha, args.shifts, args.base, args.horizon)
     result = {"verdict": cert.verdict, "scope": cert.evidence.get("scope")}
-    return fp, result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
+    return result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
 
 
-def _cmd_asymmetry(args: argparse.Namespace) -> Outcome:
+def _cmd_asymmetry(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     from .certificates.asymmetry import asymmetry_statistic
 
-    spec, fp = _load(args)
     res = asymmetry_statistic(spec, args.base, args.scale, args.eval)
     result = {
         "verdict": res.certificate.verdict,
@@ -531,7 +515,7 @@ def _cmd_asymmetry(args: argparse.Namespace) -> Outcome:
         },
     )
     evidence = {"certificate": res.certificate}
-    return fp, result, evidence, _VERDICT_EXIT[res.certificate.verdict]
+    return result, evidence, _VERDICT_EXIT[res.certificate.verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +756,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         # Looked up at call time, so a replaced handler takes effect.
         handler = globals()["_cmd_" + args.command.replace("-", "_")]
-        fp, result, evidence, code = handler(args)
+        load = _load if _SPEC in _COMMANDS[args.command][1] else _digit_alphabet
+        source, fp = load(args)
+        result, evidence, code = handler(args, source)
         inputs = _inputs(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

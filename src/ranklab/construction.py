@@ -23,7 +23,7 @@ column at a finite stage is reported as *unresolved* mass rather than guessed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._budget import charge
 from .errors import (
@@ -46,15 +46,12 @@ __all__ = [
     "LevelRef",
     "ColumnStats",
     "MeasureInterval",
-    "ImageOfLevel",
     "validate_spec",
-    "height_set",
     "column_stats",
     "level_width",
     "check_level",
     "descendant_extent",
     "descendant_heights",
-    "image_of_level",
     "intersection_measure",
 ]
 
@@ -218,11 +215,6 @@ class RankOneSpec:
             self._materialize(n - 1)
         return self._heights[n]
 
-    def heights(self, upto: int) -> tuple[int, ...]:
-        """``(h_0, ..., h_upto)``."""
-        self.height(upto)
-        return tuple(self._heights[: upto + 1])
-
     def level_width(self, n: int) -> Fraction:
         """Width of one level of column ``n``: 1 / (r_0 * ... * r_{n-1})."""
         if n < 0:
@@ -237,20 +229,8 @@ class RankOneSpec:
 
 
 def validate_spec(raw: object) -> RankOneSpec:
-    """Re-validate *raw* and return a normalized :class:`RankOneSpec`.
-
-    Accepts an existing spec (rebuilt from its parts, so every structural
-    check runs again) or a mapping with keys ``stages``, ``h0``, and
-    ``extension``.
-    """
-    if isinstance(raw, RankOneSpec):
-        return RankOneSpec(
-            raw.explicit_stages(),
-            h0=raw.h0,
-            extension=raw.extension if raw.extension != EXTENSION_RULE else EXTENSION_ERROR,
-            stage_rule=raw._rule,
-            family=raw.family,
-        )
+    """Validate *raw*, a mapping with keys ``stages``, ``h0`` and ``extension``,
+    and return it as a normalized :class:`RankOneSpec`."""
     if isinstance(raw, Mapping):
         extra = set(raw) - {"stages", "h0", "extension"}
         if extra:
@@ -261,11 +241,6 @@ def validate_spec(raw: object) -> RankOneSpec:
             extension=raw.get("extension", EXTENSION_ERROR),
         )
     raise SpecError(f"cannot validate a {type(raw).__name__} as a construction spec")
-
-
-def height_set(spec: RankOneSpec, n: int) -> tuple[int, ...]:
-    """Offsets of the stage-``n`` column copies inside column ``n+1``."""
-    return spec.height_set(n)
 
 
 class ColumnStats(NamedTuple):
@@ -376,38 +351,6 @@ class MeasureInterval(CheckedRecord, _MeasureIntervalFields):
     @property
     def upper(self) -> Fraction:
         return self.confirmed + self.unresolved
-
-
-class ImageOfLevel(NamedTuple):
-    """Stage-``j`` splitting of ``T^m`` applied to a level.
-
-    ``resolved`` lists the image sublevels (heights shifted by ``m`` inside
-    column ``j``); ``unresolved`` lists the *source* sublevels whose shift
-    exits the column.  Together they carry exactly the level's width.
-    """
-
-    resolved: tuple[LevelRef, ...]
-    unresolved: tuple[LevelRef, ...]
-
-
-def image_of_level(spec: RankOneSpec, level: LevelRef, m: int, j: int) -> ImageOfLevel:
-    """Split ``T^m``(level) into stage-``j`` sublevels, exactly where possible.
-
-    Within column ``j`` the transformation moves each level straight up, so a
-    sublevel at height ``e`` resolves to height ``e + m`` iff that stays in
-    ``[0, h_j - 1]``.
-    """
-    h_j = spec.height(j)
-    resolved = []
-    unresolved = []
-    for e in descendant_heights(spec, level, j):
-        if 0 <= e + m <= h_j - 1:
-            resolved.append(LevelRef(j, e + m))
-        else:
-            unresolved.append(LevelRef(j, e))
-    total = (len(resolved) + len(unresolved)) * spec.level_width(j)
-    ensure(total == level_width(spec, level), "image sublevels miss the level's width")
-    return ImageOfLevel(tuple(resolved), tuple(unresolved))
 
 
 def intersection_measure(

@@ -5,7 +5,7 @@ Everything here is exact set arithmetic over ``int``:
 * descendant decomposition — a greedy membership test for the iterated
   sumsets of height sets that avoids enumerating the (exponentially large)
   set, which ``construction.descendant_heights`` builds;
-* difference multisets and partner sets — who can be matched to whom at a
+* descendant differences and partner sets — who can be matched to whom at a
   given shift; a level's descendant differences are built stage by stage
   from the height sets' differences;
 * arithmetic-progression search inside a difference set;
@@ -37,9 +37,6 @@ from .errors import (
 
 __all__ = [
     "descendant_decompose",
-    "descendant_contains",
-    "DifferenceMultiset",
-    "difference_multiset",
     "descendant_differences",
     "PartnerSet",
     "partner_set",
@@ -110,33 +107,8 @@ def descendant_decompose(
     return tuple(chosen)
 
 
-def descendant_contains(spec: RankOneSpec, level: LevelRef, j: int, value: int) -> bool:
-    return descendant_decompose(spec, level, j, value) is not None
-
-
 # ---------------------------------------------------------------------------
-# difference multisets and partner sets
-
-
-class _DifferenceMultisetFields(NamedTuple):
-    size: int
-    counts: Mapping[int, int]
-
-
-class DifferenceMultiset(CheckedRecord, _DifferenceMultisetFields):
-    """Counts of ordered differences ``d0 - d1`` over pairs of a finite set."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        ensure(self.counts.get(0, 0) == self.size, "0 not counted per value")
-        ensure(sum(self.counts.values()) == self.size**2, "counts miss ordered pairs")
-
-    def count(self, value: int) -> int:
-        return self.counts.get(value, 0)
-
-    def positive_values(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.counts if v > 0))
+# descendant differences and partner sets
 
 
 def _pair_differences(vals: Sequence[int], counted: bool) -> set[int] | dict[int, int]:
@@ -154,17 +126,6 @@ def _pair_differences(vals: Sequence[int], counted: bool) -> set[int] | dict[int
     diffs = set(pairs)
     diffs.add(0)
     return diffs
-
-
-def difference_multiset(values: Iterable[int]) -> DifferenceMultiset:
-    vals = sorted(set(values))
-    if not vals:
-        raise ParamOutOfRange("difference multiset of an empty set")
-    charge(len(vals) ** 2, "difference multiset")
-    half = _pair_differences(vals, counted=True)
-    counts = dict(half)
-    counts.update((-d, c) for d, c in half.items() if d)
-    return DifferenceMultiset(len(vals), counts)
 
 
 def descendant_differences(
@@ -289,7 +250,7 @@ def partner_shift(heights: Sequence[int]) -> PartnerShift | None:
     if len(hset) < 2:
         return None
     top = hset[-1] - hset[0]
-    counts = Counter(b - a for a, b in itertools.combinations(hset, 2))
+    counts = _pair_differences(hset, counted=True)  # 0 counts r, 1 under r
     for z in sorted(counts):
         if z < top and counts.get(z + 1) == counts[z]:
             return PartnerShift(z, partner_set(hset, z), partner_set(hset, z + 1))
@@ -400,9 +361,11 @@ class DigitAlphabet(CheckedRecord, _DigitAlphabetFields):
 
     # No __slots__ here: the cached tables below live in the instance dict.
     def _check(self) -> None:
-        if not isinstance(self.k, int) or self.k < 2:
+        if not is_plain_int(self.k) or self.k < 2:
             raise ParamOutOfRange(f"base must be an integer >= 2, got {self.k!r}")
         d = self.digits
+        if not all(map(is_plain_int, d)):
+            raise PreconditionViolated(f"digits must be integers, got {d!r}")
         if not d or list(d) != sorted(set(d)):
             raise PreconditionViolated("digits must be strictly increasing")
         if d[0] != 0:
@@ -431,10 +394,6 @@ class DigitAlphabet(CheckedRecord, _DigitAlphabetFields):
     @property
     def has_unit_diff(self) -> bool:
         return 1 in self.diffs
-
-    @property
-    def gaps(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.digits, self.digits[1:]))
 
 
 def admissible_alphabets(k: int) -> tuple[DigitAlphabet, ...]:

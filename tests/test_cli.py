@@ -462,7 +462,7 @@ def test_slide_scan_is_charged_per_tuple_and_value(capsys, monkeypatch):
 
 
 def test_internal_error_yields_error_report(capsys, monkeypatch):
-    def broken(args):
+    def broken(args, spec):
         raise AssertionError("descendants collided")
 
     monkeypatch.setattr(ranklab.cli, "_cmd_heights", broken)
@@ -477,7 +477,7 @@ def test_internal_error_yields_error_report(capsys, monkeypatch):
     }
     assert "Traceback" in err
 
-    def interrupted(args):
+    def interrupted(args, spec):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(ranklab.cli, "_cmd_heights", interrupted)
@@ -825,13 +825,27 @@ def test_no_record_checks_itself_in_init(path):
          ranklab.ParamOutOfRange),
         (ranklab.AsymmParams(2, 3, 4, 2), "separation_factor", 1,
          ranklab.ParamOutOfRange),
-        (ranklab.difference_multiset((0, 1, 3)), "size", 4, AssertionError),
         (ranklab.DigitAlphabet(9, (0, 2, 3, 5, 6, 8)), "k", 1,
+         ranklab.ParamOutOfRange),
+        # A bool is an int to isinstance and compares as 0 or 1.
+        (ranklab.DigitAlphabet(2, (0, 1)), "digits", (False, True),
+         ranklab.PreconditionViolated),
+        (ranklab.ProductQuery((1, 1), (0, 0), 0, 2), "base_stage", False,
+         ranklab.ParamOutOfRange),
+        (ranklab.ProductQuery((1, 1), (0, 0), 0, 2), "horizon", True,
+         ranklab.ParamOutOfRange),
+        (ranklab.PatternQuery(2, (0, 1), 1, 3), "base_stage", True,
+         ranklab.ParamOutOfRange),
+        (ranklab.PatternQuery(2, (0, 1), 0, 3), "cutoff", True,
+         ranklab.ParamOutOfRange),
+        (ranklab.PatternQuery(2, (0, 1), 1, 3), "dconst", True,
          ranklab.ParamOutOfRange),
     ],
     ids=["Certificate", "ProductQuery", "PatternQuery", "MeasureInterval",
-         "InfChaconParams", "TQParams", "AsymmParams", "DifferenceMultiset",
-         "DigitAlphabet"],
+         "InfChaconParams", "TQParams", "AsymmParams", "DigitAlphabet",
+         "DigitAlphabet-bool-digits", "ProductQuery-bool-base_stage",
+         "ProductQuery-bool-horizon", "PatternQuery-bool-base_stage",
+         "PatternQuery-bool-cutoff", "PatternQuery-bool-dconst"],
 )
 def test_replace_checks_like_the_constructor(good, field, bad, error):
     with pytest.raises(error):
@@ -925,6 +939,8 @@ def test_certificate_commands_are_the_ones_that_import_certificates():
         imported = re.findall(r"from \.certificates\.(\w+) import", source)
         assert imported == ([] if part is None else [part]), name
         assert ("from .certificates" in source) == (part is not None), name
+        # ``run`` loads the spec or digit alphabet; no handler loads its own.
+        assert not re.search(r"\b(_load|_digit_alphabet)\(", source), name
         parts.add(part)
     assert parts - {None} == set(certificates._PARTS)
 

@@ -29,8 +29,6 @@ from ranklab import (
     column_stats,
     descendant_extent,
     descendant_heights,
-    height_set,
-    image_of_level,
     intersection_measure,
     level_width,
     validate_spec,
@@ -92,9 +90,9 @@ def test_chacon_heights(chacon):
 
 
 def test_chacon_height_sets(chacon):
-    assert height_set(chacon, 0) == (0, 2, 3)
-    assert height_set(chacon, 1) == (0, 9, 17)
-    assert height_set(chacon, 2) == (0, 51, 101)
+    assert chacon.height_set(0) == (0, 2, 3)
+    assert chacon.height_set(1) == (0, 9, 17)
+    assert chacon.height_set(2) == (0, 51, 101)
 
 
 def test_tq41_heights_and_sets(tq41):
@@ -102,23 +100,23 @@ def test_tq41_heights_and_sets(tq41):
     assert [tq41.height(n) for n in range(5)] == [1, 6, 31, 156, 781]
     for n in range(4):
         h = tq41.height(n)
-        assert height_set(tq41, n) == (0, h, 3 * h, 4 * h)
+        assert tq41.height_set(n) == (0, h, 3 * h, 4 * h)
 
 
 def test_all_but_last_heights_and_sets(all_but_last):
     assert [all_but_last.height(n) for n in range(4)] == [1, 6, 31, 156]
     for n in range(3):
         h = all_but_last.height(n)
-        assert height_set(all_but_last, n) == (0, 2 * h, 4 * h)
+        assert all_but_last.height_set(n) == (0, 2 * h, 4 * h)
 
 
 def test_dyadic_heights(dyadic):
     assert [dyadic.height(n) for n in range(10)] == [2**n for n in range(10)]
-    assert height_set(dyadic, 3) == (0, 8)
+    assert dyadic.height_set(3) == (0, 8)
 
 
 def test_mixing_window_first_set(mixing_window):
-    assert height_set(mixing_window, 0) == (0, 10, 40)
+    assert mixing_window.height_set(0) == (0, 10, 40)
     assert mixing_window.height(1) == 82
 
 
@@ -128,7 +126,7 @@ def test_mixing_window_first_set(mixing_window):
 def test_height_set_invariants(fixture, request):
     spec = request.getfixturevalue(fixture)
     for n in range(6):
-        offs = height_set(spec, n)
+        offs = spec.height_set(n)
         stage = spec.stage(n)
         h = spec.height(n)
         assert offs[0] == 0
@@ -236,7 +234,7 @@ def test_descendant_recursion_property(spec, data):
     lvl = LevelRef(0, 0)
     j = data.draw(st.integers(min_value=0, max_value=2))
     vals = set(descendant_heights(spec, lvl, j))
-    offs = height_set(spec, j)
+    offs = spec.height_set(j)
     expected = sorted(e + o for e in vals for o in offs)
     got = descendant_heights(spec, lvl, j + 1)
     assert list(got) == expected
@@ -323,16 +321,7 @@ def test_broken_height_sets_are_refused_under_python_O():
 
 
 # ---------------------------------------------------------------------------
-# images and intersection brackets
-
-
-def test_image_of_level_splits_width(chacon):
-    img = image_of_level(chacon, LevelRef(1, 0), 9, 2)
-    assert [lv.height for lv in img.resolved] == [9, 18, 26]
-    assert img.unresolved == ()
-    img = image_of_level(chacon, LevelRef(1, 0), 45, 2)
-    assert [lv.height for lv in img.resolved] == [45]
-    assert [lv.height for lv in img.unresolved] == [9, 17]
+# intersection brackets
 
 
 def test_intersection_zero_shift_is_full_measure(chacon):

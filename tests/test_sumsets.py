@@ -22,11 +22,9 @@ from ranklab import (
     admissible_alphabets,
     ap_search,
     coverage_checks,
-    descendant_contains,
     descendant_decompose,
     descendant_differences,
     descendant_heights,
-    difference_multiset,
     gamma_search,
     gap_count,
     load_spec,
@@ -57,7 +55,6 @@ def test_decompose_matches_enumeration(chacon):
                 assert off in chacon.height_set(stage)
         else:
             assert offs is None
-        assert descendant_contains(chacon, lvl, 3, value) == (value in members)
 
 
 @settings(deadline=None, max_examples=50)
@@ -69,34 +66,6 @@ def test_decompose_roundtrip_property(data, tq41):
     value = data.draw(st.sampled_from(members))
     offs = descendant_decompose(tq41, lvl, j, value)
     assert offs is not None and sum(offs) == value
-
-
-# ---------------------------------------------------------------------------
-# difference multisets
-
-
-def test_difference_multiset_symmetry(chacon):
-    dm = difference_multiset(descendant_heights(chacon, LevelRef(1, 0), 2))
-    assert dm.size == 3
-    assert dm.count(0) == 3
-    assert dm.count(9) == dm.count(-9) == 1
-    assert dm.count(17) == dm.count(-17) == 1
-    assert dm.count(8) == 1
-    assert dm.positive_values() == (8, 9, 17)
-
-
-@settings(deadline=None, max_examples=200)
-@given(values=st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=15))
-def test_difference_multiset_matches_ordered_pairs(values):
-    dm = difference_multiset(values)
-    vals = set(values)
-    assert dm.size == len(vals)
-    assert dm.counts == Counter(a - b for a in vals for b in vals)
-
-
-def test_difference_multiset_empty_rejected():
-    with pytest.raises(ParamOutOfRange):
-        difference_multiset([])
 
 
 @st.composite
@@ -146,7 +115,7 @@ def _dense(values):
 def test_descendant_differences_match_pair_oracle(case, max_len):
     spec, level, j, known = case
     values = descendant_heights(spec, level, j)
-    expected = {d: c for d, c in difference_multiset(values).counts.items() if d >= 0}
+    expected = Counter(b - a for a in values for b in values if b >= a)
     for counted in (True, False):
         start = None
         if known is not None:
