@@ -19,7 +19,7 @@ from __future__ import annotations
 import importlib
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import IoError, ParamOutOfRange, RankLabError, UsageError
 
@@ -168,15 +168,6 @@ def _digit_alphabet(args: argparse.Namespace) -> tuple[DigitAlphabet, str]:
     return alphabet, fingerprint(payload)
 
 
-def _value_table(
-    values: Sequence[int], key: str = "values", row: Callable[[int], Any] | None = None
-) -> dict[str, Any]:
-    """Full listing (of ``row(v)`` if given) up to the cap, a summary beyond it."""
-    if len(values) <= TABLE_CAP:
-        return {key: list(values) if row is None else [row(v) for v in values]}
-    return {"summary": {"count": len(values), "first": values[0], "last": values[-1]}}
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 #
@@ -215,7 +206,7 @@ def _cmd_descendants(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     level = LevelRef(*args.base)
     count, lo, hi = descendant_extent(spec, level, args.to)
     if count <= TABLE_CAP:
-        evidence = _value_table(descendant_heights(spec, level, args.to))
+        evidence = {"values": list(descendant_heights(spec, level, args.to))}
     else:
         # Too many to list: read from the height sets, charged as if listed,
         # so that a refusal does not depend on the route.
@@ -235,15 +226,19 @@ def _cmd_diffset(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
     level = LevelRef(*args.base)
     values = descendant_heights(spec, level, args.to)
     charge(len(values) ** 2, "difference multiset")
+    diffs = descendant_differences(spec, level, args.to, values)
+    if isinstance(diffs, int):  # bit d is difference d, 0 included
+        rest = diffs >> 1  # bit d - 1 is positive difference d
+        size, first, last = rest.bit_count(), (rest & -rest).bit_length(), rest.bit_length()
+    else:
+        rest = diffs - {0}
+        size, first, last = len(rest), min(rest, default=None), max(rest, default=0)
+    result = {"setSize": len(values), "distinctPositive": size, "maxDifference": last}
+    if size > TABLE_CAP:  # summarized: only a listing reads the counts
+        return result, {"summary": {"count": size, "first": first, "last": last}}, EXIT_OK
     counts = descendant_differences(spec, level, args.to, values, counted=True)
-    positive = sorted(counts)[1:]  # 0 is always present
-    result = {
-        "setSize": len(values),
-        "distinctPositive": len(positive),
-        "maxDifference": positive[-1] if positive else 0,
-    }
-    evidence = _value_table(positive, "positive", lambda v: [v, counts[v]])
-    return result, evidence, EXIT_OK
+    table = [[v, counts[v]] for v in sorted(counts)[1:]]  # 0 is always present
+    return result, {"positive": table}, EXIT_OK
 
 
 def _cmd_ap(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:

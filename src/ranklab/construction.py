@@ -346,6 +346,10 @@ class MeasureInterval(CheckedRecord, _MeasureIntervalFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        ensure(
+            all(isinstance(v, Fraction) or is_plain_int(v) for v in self),
+            "measure bracket ends must be ints or Fractions",
+        )
         ensure(self.confirmed >= 0 and self.unresolved >= 0, "negative measure bracket")
 
     @property

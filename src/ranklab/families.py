@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._budget import charge
 from .construction import FamilyTag, RankOneSpec, StageSpec
-from .errors import CheckedRecord, ParamOutOfRange, ScheduleInfeasible, ensure
+from .errors import CheckedRecord, ParamOutOfRange, ScheduleInfeasible, ensure, is_plain_int
 
 if TYPE_CHECKING:
     from .sumsets import DigitAlphabet
@@ -77,6 +77,8 @@ class InfChaconParams(CheckedRecord, _InfChaconFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not all(map(is_plain_int, self)):
+            raise ParamOutOfRange(f"t, q, m1 and m0 must be integers, got {tuple(self)!r}")
         if self.t < 2:
             raise ParamOutOfRange(f"need at least 2 cuts, got t={self.t}")
         if not 1 <= self.q <= self.t - 1:
@@ -131,6 +133,8 @@ class TQParams(CheckedRecord, _TQFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not all(map(is_plain_int, (self.t, self.q, *self.positions))):
+            raise ParamOutOfRange(f"t, q and positions must be integers, got {tuple(self)!r}")
         if self.t < 3:
             raise ParamOutOfRange(f"need t >= 3 cuts, got {self.t}")
         if self.q < 1:

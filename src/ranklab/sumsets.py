@@ -192,33 +192,28 @@ def descendant_differences(
 class PartnerSet(NamedTuple):
     """Elements of a height set with a partner at distance ``z``.
 
-    With the default ``lower`` side, ``members = {x in H : x - z in H}`` — the
-    upper endpoints of the pairs.  ``upper`` mirrors this downwards:
-    ``{x in H : x + z in H}``.  ``delta`` is the matched proportion of ``H``.
+    ``members = {x in H : x - z in H}`` — the upper endpoints of the pairs.
+    ``delta`` is the matched proportion of ``H``.
     """
 
     z: int
     members: tuple[int, ...]
     total: int
-    side: str = "lower"
 
     @property
     def delta(self) -> Fraction:
         return Fraction(len(self.members), self.total)
 
 
-def partner_set(heights: Sequence[int], z: int, side: str = "lower") -> PartnerSet:
+def partner_set(heights: Sequence[int], z: int) -> PartnerSet:
     if z < 0:
         raise ParamOutOfRange(f"shift must be >= 0, got {z}")
-    if side not in ("lower", "upper"):
-        raise ParamOutOfRange(f"side must be 'lower' or 'upper', got {side!r}")
     hset = set(heights)
     if not hset:
         raise ParamOutOfRange("partner set of an empty height set")
-    step = -z if side == "lower" else z  # the partner of x is x + step
-    members = tuple(sorted(x for x in hset if x + step in hset))
-    ensure(all(m + step in hset for m in members), "a member lacks its partner")
-    return PartnerSet(z, members, len(hset), side)
+    members = tuple(sorted(x for x in hset if x - z in hset))
+    ensure(all(m - z in hset for m in members), "a member lacks its partner")
+    return PartnerSet(z, members, len(hset))
 
 
 class PartnerShift(NamedTuple):
@@ -277,16 +272,26 @@ class APSearchResult(NamedTuple):
 
 class _RunLengths(Mapping[int, int]):
     """Read-only ``runs``: ``has`` tests a difference, ``keys`` lists the
-    ``size`` positive ones, and only runs past length 1 are stored."""
+    ``size`` positive ones, and ``table()`` gives the runs past length 1.
+
+    Only a read of a length calls ``table``, once; membership, ``len`` and
+    iteration never do.
+    """
 
     def __init__(self, has: Callable[[int], bool], keys: Callable[[], list[int]],
-                 size: int, long: dict[int, int]) -> None:
-        self._has, self._keys, self._size, self._long = has, keys, size, long
+                 size: int, table: Callable[[], dict[int, int]]) -> None:
+        self._has, self._keys, self._size, self._table = has, keys, size, table
+        self._long: dict[int, int] | None = None
 
     def __getitem__(self, x: int) -> int:
-        if x not in self._long and not (isinstance(x, int) and x > 0 and self._has(x)):
+        if x not in self:
             raise KeyError(x)
+        if self._long is None:
+            self._long = self._table()
         return self._long.get(x, 1)
+
+    def __contains__(self, x: object) -> bool:
+        return isinstance(x, int) and x > 0 and self._has(x)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._keys())
@@ -313,33 +318,57 @@ def progression_runs(diffs: int | Collection[int], max_len: int) -> APSearchResu
     """Runs ``x, 2x, ..., lx`` with ``l <= max_len`` inside nonnegative differences.
 
     ``diffs`` is a bitset or a set, as :func:`descendant_differences` returns;
-    0 is skipped.  Only ``x`` with ``2x`` present can run past length 1; on a
-    bitset they are the mask ANDed with its even bits read as halves.
+    0 is skipped.  On a bitset, ``alive[l - 1]`` has bit ``x`` set when all of
+    ``x..l*x`` are differences.  Each length ``s`` ANDs the last mask with one
+    stride of the binary string, which holds bit ``s*x`` of ``diffs`` as bit
+    ``x``, until no ``x`` survives or ``s`` reaches ``max_len``.  Each ``x``'s
+    run length is peeled from those masks only when a length is read.  On a
+    set, only ``x`` with ``2x`` present can run past length 1, and each walks
+    its multiples.
     """
     if isinstance(diffs, int):
-        bits = bin(diffs)[:1:-1]  # character d is bit d
-        has = partial(bits.startswith, "1")
-        halves = int(bits[::2][::-1], 2)  # bit x is bit 2x of diffs
-        candidates = _ones(bin(halves & diffs)[:1:-1])
-        keys, size = partial(_ones, bits), diffs.bit_count() - 1
-        first = bits.find("1", 1)
+        bits = bin(diffs)[2:]  # character -1 - d is bit d
+        top = len(bits) - 1
+        has = lambda x: x <= top and bits[~x] == "1"
+        keys = lambda: _ones(bits[::-1])
+        alive = [diffs & ~1]
+        while len(alive) < max_len:
+            s = len(alive) + 1  # the stride's last character is bit 0
+            longer = alive[-1] & int(bits[top % s :: s], 2)
+            if not longer:
+                break
+            alive.append(longer)
+        size = alive[0].bit_count()
+        longest = len(alive) if size else 0
+        witness = (alive[-1] & -alive[-1]).bit_length() - 1 if size else None
+        table = partial(_peel, alive)
     else:
         positive = sorted(x for x in diffs if x > 0)
         has, keys, size = diffs.__contains__, positive.copy, len(positive)
         candidates = [x for x in positive if 2 * x in diffs]
-        first = positive[0] if positive else None
-    long = {}
-    longest, witness = (1, first) if size else (0, None)
-    for x in candidates if max_len > 1 else ():
-        length = 2
-        while length < max_len and has((length + 1) * x):
-            length += 1
-        long[x] = length
-        if length > longest:
-            longest = length
-            witness = x
+        long = {}
+        longest, witness = (1, positive[0]) if size else (0, None)
+        for x in candidates if max_len > 1 else ():
+            length = 2
+            while length < max_len and has((length + 1) * x):
+                length += 1
+            long[x] = length
+            if length > longest:
+                longest = length
+                witness = x
+        table = long.copy
     progression = tuple(witness * i for i in range(1, longest + 1)) if witness else ()
-    return APSearchResult(longest, witness, progression, _RunLengths(has, keys, size, long))
+    return APSearchResult(longest, witness, progression, _RunLengths(has, keys, size, table))
+
+
+def _peel(alive: Sequence[int]) -> dict[int, int]:
+    """Run length of each ``x`` in ``alive[1]``: the last ``l`` with ``x`` in
+    ``alive[l - 1]``, as :func:`progression_runs` builds them."""
+    long = {}
+    for length, mask in enumerate(alive[1:], start=2):
+        ended = mask & ~alive[length] if length < len(alive) else mask
+        long.update(dict.fromkeys(_ones(bin(ended)[:1:-1]), length))
+    return long
 
 
 # ---------------------------------------------------------------------------

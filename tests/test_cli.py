@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import spec_path
 import ranklab
 import ranklab.cli
-from ranklab import load_spec, validate_report
+from ranklab import LevelRef, descendant_differences, descendant_heights, load_spec, validate_report
 from ranklab.cli import run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -112,6 +113,60 @@ def test_ap_cap_drives_exit_code(capsys):
     )
     assert code == 2
     assert payload["result"]["capReached"] is True
+
+
+def test_ap_stops_at_the_longest_run_far_below_a_huge_cap(capsys, monkeypatch, tmp_path):
+    # Zero spacers make the 2**11 stage-11 descendants of 0:0 all of [0, 2**11):
+    # each x runs to (2**11 - 1) // x terms, and the search must end there.
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)  # 2**22 units fit
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps({"h0": 1, "stages": [{"r": 2, "s": [0, 0]}] * 11}))
+    start = time.perf_counter()
+    code, payload = report(
+        capsys, "ap", "--spec", dense, "--base", "0:0", "--to", "11",
+        "--max-len", "1000000",
+    )
+    assert time.perf_counter() - start < 1
+    top = 2**11 - 1
+    runs = {x: top // x for x in range(1, top + 1)}  # the walk's runs
+    assert code == 0
+    assert payload["result"] == {
+        "longest": max(runs.values()), "witness": 1,
+        "progression": list(range(1, top + 1)), "capReached": False,
+    }
+    assert payload["evidence"] == {"runCount": len(runs), "longest": top, "witness": 1}
+
+
+@pytest.mark.parametrize(
+    "name, base, to",
+    [("chacon.json", "1:0", 4), ("asymm.json", "0:0", 3), ("tq41.json", "2:7", 3)],
+)
+@pytest.mark.parametrize("below", [0, 1])
+def test_diffset_lists_or_summarizes_the_counted_differences(
+    capsys, monkeypatch, name, base, to, below
+):
+    # A cap at distinctPositive lists the counted table; one below, the
+    # summary.  Chacon's differences are a bitset, the others' a set.
+    spec = load_spec(spec_path(name))
+    level = LevelRef(*map(int, base.split(":")))
+    values = descendant_heights(spec, level, to)
+    counts = descendant_differences(spec, level, to, values, counted=True)
+    positive = sorted(counts)[1:]
+    monkeypatch.setattr(ranklab.cli, "TABLE_CAP", len(positive) - below)
+    code, payload = report(
+        capsys, "diffset", "--spec", spec_path(name), "--base", base, "--to", to
+    )
+    assert code == 0
+    assert payload["result"] == {
+        "setSize": len(values), "distinctPositive": len(positive),
+        "maxDifference": positive[-1],
+    }
+    if below:
+        table = {"summary": {"count": len(positive), "first": positive[0],
+                             "last": positive[-1]}}
+    else:
+        table = {"positive": [[v, counts[v]] for v in positive]}
+    assert json.dumps(payload["evidence"]) == json.dumps(table)
 
 
 def test_partners_found_and_explicit_shift(capsys):
@@ -840,12 +895,19 @@ def test_no_record_checks_itself_in_init(path):
          ranklab.ParamOutOfRange),
         (ranklab.PatternQuery(2, (0, 1), 1, 3), "dconst", True,
          ranklab.ParamOutOfRange),
+        (ranklab.InfChaconParams(3, 1, 6, 2), "q", True, ranklab.ParamOutOfRange),
+        (ranklab.InfChaconParams(3, 1, 6, 2), "m0", True, ranklab.ParamOutOfRange),
+        (ranklab.TQParams(4, 1, (0,)), "q", True, ranklab.ParamOutOfRange),
+        (ranklab.TQParams(4, 1, (0,)), "positions", (False,), ranklab.ParamOutOfRange),
+        (ranklab.MeasureInterval(1, 2), "confirmed", True, AssertionError),
     ],
     ids=["Certificate", "ProductQuery", "PatternQuery", "MeasureInterval",
          "InfChaconParams", "TQParams", "AsymmParams", "DigitAlphabet",
          "DigitAlphabet-bool-digits", "ProductQuery-bool-base_stage",
          "ProductQuery-bool-horizon", "PatternQuery-bool-base_stage",
-         "PatternQuery-bool-cutoff", "PatternQuery-bool-dconst"],
+         "PatternQuery-bool-cutoff", "PatternQuery-bool-dconst",
+         "InfChaconParams-bool-q", "InfChaconParams-bool-m0", "TQParams-bool-q",
+         "TQParams-bool-positions", "MeasureInterval-bool-confirmed"],
 )
 def test_replace_checks_like_the_constructor(good, field, bad, error):
     with pytest.raises(error):

@@ -128,19 +128,47 @@ def test_descendant_differences_match_pair_oracle(case, max_len):
     assert _bits(got) == set(expected)
     if not _dense(values):
         assert isinstance(got, set)
+    for res in _assert_runs_match_walk(got, max_len):
+        assert ap_search(values, max_len) == res
+
+
+def _assert_runs_match_walk(diffs, max_len):
+    """Both routes of :func:`progression_runs` against a walk of each run.
+
+    ``diffs`` is a bitset or a set; the set of its members takes the other
+    route.  Returns the two results.
+    """
+    members = _bits(diffs)
     runs = {}
-    for x in sorted(d for d in expected if d):
+    for x in sorted(d for d in members if d):
         runs[x] = 1
-        while runs[x] < max_len and (runs[x] + 1) * x in expected:
+        while runs[x] < max_len and (runs[x] + 1) * x in members:
             runs[x] += 1
     longest = max(runs.values(), default=0)
     witness = min((x for x, n in runs.items() if n == longest), default=None)
-    for diffs in (got, set(expected)):  # both routes of the search
-        res = progression_runs(diffs, max_len)
-        assert (res.runs, res.longest, res.witness) == (runs, longest, witness)
-        assert list(res.runs) == list(runs) and len(res.runs) == len(runs)
+    results = []
+    for route in (diffs, members):
+        res = progression_runs(route, max_len)
+        assert (res.longest, res.witness, len(res.runs)) == (longest, witness, len(runs))
         assert res.progression == tuple(witness * i for i in range(1, longest + 1))
-        assert ap_search(values, max_len) == res
+        assert list(res.runs) == list(runs)
+        assert all(x in res.runs for x in runs)
+        assert not any(x in res.runs for x in (0, -1, max(members, default=0) + 1))
+        assert res.runs._long is None  # none of the reads above built the table
+        assert res.runs == runs
+        results.append(res)
+    return results
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 10**6])
+@pytest.mark.parametrize(
+    "diffs",
+    [0, 1, 0b11, 0b111, (1 << 64) - 1, (1 << 1000) - 1, 0b1011_0110_1101, 1 | 1 << 40],
+    ids=["empty", "zero", "dense-2", "dense-3", "dense-64", "dense-1000", "gappy", "far"],
+)
+def test_progression_runs_match_walk(diffs, max_len):
+    # Dense ranges [0, N) run 1 up to N - 1 terms, past every cap but 10**6.
+    _assert_runs_match_walk(diffs, max_len)
 
 
 @pytest.mark.parametrize(
@@ -221,8 +249,8 @@ def test_partner_sets_chacon_stage1(chacon):
     assert s8.delta == Fraction(1, 3)
     s9 = partner_set(heights, 9)
     assert s9.members == (9,)
-    upper = partner_set(heights, 8, side="upper")
-    assert upper.members == (9,)
+    # The lower endpoints of the pairs at distance 8, by hand.
+    assert tuple(x for x in heights if x + 8 in heights) == (9,)
 
 
 def test_partner_shift_chacon(chacon):
@@ -269,8 +297,6 @@ def test_partner_set_validation():
         partner_set((0, 5), -1)
     with pytest.raises(ParamOutOfRange):
         partner_set((), 1)
-    with pytest.raises(ParamOutOfRange):
-        partner_set((0, 5), 1, side="sideways")
 
 
 # ---------------------------------------------------------------------------
