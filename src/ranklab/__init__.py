@@ -45,7 +45,6 @@ _EXPORTS = {
         "progression_runs",
         "DigitAlphabet",
         "admissible_alphabets",
-        "truncated_sumset",
         "sumset_membership",
         "GapCount",
         "gap_count",

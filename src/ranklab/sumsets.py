@@ -21,7 +21,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._budget import charge
@@ -47,7 +47,6 @@ __all__ = [
     "progression_runs",
     "DigitAlphabet",
     "admissible_alphabets",
-    "truncated_sumset",
     "sumset_membership",
     "GapCount",
     "gap_count",
@@ -435,30 +434,31 @@ def admissible_alphabets(k: int) -> tuple[DigitAlphabet, ...]:
     for twos in range(span // 2 + 1):
         ones = span - 2 * twos
         for positions in itertools.combinations(range(ones + twos), twos):
-            gaps = [1] * (ones + twos)
-            for p in positions:
-                gaps[p] = 2
-            digits = [0]
-            for g in gaps:
-                digits.append(digits[-1] + g)
-            out.append(DigitAlphabet(k, tuple(digits)))
+            gaps = [2 if p in positions else 1 for p in range(ones + twos)]
+            out.append(DigitAlphabet(k, tuple(itertools.accumulate(gaps, initial=0))))
     ensure(len({a.digits for a in out}) == len(out), "an alphabet was generated twice")
     return tuple(out)
 
 
-def truncated_sumset(alphabet: DigitAlphabet, n: int) -> tuple[int, ...]:
-    """Enumerate ``D(n)' = (A-A) + k(A-A) + ... + k^{n-1}(A-A)``, sorted."""
-    if n < 0:
-        raise ParamOutOfRange(f"digit count must be >= 0, got {n}")
+def _sumset_row(alphabet: DigitAlphabet, n: int) -> str:
+    """Nonnegative half of D(n)': character ``v < k^n`` is ``"1"`` iff ``v`` is in it.
+
+    D(n)' is one ``int``: after ``l`` positions, bit ``v + k^l - 1`` stands for
+    ``v``, and each position ORs one copy per ``c`` in A-A, shifted ``(c + k - 1) * k^l``.
+    """
     charge(alphabet.k**n, "truncated sumset enumeration")
-    values = {0}
-    scale = 1
+    k, bits, scale = alphabet.k, 1, 1
     for _ in range(n):
-        values = {v + c * scale for v in values for c in alphabet.diffs}
-        scale *= alphabet.k
-    out = tuple(sorted(values))
-    ensure(not n or (out[0] == -(scale - 1) and out[-1] == scale - 1), "span is off")
-    return out
+        bits = reduce(int.__or__, (bits << (c + k - 1) * scale for c in alphabet.diffs))
+        scale *= k
+    ensure(bits & 1 and bits.bit_length() == 2 * scale - 1, "span is off")
+    return bin(bits >> scale - 1)[:1:-1]  # k^n characters, as the span check holds
+
+
+def _absent(values: range, row: str, first: int = -1) -> list[int]:
+    """The ``values`` whose characters in ``row`` are ``"0"``: all, or the first ``first``."""
+    pieces = row[values.start : values.stop : values.step].split("0", first)[:-1]
+    return [values[i - 1] for i in itertools.accumulate(len(p) + 1 for p in pieces)]
 
 
 def sumset_membership(
@@ -471,34 +471,39 @@ def sumset_membership(
     representation is deterministic.  A remainder too large for the remaining
     positions (``|rem| > k^(n-l) - 1``) is pruned, and failing ``(position,
     remainder)`` states are memoized, which keeps the search polynomial in
-    ``n`` instead of enumerating the sumset.
+    ``n`` instead of enumerating the sumset.  The path is a list, not the call stack.
 
     Returns ``None`` when ``target`` is not in D(n)'.
     """
-    if n < 1:
-        raise ParamOutOfRange(f"digit count must be >= 1, got {n}")
+    if not is_plain_int(n) or n < 1:
+        raise ParamOutOfRange(f"digit count must be an integer >= 1, got {n!r}")
+    if not is_plain_int(target):
+        raise ParamOutOfRange(f"target must be an integer, got {target!r}")
     k = alphabet.k
     by_residue = alphabet._by_residue
     caps = [k ** (n - l) - 1 for l in range(n + 1)]
     dead: set[tuple[int, int]] = set()
-
-    def descend(l: int, rem: int) -> tuple[int, ...] | None:
-        if l == n:
-            return () if rem == 0 else None
-        if abs(rem) > caps[l] or (l, rem) in dead:
+    path: list[tuple[int, Iterator[int]]] = []  # (remainder, untried digits) per position
+    digits: list[int] = []
+    rem = target
+    while len(path) < n or rem:
+        if abs(rem) <= caps[len(path)] and (len(path), rem) not in dead:
+            path.append((rem, iter(by_residue.get(rem % k, ()))))
+            digits.append(0)
+        while path:  # the deepest position's next digit, or back up
+            rem, untried = path[-1]
+            c = next(untried, None)
+            if c is not None:
+                digits[-1], rem = c, (rem - c) // k
+                break
+            dead.add((len(path) - 1, rem))
+            path.pop()
+            digits.pop()
+        else:
             return None
-        for c in by_residue.get(rem % k, ()):
-            tail = descend(l + 1, (rem - c) // k)
-            if tail is not None:
-                return (c, *tail)
-        dead.add((l, rem))
-        return None
-
-    digits = descend(0, target)
-    if digits is not None:
-        ensure(sum(c * k**l for l, c in enumerate(digits)) == target, "digits miss target")
-        ensure(all(c in alphabet.diffs for c in digits), "a digit is outside A - A")
-    return digits
+    ensure(sum(c * k**l for l, c in enumerate(digits)) == target, "digits miss target")
+    ensure(all(c in alphabet.diffs for c in digits), "a digit is outside A - A")
+    return tuple(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +534,8 @@ class GapCount(NamedTuple):
 
 
 def gap_count(alphabet: DigitAlphabet, n: int) -> GapCount:
-    if n < 1:
-        raise ParamOutOfRange(f"digit count must be >= 1, got {n}")
+    if not is_plain_int(n) or n < 1:
+        raise ParamOutOfRange(f"digit count must be an integer >= 1, got {n!r}")
     if not alphabet.has_unit_diff:
         raise PreconditionViolated(
             "gap-count recursion needs two digits at distance 1 (1 in A-A)"
@@ -538,12 +543,9 @@ def gap_count(alphabet: DigitAlphabet, n: int) -> GapCount:
     k = alphabet.k
     unit_gaps = tuple(v for v in range(1, k) if v not in alphabet.diffs)
     g = len(unit_gaps)
-    recursion = [g]
-    for _ in range(n - 1):
-        recursion.append((2 * g + 1) * recursion[-1] + g)
-    present = set(truncated_sumset(alphabet, n))
-    missing = tuple(v for v in range(k**n) if v not in present)
-    return GapCount(alphabet, n, g, unit_gaps, tuple(recursion), len(missing), missing)
+    recursion = tuple(itertools.accumulate([g] * n, lambda lam, _: (2 * g + 1) * lam + g))
+    missing = tuple(_absent(range(k**n), _sumset_row(alphabet, n)))
+    return GapCount(alphabet, n, g, unit_gaps, recursion, len(missing), missing)
 
 
 class CoverageChecks(NamedTuple):
@@ -574,8 +576,8 @@ class CoverageChecks(NamedTuple):
 
 
 def coverage_checks(alphabet: DigitAlphabet, n: int) -> CoverageChecks:
-    if n < 1:
-        raise ParamOutOfRange(f"digit count must be >= 1, got {n}")
+    if not is_plain_int(n) or n < 1:
+        raise ParamOutOfRange(f"digit count must be an integer >= 1, got {n!r}")
     k = alphabet.k
     half = -(-k // 2)
     parity = (k - 1) % 2
@@ -584,20 +586,18 @@ def coverage_checks(alphabet: DigitAlphabet, n: int) -> CoverageChecks:
 
     half_alphabet_ok: bool | None = None
     half_range_ok: bool | None = None
+    row = _sumset_row(alphabet, n)
     if unit:
         wanted = set(range(half + 1)) | {v for v in range(k) if v % 2 == parity}
         miss = sorted(wanted - alphabet.diffs)
         half_alphabet_ok = not miss
         failures += [("half-alphabet", v) for v in miss]
-
-    present = set(truncated_sumset(alphabet, n))
-    if unit:
-        miss = [v for v in range(half * k ** (n - 1) + 1) if v not in present]
+        miss = _absent(range(half * k ** (n - 1) + 1), row, 8)
         half_range_ok = not miss
-        failures += [("half-range", v) for v in miss[:8]]
+        failures += [("half-range", v) for v in miss]
 
-    parity_miss = [v for v in range(parity, k**n, 2) if v not in present]
-    failures += [("parity-range", v) for v in parity_miss[:8]]
+    parity_miss = _absent(range(parity, k**n, 2), row, 8)
+    failures += [("parity-range", v) for v in parity_miss]
 
     return CoverageChecks(
         alphabet,
@@ -652,8 +652,8 @@ def gamma_search(
         raise ParamOutOfRange("gamma search needs base k >= 3")
     if not alphabet.has_unit_diff:
         raise PreconditionViolated("gamma search needs two digits at distance 1")
-    if horizon < 1:
-        raise ParamOutOfRange(f"horizon must be >= 1, got {horizon}")
+    if not is_plain_int(horizon) or horizon < 1:
+        raise ParamOutOfRange(f"horizon must be an integer >= 1, got {horizon!r}")
     k = alphabet.k
     for n in range(1, horizon + 1):
         for m in range(1, horizon + 1):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import spec_path
 from ranklab import (
     BudgetExceeded,
+    DigitAlphabet,
     HypothesisUnmet,
     LevelRef,
     MixingEntry,
@@ -30,10 +31,13 @@ from ranklab import (
     TQParams,
     asymmetry_statistic,
     conservativity_fraction,
+    coverage_checks,
     descendant_differences,
     descendant_heights,
     ergodic_matching,
     exhaustive_matches,
+    gamma_search,
+    gap_count,
     intersection_measure,
     load_spec,
     mixing_decay,
@@ -43,6 +47,7 @@ from ranklab import (
     pattern_measure,
     pwm_witness,
     spec_fingerprint,
+    sumset_membership,
     validate_spec,
     verify_match_witness,
 )
@@ -699,6 +704,7 @@ def test_pwm_base_stage_bound(tq41):
 
 
 _TQ41 = TQParams(4, 1, (1,))
+_DIGITS = DigitAlphabet(9, (0, 2, 3, 5, 6, 8))
 
 
 @pytest.mark.parametrize(
@@ -719,6 +725,16 @@ _TQ41 = TQParams(4, 1, (1,))
          "multipliers must be nonzero integers, got False"),
         (lambda s: non_ergodic_check(s, (1, 1), (0, "1"), 0, 2),
          "shifts must be integers, got '1'"),
+        # A bool is an int to isinstance and compares as 0 or 1.
+        (lambda s: gap_count(_DIGITS, True), "digit count must be an integer >= 1, got True"),
+        (lambda s: coverage_checks(_DIGITS, 2.0),
+         "digit count must be an integer >= 1, got 2.0"),
+        (lambda s: sumset_membership(_DIGITS, "3", 3),
+         "digit count must be an integer >= 1, got '3'"),
+        (lambda s: sumset_membership(_DIGITS, 3, 2.0), "target must be an integer, got 2.0"),
+        (lambda s: sumset_membership(_DIGITS, 3, True), "target must be an integer, got True"),
+        (lambda s: gamma_search(_DIGITS, (2,), horizon=True),
+         "horizon must be an integer >= 1, got True"),
     ],
 )
 def test_integer_arguments_are_refused_by_value(chacon, call, message):

@@ -214,6 +214,26 @@ def test_membership_spec_and_raw_alphabet_agree(capsys):
     assert via_spec["specFingerprint"] != via_alphabet["specFingerprint"]
 
 
+@pytest.mark.parametrize(
+    "source, digits",
+    [(("--spec", spec_path("tq41.json")), 2000),
+     (("--k", "9", "--alphabet", "0,2,3,5,6,8"), 5000)],
+    ids=["tq41-2000", "k9-5000"],
+)
+def test_membership_takes_thousands_of_digits(capsys, source, digits):
+    # One digit per position of the search: far past the recursion limit.
+    target = 77777777777
+    code, payload = report(
+        capsys, "membership", *source, "--digits", digits, "--target", target
+    )
+    assert code == 0
+    result = payload["result"]
+    assert result["member"] is True
+    assert len(result["representation"]) == digits
+    k = result["base"]
+    assert sum(c * k**l for l, c in enumerate(result["representation"])) == target
+
+
 def test_digit_source_must_be_unambiguous(capsys):
     code, out, err = cli(
         capsys, "membership", "--spec", spec_path("tq41.json"),
@@ -420,6 +440,46 @@ def test_missing_spec_file_yields_error_report(capsys):
     assert payload["command"] == "heights"
     assert payload["result"]["error"]["type"] == "IoError"
     assert payload["inputs"]["argv"][0] == "heights"
+
+
+_RSS_PROBE = """
+import contextlib, io, json, resource, sys
+import ranklab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ranklab.cli.run(sys.argv[1:])
+print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+_BUDGET_EDGE = ("--k", "9", "--alphabet", "0,1,3,5,7,8", "--digits")
+
+
+@pytest.mark.parametrize("command", ["gaps", "coverage"])
+def test_digit_sumset_at_the_budget_edge_stays_small(command):
+    # D(7)' at k = 9 is charged 9^7 = 4,782,969 units, under the default
+    # budget.  Held as a set of ints it took ~800 MB; its row takes a few MB.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("RANKLAB_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, command, *_BUDGET_EDGE, "7"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, peak_kb = json.loads(proc.stdout)  # Linux reports ru_maxrss in KiB
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+
+
+@pytest.mark.parametrize("command", ["gaps", "coverage"])
+def test_digit_sumset_past_the_budget_is_refused_at_once(capsys, monkeypatch, command):
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, payload = report(capsys, command, *_BUDGET_EDGE, "8")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["result"]["error"] == {
+        "type": "BudgetExceeded",
+        "message": "truncated sumset enumeration needs ~43046721 enumeration units,"
+        " over the budget of 5000000 (raise RANKLAB_BUDGET to allow it)",
+    }
 
 
 def test_budget_exhaustion_yields_error_report(capsys, monkeypatch):
@@ -840,6 +900,29 @@ def test_no_module_guards_with_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"bare assert at {path.name} lines {lines}"
+
+
+def _self_call(call: ast.Call, name: str) -> bool:
+    """Whether ``call`` calls ``name`` directly or as a method of ``self``/``cls``."""
+    f = call.func
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+        return f.value.id in ("self", "cls") and f.attr == name
+    return isinstance(f, ast.Name) and f.id == name
+
+
+def test_no_function_calls_itself():
+    # A recursion whose depth follows the input ends in ``RecursionError``.
+    # Only the report walkers may recurse: their depth is the report's nesting.
+    found = set()
+    for path in sorted(_PACKAGE.rglob("*.py")):
+        module = path.relative_to(_PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call) and _self_call(node, fn.name)
+                for node in ast.walk(fn)
+            ):
+                found.add(f"{module}.{fn.name}")
+    assert found == {"reporting.jsonable", "reporting._walk"}
 
 
 @pytest.mark.parametrize(

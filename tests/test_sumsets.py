@@ -32,7 +32,6 @@ from ranklab import (
     partner_shift,
     progression_runs,
     sumset_membership,
-    truncated_sumset,
     validate_spec,
 )
 from ranklab import sumsets
@@ -354,16 +353,70 @@ def test_admissible_alphabet_counts():
         assert len(admissible_alphabets(k)) == fib[k - 1]
 
 
+def _sumset_oracle(alpha, n):
+    """D(n)' built as a set, one digit position at a time, sorted."""
+    values, scale = {0}, 1
+    for _ in range(n):
+        values = {v + c * scale for v in values for c in alpha.diffs}
+        scale *= alpha.k
+    return tuple(sorted(values))
+
+
+def _membership_oracle(alpha, n, target):
+    """The recursive largest-first search with a dead-state memo."""
+    k = alpha.k
+    dead = set()
+
+    def descend(l, rem):
+        if l == n:
+            return () if rem == 0 else None
+        if abs(rem) > k ** (n - l) - 1 or (l, rem) in dead:
+            return None
+        for c in sorted((c for c in alpha.diffs if (rem - c) % k == 0), reverse=True):
+            tail = descend(l + 1, (rem - c) // k)
+            if tail is not None:
+                return (c, *tail)
+        dead.add((l, rem))
+        return None
+
+    return descend(0, target)
+
+
 def test_truncated_sumset_small():
     alpha = DigitAlphabet(3, (0, 2))
     # (A - A) = {-2, 0, 2}; with two digits: c0 + 3*c1.
-    assert truncated_sumset(alpha, 2) == (-8, -6, -4, -2, 0, 2, 4, 6, 8)
+    assert _sumset_oracle(alpha, 2) == (-8, -6, -4, -2, 0, 2, 4, 6, 8)
+    assert sumsets._sumset_row(alpha, 2) == "101010101"
+    assert sumsets._sumset_row(alpha, 0) == "1"
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_digit_sumset_matches_oracles(data):
+    k = data.draw(st.integers(2, 9), label="k")
+    alpha = data.draw(st.sampled_from(admissible_alphabets(k)), label="alphabet")
+    n = data.draw(st.integers(1, 5), label="n")
+    cap = k**n - 1
+    targets = data.draw(
+        st.lists(st.integers(-cap - 1, cap + 1), min_size=1, max_size=30), label="targets"
+    )
+    present = set(_sumset_oracle(alpha, n))
+    row = sumsets._sumset_row(alpha, n)
+    assert row == "".join("1" if v in present else "0" for v in range(cap + 1))
+    for values in (range(cap + 1), range(1, cap + 1, 2), range(0, cap // 3)):
+        absent = [v for v in values if v not in present]
+        assert sumsets._absent(values, row) == absent
+        assert sumsets._absent(values, row, 8) == absent[:8]
+    for target in [-cap - 1, cap + 1, *targets]:
+        digits = sumset_membership(alpha, n, target)
+        assert digits == _membership_oracle(alpha, n, target), target
+        assert (digits is not None) == (target in present), target
 
 
 def test_membership_agrees_with_enumeration():
     alpha = DigitAlphabet(9, (0, 2, 3, 5, 6, 8))
     n = 3
-    present = set(truncated_sumset(alpha, n))
+    present = set(_sumset_oracle(alpha, n))
     cap = 9**n - 1
     for target in range(-cap, cap + 1):
         digits = sumset_membership(alpha, n, target)
