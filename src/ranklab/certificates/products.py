@@ -17,11 +17,7 @@ from . import ProductQuery, _certificate, _check_shift_bounds, _require, _requir
 
 
 def _residue_matched(values: Sequence[int], alpha0: int) -> int:
-    m = abs(alpha0)
-    classes: dict[int, int] = {}
-    for a in values:
-        classes[a % m] = classes.get(a % m, 0) + 1
-    return sum(c for c in classes.values() if c >= 2)
+    return sum(c for c in Counter(a % abs(alpha0) for a in values).values() if c >= 2)
 
 
 def _anchored_matched(
@@ -34,44 +30,16 @@ def _anchored_matched(
     slides of each other, and a nonzero slide exists iff a group has >= 2
     members.  Returns the matched count and the diagonal sub-fraction.
     """
-    m = abs(alpha0)
-    groups: dict[tuple, int] = {}
-    for tup in itertools.product(values, repeat=arity):
-        key = (tuple(t - tup[0] for t in tup[1:]), tup[0] % m)
-        groups[key] = groups.get(key, 0) + 1
+    m, zero = abs(alpha0), (0,) * (arity - 1)
+    groups = Counter((tuple(t - tup[0] for t in tup[1:]), tup[0] % m)
+                     for tup in itertools.product(values, repeat=arity))
     matched = sum(c for c in groups.values() if c >= 2)
-    zero = (0,) * (arity - 1)
-    diag_matched = sum(
-        c for key, c in groups.items() if key[0] == zero and c >= 2
-    )
-    diagonal = Fraction(diag_matched, len(values))
-    return matched, diagonal
+    diag_matched = sum(c for key, c in groups.items() if key[0] == zero and c >= 2)
+    return matched, Fraction(diag_matched, len(values))
 
 
-def _difference_matched(counts: Mapping[int, int]) -> tuple[int, Fraction]:
-    """``_anchored_matched`` for two coordinates and ``|alpha| = 1``.
-
-    The key is then the difference alone, so a group is the set of ordered
-    pairs at one difference: ``counts`` gives their number for each
-    difference ``d >= 0``, and ``-d`` has as many as ``d``.
-    """
-    size = counts[0]
-    diag_matched = size if size >= 2 else 0
-    matched = diag_matched + 2 * sum(c for d, c in counts.items() if d and c >= 2)
-    return matched, Fraction(diag_matched, size)
-
-
-def _slide_scan(
-    values: Sequence[int], alphas: Sequence[int], shifts: Sequence[int]
-) -> int:
-    """Count the tuples that some slide ``n`` moves back into the value set.
-
-    Tuple ``a`` slides back when every ``a_l - n*alphas[l] - shifts[l]`` is a
-    value.  With every shift 0, ``n = 0`` is the identity and does not count.
-    Each value gets a bitmask of its slides, one bit per slide coordinate 0
-    can take (so at most ``V**2`` bits); a tuple slides back iff the AND of
-    its masks is nonzero, so each coordinate folds in by its distinct masks.
-    """
+def _rank_masks(values: Sequence[int], alphas: Sequence[int], shifts: Sequence[int]) -> dict:
+    """Slide masks with bit ``i`` for the ``i``-th least slide some pair gives coordinate 0."""
     a0, b0 = alphas[0], shifts[0]
     slides = {a - d - b0 for a in values for d in values}
     slides = {x // a0 for x in slides if not x % a0 and (x or any(shifts))}
@@ -80,8 +48,39 @@ def _slide_scan(
     for al, b in set(zip(alphas, shifts)):
         at = {n * al + b: m for n, m in bit.items()}
         masks[al, b] = Counter(sum(at.get(a - d, 0) for d in values) for a in values)
+    return masks
+
+
+def _slide_scan(values: Sequence[int], alphas: Sequence[int], shifts: Sequence[int]) -> int:
+    """Count the tuples that some slide ``n`` moves back into the value set.
+
+    Tuple ``a`` slides back when every ``a_l - n*alphas[l] - shifts[l]`` is a
+    value.  With every shift 0, ``n = 0`` is the identity and does not count.
+    Each value gets a bitmask of its slides per distinct ``(alpha, shift)``;
+    a tuple slides back iff the AND of its masks is nonzero, so each
+    coordinate folds in by its distinct masks.  Coordinate 0 can take only
+    the ``n`` in ``[lo, hi]``.  While that window and the span of the sorted
+    ``values`` are within ``V**2``, the rank masks' own bound, bit ``n - lo``
+    stands for ``n`` and a mask is one strided slice of the values' row.
+    """
+    vmin, vmax = values[0], values[-1]
+    b0, g0 = shifts[0] if alphas[0] > 0 else -shifts[0], abs(alphas[0])
+    lo, hi = -((vmax - vmin + b0) // g0), (vmax - vmin - b0) // g0
+    if max(hi - lo, vmax - vmin) >= len(values) ** 2:
+        masks, start = _rank_masks(values, alphas, shifts), -1  # -1 has every bit set
+    else:
+        row = bin(sum(1 << vmax - a for a in values))[2:]  # "1" at a - vmin for each value a
+        masks = {pair: Counter() for pair in zip(alphas, shifts)}
+        for (al, b), counts in masks.items():
+            g, r = abs(al), row if al > 0 else row[::-1]
+            for a in values:  # slide n sends a to character x - n*g of r
+                x = a - b - vmin if al > 0 else vmax - a + b
+                n0, n1 = max(lo, -((vmax - vmin - x) // g)), min(hi, x // g)
+                if n0 <= n1:
+                    counts[int(r[x - n1 * g : x - n0 * g + 1 : g], 2) << n0 - lo] += 1
+        start = -1 if any(shifts) else ~(1 << -lo)  # all but the identity
     *head, last = zip(alphas, shifts)
-    partial: Mapping[int, int] = {-1: 1}  # -1 has every bit set
+    partial: Mapping[int, int] = {start: 1}
     for pair in head:
         folded: Counter[int] = Counter()
         for pm, pc in partial.items():
@@ -112,7 +111,6 @@ def conservativity_fraction(
     v = len(alpha)
     rows = []
     best = Fraction(0)
-    known = None
     for j in range(query.base_stage + 1, query.horizon + 1):
         values = construction.descendant_heights(spec, base, j)
         count = len(values)
@@ -122,11 +120,11 @@ def conservativity_fraction(
             route = "residue"
         elif len(set(alpha)) == 1:
             _budget.charge(count**v, "anchored difference keys")
-            if v == 2 and abs(alpha[0]) == 1:
-                counts = sumsets.descendant_differences(
-                    spec, base, j, values, True, known)
-                known = (j, counts)
-                matched, diagonal = _difference_matched(counts)
+            if v == 2 and abs(alpha[0]) == 1:  # a key per difference: all but singles match
+                diag = count if count >= 2 else 0
+                singles = sumsets._single_differences(spec, base, j, values)
+                matched = diag + count * (count - 1) - 2 * singles
+                diagonal = Fraction(diag, count)
             else:
                 matched, diagonal = _anchored_matched(values, alpha[0], v)
             route = "anchored"

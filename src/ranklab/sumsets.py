@@ -159,33 +159,62 @@ def descendant_differences(
     n, support = known
     pairs = len(values) * (len(values) - 1) // 2
     if not counted:
-        top, mirror = support.bit_length() - 1, int(bin(support)[:1:-1], 2)
+        planes = _difference_planes(spec, n, j, [support], values)
+        return _pair_differences(values, counted) if planes is None else planes[0]
+    while n < j:
+        offsets = spec.height_set(n)
+        steps = Counter(b - a for a, b in itertools.combinations(offsets, 2))
+        if len(support) * (2 * len(steps) + 1) > pairs:
+            return _pair_differences(values, counted)
+        r = len(offsets)  # t = 0 keeps each p, r times as often
+        grown: Any = defaultdict(int, {p: c * r for p, c in support.items()})
+        for t, w in steps.items():
+            for p, c in support.items():
+                grown[t + p] += c * w
+                if p:
+                    grown[t - p] += c * w
+        grown.default_factory = None
+        support = grown
+        n += 1
+    return support
+
+
+def _single_differences(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int]) -> int:
+    """How many positive differences of ``level``'s stage-``j`` descendants
+    ``values`` one pair alone realizes: two planes of :func:`_difference_planes`."""
+    planes = _difference_planes(spec, level.stage, j, [1, 0], values)
+    if planes is None:
+        return sum(c == 1 for d, c in _pair_differences(values, True).items() if d)
+    return ((planes[0] & ~planes[1]) >> 1).bit_count()
+
+
+def _difference_planes(spec: RankOneSpec, n: int, j: int, planes: list[int],
+                       values: Sequence[int]) -> list[int] | None:
+    """Grow the bitsets of :func:`descendant_differences` from stage ``n`` to ``j``:
+    ``planes[0]`` has bit ``d`` for each difference ``d``, ``planes[1]`` (if given)
+    for each ``d`` that two or more pairs realize.  ``None`` past 64 bits per pair.
+    """
+    pairs = len(values) * (len(values) - 1) // 2
+    top = planes[0].bit_length() - 1
+    mirrors = [int(bin(p)[:1:-1].ljust(top + 1, "0"), 2) for p in planes]
     while n < j:
         offsets = spec.height_set(n)
         steps = Counter(b - a for a, b in itertools.combinations(offsets, 2))
         span = offsets[-1] - offsets[0]
-        if counted:
-            if len(support) * (2 * len(steps) + 1) > pairs:
-                return _pair_differences(values, counted)
-            r = len(offsets)  # t = 0 keeps each p, r times as often
-            grown: Any = defaultdict(int, {p: c * r for p, c in support.items()})
-            for t, w in steps.items():
-                for p, c in support.items():
-                    grown[t + p] += c * w
-                    if p:
-                        grown[t - p] += c * w
-            grown.default_factory = None
-        else:
-            if len(steps) * (top + span + 1) > 64 * pairs:  # bits over 64 per pair
-                return _pair_differences(values, counted)
-            grown, flipped = support, mirror << span
-            for t in steps:
-                grown |= support << t | mirror << (t - top)
-                flipped |= mirror << (span - t) | support << (top + span - t)
-            mirror, top = flipped, top + span
-        support = grown
+        if len(steps) * (top + span + 1) > 64 * pairs:  # bits over 64 per pair
+            return None
+        # t = 0 makes r >= 2 copies of each p, t > 0 one of t + p and t - p per offset pair
+        grown, flipped = planes[:1] * len(planes), [mirrors[0] << span] * len(planes)
+        for t, w in steps.items():
+            for acc, a, b in (grown, t, t - top), (flipped, top + span - t, span - t):
+                once = planes[0] << a | mirrors[0] << b
+                if len(planes) > 1:  # twice |= copy_twice | once & copy_once
+                    acc[1] |= (once if w > 1 else planes[1] << a | mirrors[1] << b) | acc[0] & once
+                acc[0] |= once
+                del once  # before the next copy is built: one fewer big int alive is faster
+        planes, mirrors, top = grown, flipped, top + span
         n += 1
-    return support
+    return planes
 
 
 class PartnerSet(NamedTuple):
@@ -469,9 +498,10 @@ def sumset_membership(
     Least-significant digit first; at each position the candidates congruent
     to the remainder mod ``k`` are tried largest-first, so the returned
     representation is deterministic.  A remainder too large for the remaining
-    positions (``|rem| > k^(n-l) - 1``) is pruned, and failing ``(position,
-    remainder)`` states are memoized, which keeps the search polynomial in
-    ``n`` instead of enumerating the sumset.  The path is a list, not the call stack.
+    positions (``|rem| > k^(n-l) - 1``) is pruned; as no remainder passes
+    ``max(|target|, k - 1)``, only the last few positions can prune.  Failing
+    ``(position, remainder)`` states are memoized, which keeps the search
+    polynomial in ``n``.  The path is a list, not the call stack.
 
     Returns ``None`` when ``target`` is not in D(n)'.
     """
@@ -481,13 +511,15 @@ def sumset_membership(
         raise ParamOutOfRange(f"target must be an integer, got {target!r}")
     k = alphabet.k
     by_residue = alphabet._by_residue
-    caps = [k ** (n - l) - 1 for l in range(n + 1)]
+    caps = [0]  # k^i - 1 for i positions left, up to the first that no remainder passes
+    while caps[-1] < max(abs(target), k - 1):
+        caps.append(caps[-1] * k + k - 1)
     dead: set[tuple[int, int]] = set()
     path: list[tuple[int, Iterator[int]]] = []  # (remainder, untried digits) per position
     digits: list[int] = []
     rem = target
     while len(path) < n or rem:
-        if abs(rem) <= caps[len(path)] and (len(path), rem) not in dead:
+        if abs(rem) <= caps[min(n - len(path), len(caps) - 1)] and (len(path), rem) not in dead:
             path.append((rem, iter(by_residue.get(rem % k, ()))))
             digits.append(0)
         while path:  # the deepest position's next digit, or back up
@@ -501,7 +533,7 @@ def sumset_membership(
             digits.pop()
         else:
             return None
-    ensure(sum(c * k**l for l, c in enumerate(digits)) == target, "digits miss target")
+    ensure(reduce(lambda v, c: v * k + c, reversed(digits), 0) == target, "digits miss target")
     ensure(all(c in alphabet.diffs for c in digits), "a digit is outside A - A")
     return tuple(digits)
 

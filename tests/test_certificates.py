@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,9 +52,9 @@ from ranklab import (
     validate_spec,
     verify_match_witness,
 )
-from ranklab import _budget, construction
+from ranklab import _budget, construction, sumsets
 from ranklab.certificates import matching, mixing
-from ranklab.certificates.products import _anchored_matched, _difference_matched, _slide_scan
+from ranklab.certificates.products import _anchored_matched, _slide_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -792,18 +793,44 @@ def _small_specs(draw):
     return validate_spec({"h0": draw(st.integers(1, 3)), "stages": stages})
 
 
+def _pair_singles(values):
+    """Positive differences that one pair of ``values`` alone realizes, by a Counter."""
+    counts = Counter(b - a for a, b in itertools.combinations(values, 2))
+    return sum(c == 1 for c in counts.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_specs().flatmap(lambda spec: st.tuples(
+    st.just(spec), st.just(LevelRef(0, 0)), st.integers(0, len(spec.explicit_stages())))))
+@example((load_spec(spec_path("asymm.json")), LevelRef(1, 0), 2))  # pairwise
+@example((load_spec(spec_path("asymm.json")), LevelRef(0, 0), 3))  # pairwise
+@example((load_spec(spec_path("chacon.json")), LevelRef(1, 2), 5))
+def test_single_differences_match_pair_counter(case):
+    # Two bitset planes, at least once and at least twice, or the pairs
+    # where the bitsets would pass 64 bits per pair.
+    spec, level, j = case
+    values = descendant_heights(spec, level, j)
+    assert sumsets._single_differences(spec, level, j, values) == _pair_singles(values)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_small_specs(), st.sampled_from([1, -1]), st.data())
 def test_anchored_difference_counts_match_keys(spec, alpha, data):
+    # A group of anchored keys is the ordered pairs at one difference, so
+    # every pair off the diagonal matches but those a difference holds alone.
     j = data.draw(st.integers(1, len(spec.explicit_stages())))
     base = LevelRef(0, 0)
     values = descendant_heights(spec, base, j)
+    matched, diagonal = _anchored_matched(values, alpha, 2)
     counts = descendant_differences(spec, base, j, values, counted=True)
-    assert _difference_matched(counts) == _anchored_matched(values, alpha, 2)
+    singles = sumsets._single_differences(spec, base, j, values)
+    assert singles == sum(c == 1 for d, c in counts.items() if d)
+    v = len(values)
+    assert diagonal * v + v * (v - 1) - 2 * singles == matched
     rows = conservativity_fraction(
         spec, ProductQuery((alpha, alpha), (0, 0), 0, j)
     )[1].evidence["stages"]
-    assert rows[-1]["matched"] == _anchored_matched(values, alpha, 2)[0]
+    assert (rows[-1]["matched"], rows[-1]["diagonalFraction"]) == (matched, diagonal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -881,6 +908,8 @@ def test_slide_scans_match_brute_force(stages, alphas, shifts):
     alphas=st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), min_size=1, max_size=3),
     shifts=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
 )
+@example(values=[0, 1, 2, 4], alphas=[1, 2], shifts=[0, 0, 0])  # positions
+@example(values=[-12, 0, 30], alphas=[2, -3, 1], shifts=[1, 0, -1])  # ranks
 def test_slide_scan_matches_brute_force_on_any_value_set(values, alphas, shifts):
     b = tuple(shifts[: len(alphas)])
     want = _slide_oracle(values, alphas, b, nonzero=not any(b))

@@ -443,12 +443,33 @@ def test_missing_spec_file_yields_error_report(capsys):
 
 
 _RSS_PROBE = """
-import contextlib, io, json, resource, sys
+import contextlib, io, json, resource, sys, time
 import ranklab.cli
-with contextlib.redirect_stdout(io.StringIO()):
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
     code = ranklab.cli.run(sys.argv[1:])
-print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+seconds = time.perf_counter() - start
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps([code, usage.ru_maxrss, seconds, out.getvalue()]))
 """
+
+
+def _probe(*argv):
+    """Run ``argv`` at the default budget in a child process, from the repo root.
+
+    Returns the exit code, the child's peak RSS in KiB (Linux's unit for
+    ``ru_maxrss``), the seconds spent in ``run`` and the report.
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("RANKLAB_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, *map(str, argv)],
+        env=env, cwd=REPO, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, peak_kb, seconds, text = json.loads(proc.stdout)
+    return code, peak_kb, seconds, json.loads(text)
+
 
 _BUDGET_EDGE = ("--k", "9", "--alphabet", "0,1,3,5,7,8", "--digits")
 
@@ -457,15 +478,66 @@ _BUDGET_EDGE = ("--k", "9", "--alphabet", "0,1,3,5,7,8", "--digits")
 def test_digit_sumset_at_the_budget_edge_stays_small(command):
     # D(7)' at k = 9 is charged 9^7 = 4,782,969 units, under the default
     # budget.  Held as a set of ints it took ~800 MB; its row takes a few MB.
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    env.pop("RANKLAB_BUDGET", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, command, *_BUDGET_EDGE, "7"],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    code, peak_kb = json.loads(proc.stdout)  # Linux reports ru_maxrss in KiB
+    code, peak_kb, _, _ = _probe(command, *_BUDGET_EDGE, "7")
     assert code == 0
     assert peak_kb <= 150 * 1024
+
+
+def test_membership_search_is_linear_in_the_digits():
+    # Remainders stay within max(|target|, k - 1), so only the last few
+    # positions keep a cap; a cap per position cost O(n^2) bits (~10 s and
+    # ~100 MB here).
+    code, peak_kb, seconds, payload = _probe(
+        "membership", *_BUDGET_EDGE, "20000", "--target", "5"
+    )
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+    assert seconds < 1.0
+    assert payload["result"]["representation"] == [5] + [0] * 19999
+
+
+def test_slide_scan_with_sparse_values_stays_small():
+    # asymm's stage-3 descendants span far more than V^2 = 8,100 heights, so
+    # the scan indexes its masks by slide rank: position masks took ~6.6 s
+    # and ~310 MB here.  The fingerprint is that of the rank-mask report.
+    code, peak_kb, seconds, payload = _probe(
+        "conservativity", "--spec", "specs/asymm.json", "--multipliers", "1,2",
+        "--base", "0", "--horizon", "3",
+    )
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+    assert seconds < 1.0
+    del payload["durationMs"]
+    assert ranklab.fingerprint(payload) == (
+        "sha256:53c9777888926c3a5d28e4a42d305f3b254f3a0ada179644e66ea49f3d702282"
+    )
+
+
+def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
+    # conservativity 1,1 counts single differences on two bitset planes,
+    # never by pairs.  1,2 on chacon indexes its masks by slide position at
+    # every stage, the windows (7, 41, 243, 1,453 slides) being within V^2
+    # (9, 81, 729, 6,561); rank masks would be built by _rank_masks.
+    from ranklab import sumsets
+    from ranklab.certificates import products
+
+    built = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda values, *rest: (
+            built.append((name, len(values))) or real(values, *rest)))
+
+    spy(sumsets, "_pair_differences")
+    spy(products, "_rank_masks")
+    chacon = spec_path("chacon.json")
+    for multipliers, horizon, matched in ("1,1", 6, 530321), ("1,2", 4, 6178):
+        code, payload = report(capsys, "conservativity", "--spec", chacon, "--multipliers",
+                               multipliers, "--base", "0", "--horizon", horizon)
+        assert code == 0
+        rows = payload["evidence"]["certificate"]["evidence"]["stages"]
+        assert rows[-1]["matched"] == matched
+    assert built == []
 
 
 @pytest.mark.parametrize("command", ["gaps", "coverage"])

@@ -181,8 +181,9 @@ def test_progression_runs_match_walk(diffs, max_len):
 def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
     # Counted: one step from a single descendant predicts |H - H| > r(r-1)/2
     # units of work and pairs the values instead; every longer walk
-    # convolves.  Uncounted: a bitset within 64 bits per pair, else the pairs;
-    # chacon's differences fit, asymm's far-apart offsets do not.
+    # convolves.  Uncounted, and the two planes of the single differences:
+    # bitsets within 64 bits per pair, else the pairs; chacon's differences
+    # fit, asymm's far-apart offsets do not.
     dense = name == "chacon.json"
     spec = load_spec(spec_path(name))
     values = descendant_heights(spec, level, j)
@@ -193,7 +194,9 @@ def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
     )
     counts = descendant_differences(spec, level, j, values, counted=True)
     diffs = descendant_differences(spec, level, j, values)
-    assert paired == [True] * pairwise + [False] * (not dense)
+    singles = sumsets._single_differences(spec, level, j, values)
+    assert paired == [True] * pairwise + [False] * (not dense) + [True] * (not dense)
+    assert singles == sum(c == 1 for d, c in counts.items() if d)
     assert isinstance(diffs, int) == dense == _dense(values)
     assert _bits(diffs) == set(counts) and counts[0] == len(values)
     assert sum(counts.values()) * 2 - len(values) == len(values) ** 2
