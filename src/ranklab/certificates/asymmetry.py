@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .. import _budget, construction
-from ..construction import LevelRef, MeasureInterval, RankOneSpec, _intersection_measure
+from .. import construction
+from ..construction import LevelRef, MeasureInterval, RankOneSpec
 from ..errors import StageTooLow
 from . import VERDICT_HOLDS, VERDICT_INCONCLUSIVE, Certificate, _certificate
 
@@ -19,6 +19,21 @@ class AsymmetryResult(NamedTuple):
     adjacency_free: bool
     zero_exact: bool
     certificate: Certificate
+
+
+def _adjacent_pairs(spec: RankOneSpec, level: LevelRef, last: int) -> list[int]:
+    """``#{x : x + 1 in D_j}`` for ``j = level.stage .. last``, by a recurrence.
+
+    ``D_{n+1}`` is ``r_n`` disjoint copies of ``D_n`` at the offsets ``H_n``, and
+    consecutive copies ``o < o'`` join at one pair iff ``o' - o = span_n + 1``.
+    """
+    pairs = [0]
+    for n in range(level.stage, last):
+        _, lo, hi = construction.descendant_extent(spec, level, n)
+        offsets = spec.height_set(n)
+        joins = sum(b - a == hi - lo + 1 for a, b in zip(offsets, offsets[1:]))
+        pairs.append(len(offsets) * pairs[-1] + joins)
+    return pairs
 
 
 def asymmetry_statistic(
@@ -47,23 +62,14 @@ def asymmetry_statistic(
     h = spec.height(scale_stage)
     zero_exps = (0, h + 1, 2 * h + 1)
     fwd_exps = (0, h, 2 * h + 1)
-    # Both sides and the last adjacency row share one set of the evaluation
-    # stage's descendants.  Its two reuses are charged as the enumerations
-    # they replace, so budget ledgers and refusals stay as they were.
-    at_eval = set(construction.descendant_heights(spec, level, eval_stage))
-    for _ in range(2):
-        _budget.charge(len(at_eval), f"descendant set at stage {eval_stage}")
-    zero_side = _intersection_measure(spec, level, zero_exps, eval_stage, at_eval)
-    forward_side = _intersection_measure(spec, level, fwd_exps, eval_stage, at_eval)
-
-    adjacency_rows = []
-    adjacency_free = True
-    for j in range(base_stage, eval_stage + 1):
-        vset = (set(construction.descendant_heights(spec, level, j))
-                if j < eval_stage else at_eval)
-        pairs = sum(1 for x in vset if x + 1 in vset)
-        adjacency_rows.append({"stage": j, "adjacentPairs": pairs})
-        adjacency_free = adjacency_free and pairs == 0
+    # Charged as if listed (both sides, the last row, then the rest), whatever the route.
+    for j in (eval_stage, eval_stage, eval_stage, *range(base_stage, eval_stage)):
+        construction._charge_descendants(spec, level, j)
+    zero_side = construction._bracket(spec, level, zero_exps, eval_stage)
+    forward_side = construction._bracket(spec, level, fwd_exps, eval_stage)
+    pairs = _adjacent_pairs(spec, level, eval_stage)
+    adjacency_rows = [{"stage": j, "adjacentPairs": p} for j, p in enumerate(pairs, base_stage)]
+    adjacency_free = not any(pairs)
 
     zero_exact = adjacency_free and zero_side.confirmed == 0
     zero_upper = Fraction(0) if zero_exact else zero_side.upper

@@ -16,8 +16,15 @@ from . import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, Certificate
 from . import ProductQuery, _certificate, _check_shift_bounds, _require, _require_ints
 
 
-def _residue_matched(values: Sequence[int], alpha0: int) -> int:
-    return sum(c for c in Counter(a % abs(alpha0) for a in values).values() if c >= 2)
+def _residues(spec: RankOneSpec, level: LevelRef, j: int, m: int) -> Counter[int]:
+    """``Counter(v % m)`` over the stage-``j`` descendants, one convolution per stage."""
+    counts = Counter({level.height % m: 1})
+    for n in range(level.stage, j):
+        grown: Counter[int] = Counter()
+        for o in spec.height_set(n):  # distinct residues a give distinct (a + o) % m
+            grown.update({(a + o) % m: c for a, c in counts.items()})
+        counts = grown
+    return counts
 
 
 def _anchored_matched(
@@ -112,14 +119,14 @@ def conservativity_fraction(
     rows = []
     best = Fraction(0)
     for j in range(query.base_stage + 1, query.horizon + 1):
-        values = construction.descendant_heights(spec, base, j)
-        count = len(values)
+        count = construction._charge_descendants(spec, base, j)
         diagonal: Fraction | None = None
         if v == 1:
-            matched = _residue_matched(values, alpha[0])
+            matched = sum(c for c in _residues(spec, base, j, abs(alpha[0])).values() if c >= 2)
             route = "residue"
         elif len(set(alpha)) == 1:
             _budget.charge(count**v, "anchored difference keys")
+            values = construction._listed(spec, base, j)
             if v == 2 and abs(alpha[0]) == 1:  # a key per difference: all but singles match
                 diag = count if count >= 2 else 0
                 singles = sumsets._single_differences(spec, base, j, values)
@@ -130,7 +137,7 @@ def conservativity_fraction(
             route = "anchored"
         else:
             _budget.charge(count ** (v + 1), "per-tuple slide scan")
-            matched = _slide_scan(values, alpha, query.shifts)
+            matched = _slide_scan(construction._listed(spec, base, j), alpha, query.shifts)
             route = "scan"
         fraction = Fraction(matched, count**v)
         _require(0 <= fraction <= 1, "fraction outside [0, 1]")
@@ -236,32 +243,32 @@ def non_ergodic_check(
     any_rows = False
     count = 1
     known = None
+    by_differences = v == 2 and alphas == (1, 1)
+    power, label = ((2, "difference counts for the shift criterion") if by_differences
+                    else (v + 1, "per-tuple slide scan with shifts"))
     for j in range(base_stage + 1, horizon + 1):
         count *= spec.stage(j - 1).r  # descendant count: product of cut counts
         row: dict[str, Any] = {"stage": j, "tuples": count**v}
-        try:
-            values = construction.descendant_heights(spec, base, j)
-            if v == 2 and alphas == (1, 1):
-                _budget.charge(count**2, "difference counts for the shift criterion")
-                counts = sumsets.descendant_differences(
-                    spec, base, j, values, True, known)
-                known = (j, counts)
-                # Count the ordered differences u with u - want a difference
-                # too; u = -p < 0 qualifies iff |p + want| is in the half.
-                want = b[0] - b[1]
-                matched = sum(c for p, c in counts.items() if abs(p - want) in counts)
-                matched += sum(
-                    c for p, c in counts.items() if p and abs(p + want) in counts
-                )
-                row["route"] = "difference-counts"
-            else:
-                _budget.charge(count ** (v + 1), "per-tuple slide scan with shifts")
-                matched = _slide_scan(values, alphas, b)
-                row["route"] = "scan"
+        try:  # both charges before the descendants are built
+            construction._charge_descendants(spec, base, j)
+            _budget.charge(count**power, label)
         except BudgetExceeded as exc:
             row["skipped"] = str(exc)
             rows.append(row)
             continue
+        values = construction._listed(spec, base, j)
+        if by_differences:
+            counts = sumsets.descendant_differences(spec, base, j, values, True, known)
+            known = (j, counts)
+            # Count the ordered differences u with u - want a difference
+            # too; u = -p < 0 qualifies iff |p + want| is in the half.
+            want = b[0] - b[1]
+            matched = sum(c for p, c in counts.items() if abs(p - want) in counts)
+            matched += sum(c for p, c in counts.items() if p and abs(p + want) in counts)
+            row["route"] = "difference-counts"
+        else:
+            matched = _slide_scan(values, alphas, b)
+            row["route"] = "scan"
         fraction = Fraction(matched, count**v)
         row["matched"] = matched
         row["fraction"] = fraction

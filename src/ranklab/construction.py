@@ -22,6 +22,7 @@ column at a finite stage is reported as *unresolved* mass rather than guessed.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -309,15 +310,26 @@ def descendant_heights(spec: RankOneSpec, level: LevelRef, j: int) -> tuple[int,
     heights ``e + H_n`` in column ``n+1``; iterating gives the elementwise
     sumset ``{e} + H_i + ... + H_{j-1}``.  Its size, the product of the cut
     counts (:func:`descendant_extent`), is charged against the enumeration
-    budget before anything is built.  Looping over offsets outermost emits
-    each stage sorted and collision-free as long as every gap of ``H_n``
-    exceeds the span of the stage-``n`` descendants; nonnegative spacers make
-    the gaps at least ``h_n``, which exceeds that span.  That is checked once
-    per stage, in O(r_n), by an explicit raise that also runs under
-    ``python -O``.
+    budget before anything is built.
     """
+    _charge_descendants(spec, level, j)
+    return _listed(spec, level, j)
+
+
+def _charge_descendants(spec: RankOneSpec, level: LevelRef, j: int) -> int:
+    """Charge the stage-``j`` descendant set as :func:`descendant_heights` does; its size."""
     count, _, _ = descendant_extent(spec, level, j)
     charge(count, f"descendant set at stage {j}")
+    return count
+
+
+def _listed(spec: RankOneSpec, level: LevelRef, j: int) -> tuple[int, ...]:
+    """:func:`descendant_heights` uncharged, for callers that charged it.
+
+    Looping over offsets outermost emits each stage sorted and collision-free
+    while every gap of ``H_n`` exceeds the span of the stage-``n`` descendants,
+    as nonnegative spacers ensure; an explicit raise checks it in O(r_n).
+    """
     heights = [level.height]
     for n in range(level.stage, j):
         offsets = spec.height_set(n)
@@ -379,40 +391,65 @@ def intersection_measure(
 
     Unresolved mass is at most ``k * max(m) * width_j`` — a per-element count
     bounded by how many sublevels sit within ``max(m)`` of the column ends —
-    and shrinks geometrically with ``j``.
+    and shrinks geometrically with ``j``.  The descendants are charged, but
+    listed only at the stage :func:`_bracket` picks.
     """
     if not exponents:
         raise ParamOutOfRange("need at least one exponent")
-    dset = set(descendant_heights(spec, level, j))
-    return _intersection_measure(spec, level, exponents, j, dset)
+    _charge_descendants(spec, level, j)
+    return _bracket(spec, level, exponents, j)
 
 
-def _intersection_measure(
-    spec: RankOneSpec, level: LevelRef, exponents: Sequence[int], j: int, dset: set[int]
+def _blocks_pay(count_k: int, gaps: int, count_j: int) -> bool:
+    """Whether ``count_k`` descendants tried against ``gaps`` gaps beat listing ``count_j``."""
+    return count_k * (1 + gaps) < count_j
+
+
+def _bracket(
+    spec: RankOneSpec, level: LevelRef, exponents: Sequence[int], j: int
 ) -> MeasureInterval:
-    """:func:`intersection_measure` on ``dset``, the stage-``j`` descendants."""
+    """:func:`intersection_measure` uncharged, from the blocks of a stage ``k <= j``.
+
+    ``D_j = D_k + O`` for the offsets ``O = H_k + ... + H_{j-1}`` of column
+    ``k``'s copies, at least ``h_k`` apart.  With every shift ``m < h_k``,
+    ``o + d - m`` lies in block ``o`` if ``m <= d``, else ``g + d - m`` in the
+    block a gap ``g`` before (or below the column, for ``o = 0``).  The gap
+    before ``o`` whose lowest nonzero digit is ``H_n[i]`` is ``H_n[i] -
+    H_n[i-1] - max H_k - ... - max H_{n-1}``, shared by ``r_{n+1} * ... *
+    r_{j-1}`` blocks.  ``k = j`` is the per-descendant loop over ``D_j``.
+    """
     base = min(exponents)
-    shifts = [m - base for m in exponents]
-    h_j = spec.height(j)
-    confirmed = 0
-    unresolved = 0
-    for e in dset:
-        out_of_range = False
-        failed = False
-        for m in shifts:
-            t = e - m
-            if t < 0 or t > h_j - 1:
-                out_of_range = True
-            elif t not in dset:
-                failed = True
+    shifts = sorted({m - base for m in exponents})
+    k = level.stage
+    while k < j and spec.height(k) <= shifts[-1]:
+        k += 1
+    count_k, count_j = (descendant_extent(spec, level, n)[0] for n in (k, j))
+    if not _blocks_pay(count_k, sum(len(spec.height_set(n)) - 1 for n in range(k, j)), count_j):
+        k, count_k = j, count_j
+    gaps, drop = Counter(), 0
+    copies = blocks = count_j // count_k
+    for n in range(k, j):
+        offsets = spec.height_set(n)
+        blocks //= len(offsets)
+        for a, b in zip(offsets, offsets[1:]):
+            if b - a - drop < spec.height(k):
+                raise AssertionError(f"descendants collided at stage {n + 1}")
+            gaps[b - a - drop] += blocks
+        drop += offsets[-1]
+    members = set(_listed(spec, level, k))
+    confirmed, edge = 0, []  # edge: d with shifts past it (out of block 0, or a gap back)
+    for d in members:
+        for m in shifts:  # ascending: those up to d stay in the block
+            if m > d or d - m not in members:
                 break
-        if failed:
-            continue
-        if out_of_range:
-            unresolved += 1
         else:
-            confirmed += 1
+            confirmed += copies
+            continue
+        if m > d:
+            edge.append(d)
+    confirmed += sum(c for g, c in gaps.items() for d in edge
+                     if all(g + d - m in members for m in shifts if m > d))
     w = spec.level_width(j)
-    result = MeasureInterval(confirmed * w, unresolved * w)
+    result = MeasureInterval(confirmed * w, len(edge) * w)
     ensure(result.upper <= level_width(spec, level), "bracket exceeds the level's width")
     return result

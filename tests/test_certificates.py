@@ -21,6 +21,7 @@ from ranklab import (
     DigitAlphabet,
     HypothesisUnmet,
     LevelRef,
+    MeasureInterval,
     MixingEntry,
     NoPartnerStages,
     ParamOutOfRange,
@@ -54,7 +55,8 @@ from ranklab import (
 )
 from ranklab import _budget, construction, sumsets
 from ranklab.certificates import matching, mixing
-from ranklab.certificates.products import _anchored_matched, _slide_scan
+from ranklab.certificates.asymmetry import _adjacent_pairs
+from ranklab.certificates.products import _anchored_matched, _residues, _slide_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -945,25 +947,131 @@ def test_asymmetry_chacon_frozen(chacon):
     assert all(row["adjacentPairs"] == 0 for row in ev["adjacency"])
 
 
-def test_asymmetry_builds_the_evaluation_stage_once(chacon, monkeypatch):
-    # Both sides and the last adjacency row share one enumeration of stage 5,
-    # yet the budget sees the three charges the separate enumerations made.
-    charges, built = [], []
-    real_heights = construction.descendant_heights
+def test_asymmetry_lists_nothing_above_the_block_stage(chacon, monkeypatch):
+    # Both brackets read the blocks of stage 2, the least stage whose height
+    # (50) exceeds the shift 2 * h_1 + 1 = 17, and the adjacency rows follow
+    # a recurrence; yet the budget sees the charges the listings made:
+    # stage 5 three times (both sides, the last row), then the other rows.
+    charges, listed, heights = [], [], []
+    real_listed = construction._listed
     for module in (_budget, construction):
         monkeypatch.setattr(module, "charge", lambda units, what: charges.append((units, what)))
+    monkeypatch.setattr(construction, "descendant_heights", lambda *args: heights.append(args))
     monkeypatch.setattr(
-        construction, "descendant_heights",
-        lambda spec, level, j: built.append(j) or real_heights(spec, level, j),
+        construction, "_listed",
+        lambda spec, level, j: listed.append(j) or real_listed(spec, level, j),
     )
     res = asymmetry_statistic(chacon, base_stage=1, scale_stage=1, eval_stage=5)
-    assert sorted(built) == [1, 2, 3, 4, 5]
-    assert sorted(charges) == sorted(
+    assert heights == []
+    assert listed == [2, 2]
+    expected = (
         [(81, "descendant set at stage 5")] * 3
         + [(3 ** (j - 1), f"descendant set at stage {j}") for j in range(1, 5)]
     )
+    assert sorted(charges) == sorted(expected)
+    assert charges == expected
+    monkeypatch.undo()
     assert res.zero_side == intersection_measure(chacon, LevelRef(1, 0), (0, 9, 17), 5)
     assert res.forward_side == intersection_measure(chacon, LevelRef(1, 0), (0, 8, 17), 5)
+
+
+def _bracket_by_listing(spec, level, exponents, j):
+    """The per-descendant loop: every ``e - m`` tried against the listed descendants."""
+    dset = set(descendant_heights(spec, level, j))
+    shifts = [m - min(exponents) for m in exponents]
+    h_j = spec.height(j)
+    confirmed = unresolved = 0
+    for e in dset:
+        out_of_range = failed = False
+        for m in shifts:
+            t = e - m
+            if t < 0 or t > h_j - 1:
+                out_of_range = True
+            elif t not in dset:
+                failed = True
+                break
+        if failed:
+            continue
+        if out_of_range:
+            unresolved += 1
+        else:
+            confirmed += 1
+    w = spec.level_width(j)
+    return MeasureInterval(confirmed * w, unresolved * w)
+
+
+def _levels_and_stages(spec):
+    """A level of any height at a stage of ``spec``, and a stage at or after it."""
+    last = len(spec.explicit_stages())
+    return st.integers(0, last).flatmap(lambda b: st.tuples(
+        st.integers(0, spec.height(b) - 1).map(lambda e: LevelRef(b, e)),
+        st.integers(b, last)))
+
+
+def _bracket_cases(spec):
+    """``(spec, level, exponents, j)`` with 1-6 exponents within a column height of ``j``."""
+    def exponents(case):
+        level, j = case
+        heights = [spec.height(n) for n in range(level.stage, j + 1)]
+        return st.sampled_from([*heights, 3 * heights[-1]]).flatmap(
+            lambda reach: st.lists(st.integers(-reach, reach), min_size=1, max_size=6))
+
+    return _levels_and_stages(spec).flatmap(
+        lambda case: exponents(case).map(lambda exps: (spec, case[0], exps, case[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_specs().flatmap(_bracket_cases))
+@example((load_spec(spec_path("chacon.json")), LevelRef(1, 0), (0, 9, 17), 6))
+@example((load_spec(spec_path("chacon.json")), LevelRef(1, 0), (0, 8, 17), 6))
+@example((load_spec(spec_path("chacon.json")), LevelRef(0, 0), (0, 4, 7), 2))  # 1 of 2 lands
+@example((load_spec(spec_path("dyadic.json")), LevelRef(0, 0), (0, 1), 4))  # deeper gaps
+@example((load_spec(spec_path("tq41.json")), LevelRef(1, 3), (-4, 2, 2, 30), 3))
+def test_block_brackets_match_the_listing(case):
+    # Any level, stage and 1-6 exponents: negative, repeated, or shifts at
+    # or past h_j.  Blocks forced, listing forced, and the size rule's pick.
+    spec, level, exps, j = case
+    want = _bracket_by_listing(spec, level, exps, j)
+    assert intersection_measure(spec, level, exps, j) == want
+    for forced in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construction, "_blocks_pay", lambda *args: forced)
+            assert intersection_measure(spec, level, exps, j) == want
+
+
+def test_intersection_measure_charges_the_listing_it_skips(chacon, monkeypatch):
+    charges = []
+    monkeypatch.setattr(construction, "charge", lambda units, what: charges.append((units, what)))
+    intersection_measure(chacon, LevelRef(1, 0), (0, 9, 17), 5)
+    assert charges == [(81, "descendant set at stage 5")]
+
+
+def test_adjacency_recurrence_counts_joined_copies():
+    # Consecutive copies join where their offsets differ by span + 1: twice
+    # at stage 1 (H_0 = 0, 1, 2; span 0), once at stage 2 (H_1 = 0, 3; span
+    # 2) and never at stage 3 (H_2 = 0, 7, 14; span 5): 2, 2*2 + 1, 3*5 + 0.
+    spec = validate_spec({"h0": 1, "stages": [
+        {"r": 3, "s": [0, 0, 0]}, {"r": 2, "s": [0, 1]}, {"r": 3, "s": [0, 0, 2]}]})
+    assert _adjacent_pairs(spec, LevelRef(0, 0), 3) == [0, 2, 5, 15]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs(), st.data())
+def test_adjacency_recurrence_matches_the_listing(spec, data):
+    level, j = data.draw(_levels_and_stages(spec))
+    want = []
+    for n in range(level.stage, j + 1):
+        vset = set(descendant_heights(spec, level, n))
+        want.append(sum(x + 1 in vset for x in vset))
+    assert _adjacent_pairs(spec, level, j) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_specs(), st.data(), st.integers(1, 40))
+def test_residue_histogram_matches_the_listing(spec, data, m):
+    level, j = data.draw(_levels_and_stages(spec))
+    values = descendant_heights(spec, level, j)
+    assert _residues(spec, level, j, m) == Counter(v % m for v in values)
 
 
 def test_asymmetry_stage_guards(chacon):

@@ -540,6 +540,73 @@ def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
     assert built == []
 
 
+def test_asymmetry_takes_the_block_route(capsys, monkeypatch):
+    # Both brackets at evaluation stage 9 read chacon's stage-2 blocks
+    # (h_2 = 50 > 2 * h_1 + 1 = 17): 3 descendants tried against at most 14 gaps,
+    # where the listing would try 6,561.  No stage is listed above stage 2.
+    from ranklab import construction
+
+    listed, heights = [], []
+    real_listed = construction._listed
+    monkeypatch.setattr(construction, "descendant_heights", lambda *args: heights.append(args))
+    monkeypatch.setattr(construction, "_listed", lambda spec, level, j: (
+        listed.append(j) or real_listed(spec, level, j)))
+    code, payload = report(capsys, "asymmetry", "--spec", spec_path("chacon.json"),
+                           "--base", "1", "--scale", "1", "--eval", "9")
+    assert code == 0
+    assert (listed, heights) == ([2, 2], [])
+    assert payload["result"]["forwardSide"]["confirmed"] == rational(1, 9)
+
+
+_CHACON_BASE_0 = ("--spec", "specs/chacon.json", "--base", "0", "--horizon", "14")
+
+
+@pytest.mark.parametrize("argv, fingerprint", [
+    (("asymmetry", "--spec", "specs/chacon.json", "--base", "1", "--scale", "1",
+      "--eval", "15"), "086fc25dba5d03ee0d87b0778aacc54f63b6217d47e2bdf4ab6b7e7c121fd8b1"),
+    (("conservativity", "--multipliers", "2", *_CHACON_BASE_0),
+     "8593d24b7be4f2f880b310dd73b6df8086add2ea7cd56abf7069be393d5b4e06"),
+    (("non-ergodic", "--alpha", "1,2", "--shifts", "0,1", *_CHACON_BASE_0),
+     "aad06cdaf0723813f5f65b342e85b7892fa8e859f406b0ce73dd43c767cb2a8d"),
+], ids=["asymmetry", "conservativity", "non-ergodic"])
+def test_descendant_answers_from_height_sets_stay_small(argv, fingerprint):
+    # Each listed 4,782,969 descendants (chacon 1:0 at stage 15, 0:0 at 14):
+    # 1.2-8.7 s and 450-630 MB.  The brackets read blocks, the residues
+    # convolve height sets, and non-ergodic refuses its scan before it builds.
+    code, peak_kb, seconds, payload = _probe(*argv)
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+    assert seconds < 0.5
+    result = payload["result"]
+    rows = payload["evidence"]["certificate"]["evidence"].get("stages")
+    if argv[0] == "asymmetry":
+        assert result["zeroSide"]["confirmed"] == rational(0, 1)
+        assert result["zeroSide"]["unresolved"] == rational(2, 14348907)
+        assert result["forwardSide"]["confirmed"] == rational(1, 9)
+        assert result["forwardSide"]["unresolved"] == rational(1, 14348907)
+    elif argv[0] == "conservativity":
+        assert rows[-1] == {"stage": 14, "route": "residue", "matched": 4782969,
+                            "tuples": 4782969, "fraction": rational(1, 1)}
+    else:
+        assert rows[-1] == {"stage": 14, "tuples": 22876792454961, "skipped": (
+            "per-tuple slide scan with shifts needs ~109418989131512359209 enumeration"
+            " units, over the budget of 5000000 (raise RANKLAB_BUDGET to allow it)")}
+    del payload["durationMs"]
+    assert ranklab.fingerprint(payload) == "sha256:" + fingerprint
+
+
+def test_asymmetry_past_the_budget_is_still_refused(capsys, monkeypatch):
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    code, payload = report(capsys, "asymmetry", "--spec", spec_path("chacon.json"),
+                           "--base", "1", "--scale", "1", "--eval", "16")
+    assert code == 1
+    assert payload["result"]["error"] == {
+        "type": "BudgetExceeded",
+        "message": "descendant set at stage 16 needs ~14348907 enumeration units,"
+        " over the budget of 5000000 (raise RANKLAB_BUDGET to allow it)",
+    }
+
+
 @pytest.mark.parametrize("command", ["gaps", "coverage"])
 def test_digit_sumset_past_the_budget_is_refused_at_once(capsys, monkeypatch, command):
     monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
