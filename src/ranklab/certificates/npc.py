@@ -77,14 +77,12 @@ def npc_certificate(
             row["heightRatioOk"] = ratio >= Fraction(1, kappa)
         spacing_rows.append(row)
 
-    # One pass from the start stage up, each stage's differences extending the
-    # last; ``diffs`` keeps each stage's bitset (or set, on a sparse stage).
+    # ``diffs`` keeps each stage's bitset (or set, on a sparse stage).
     searches, diffs, free, ap_rows = {}, {}, {}, []
     for j in range(start, horizon + 1):
         values = construction.descendant_heights(spec, base, j)
         _budget.charge(len(values) ** 2, "difference set for progression search")
-        known = (j - 1, diffs[j - 1]) if j > start else None
-        diffs[j] = sumsets.descendant_differences(spec, base, j, values, known=known)
+        diffs[j] = sumsets.descendant_differences(spec, base, j, values)
         res = searches[j] = sumsets.progression_runs(diffs[j], kappa + 1)
         free[j] = res.longest <= kappa
         ap_rows.append(

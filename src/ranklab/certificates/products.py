@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -242,7 +243,6 @@ def non_ergodic_check(
     zero_everywhere = True
     any_rows = False
     count = 1
-    known = None
     by_differences = v == 2 and alphas == (1, 1)
     power, label = ((2, "difference counts for the shift criterion") if by_differences
                     else (v + 1, "per-tuple slide scan with shifts"))
@@ -258,13 +258,17 @@ def non_ergodic_check(
             continue
         values = construction._listed(spec, base, j)
         if by_differences:
-            counts = sumsets.descendant_differences(spec, base, j, values, True, known)
-            known = (j, counts)
-            # Count the ordered differences u with u - want a difference
-            # too; u = -p < 0 qualifies iff |p + want| is in the half.
+            # Count the ordered differences u with u - want a difference too;
+            # no count passes V, so V.bit_length() planes hold each exactly.
             want = b[0] - b[1]
-            matched = sum(c for p, c in counts.items() if abs(p - want) in counts)
-            matched += sum(c for p, c in counts.items() if p and abs(p + want) in counts)
+            planes = sumsets._difference_planes(spec, base, j, values, count.bit_length())
+            if planes is None:  # u = -p < 0 qualifies iff |p + want| is in the half
+                counts = sumsets._pair_differences(values, True)
+                matched = sum(c for p, c in counts.items() if abs(p - want) in counts)
+                matched += sum(c for p, c in counts.items() if p and abs(p + want) in counts)
+            else:  # bit i of u's count at bit u + W; u -> -u turns want into -want
+                support = functools.reduce(int.__or__, planes) >> abs(want)
+                matched = sum((p & support).bit_count() << i for i, p in enumerate(planes))
             row["route"] = "difference-counts"
         else:
             matched = _slide_scan(values, alphas, b)

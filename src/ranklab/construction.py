@@ -400,11 +400,6 @@ def intersection_measure(
     return _bracket(spec, level, exponents, j)
 
 
-def _blocks_pay(count_k: int, gaps: int, count_j: int) -> bool:
-    """Whether ``count_k`` descendants tried against ``gaps`` gaps beat listing ``count_j``."""
-    return count_k * (1 + gaps) < count_j
-
-
 def _bracket(
     spec: RankOneSpec, level: LevelRef, exponents: Sequence[int], j: int
 ) -> MeasureInterval:
@@ -424,8 +419,6 @@ def _bracket(
     while k < j and spec.height(k) <= shifts[-1]:
         k += 1
     count_k, count_j = (descendant_extent(spec, level, n)[0] for n in (k, j))
-    if not _blocks_pay(count_k, sum(len(spec.height_set(n)) - 1 for n in range(k, j)), count_j):
-        k, count_k = j, count_j
     gaps, drop = Counter(), 0
     copies = blocks = count_j // count_k
     for n in range(k, j):

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._budget import charge
 from .construction import LevelRef, RankOneSpec, check_level
@@ -133,7 +133,6 @@ def descendant_differences(
     j: int,
     values: Sequence[int],
     counted: bool = False,
-    known: tuple[int, int | set[int] | dict[int, int]] | None = None,
 ) -> int | set[int] | dict[int, int]:
     """Nonnegative differences of ``level``'s stage-``j`` descendants, 0 included.
 
@@ -141,80 +140,76 @@ def descendant_differences(
     (sorted, distinct); the caller enumerates and charges them.  With
     ``counted``, the result maps each difference to its number of ordered
     pairs.  Else it is an ``int`` with bit ``d`` set for each difference
-    ``d``, or their set where that would take over 64 bits per pair.
-    ``known`` is ``(n, result)`` for an earlier stage ``n``, to extend.
-
-    A stage-``n`` descendant is ``e + o_i + ... + o_{n-1}`` with one ``o_q``
-    in each ``H_q``, uniquely.  A stage-``n`` difference ``p`` is below
-    ``h_n`` and a positive ``t`` in ``H_n - H_n`` at least ``h_n``, so the
-    nonnegative differences extend by themselves: ``p`` stays and, for each
-    ``t``, yields ``t + p`` and ``t - p`` (once when ``p = 0``), the latter
-    read off the bitset's mirror (bit ``top - p`` for each ``p``).  A step
-    predicted to cost more than the ``V(V-1)/2`` pairs of ``values``
-    (entries, or 64ths of the bitset, times ``|H_n - H_n|``) collects those
-    pairs instead, so no bitset passes 64 bits per pair.
+    ``d``, or their set where that would take over 64 bits per pair.  Both
+    read the nonnegative half of :func:`_difference_planes`, or pair the
+    values where it returns ``None``.
     """
-    if known is None or not (counted or isinstance(known[1], int)):
-        known = (level.stage, {0: 1} if counted else 1)
-    n, support = known
-    pairs = len(values) * (len(values) - 1) // 2
+    depth = len(values).bit_length() if counted else 1  # no count passes V
+    planes = _difference_planes(spec, level, j, values, depth)
+    if planes is None:
+        return _pair_differences(values, counted)
+    halves = [p >> values[-1] - values[0] for p in planes]  # bit d is difference d
     if not counted:
-        planes = _difference_planes(spec, n, j, [support], values)
-        return _pair_differences(values, counted) if planes is None else planes[0]
-    while n < j:
-        offsets = spec.height_set(n)
-        steps = Counter(b - a for a, b in itertools.combinations(offsets, 2))
-        if len(support) * (2 * len(steps) + 1) > pairs:
-            return _pair_differences(values, counted)
-        r = len(offsets)  # t = 0 keeps each p, r times as often
-        grown: Any = defaultdict(int, {p: c * r for p, c in support.items()})
-        for t, w in steps.items():
-            for p, c in support.items():
-                grown[t + p] += c * w
-                if p:
-                    grown[t - p] += c * w
-        grown.default_factory = None
-        support = grown
-        n += 1
-    return support
+        return halves[0]
+    counts: Counter[int] = Counter()
+    for i, half in enumerate(halves):
+        counts.update(dict.fromkeys(_ones(bin(half)[:1:-1], 0), 1 << i))
+    return counts
 
 
 def _single_differences(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int]) -> int:
     """How many positive differences of ``level``'s stage-``j`` descendants
-    ``values`` one pair alone realizes: two planes of :func:`_difference_planes`."""
-    planes = _difference_planes(spec, level.stage, j, [1, 0], values)
+    ``values`` one pair alone realizes: counts 1 in two planes of :func:`_difference_planes`."""
+    planes = _difference_planes(spec, level, j, values, 2)
     if planes is None:
         return sum(c == 1 for d, c in _pair_differences(values, True).items() if d)
-    return ((planes[0] & ~planes[1]) >> 1).bit_count()
+    return ((planes[0] & ~planes[1]) >> values[-1] - values[0] + 1).bit_count()
 
 
-def _difference_planes(spec: RankOneSpec, n: int, j: int, planes: list[int],
-                       values: Sequence[int]) -> list[int] | None:
-    """Grow the bitsets of :func:`descendant_differences` from stage ``n`` to ``j``:
-    ``planes[0]`` has bit ``d`` for each difference ``d``, ``planes[1]`` (if given)
-    for each ``d`` that two or more pairs realize.  ``None`` past 64 bits per pair.
+def _difference_planes(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int],
+                       depth: int) -> list[int] | None:
+    """Ordered-pair counts of the signed differences ``s - t`` of ``level``'s
+    stage-``j`` descendants ``values``, in ``depth`` bit-sliced planes.
+
+    Bit ``d + W`` of plane ``i``, with ``W = max - min`` of ``values``, is
+    bit ``i`` of the number of pairs with ``s - t = d``, saturated at
+    ``2**depth - 1``; at depth 1 plane 0 marks each difference.  From the
+    level's single descendant, stage ``n`` adds one copy per ordered offset
+    pair ``(o, o')`` of ``H_n``, shifted by ``o' - o + max H_n``: a copy per
+    ``o'``, then a copy of their sum per ``max H_n - o``.  ``None``, before
+    anything is built, where some stage's positive steps in ``H_n - H_n``
+    times its nonnegative width would pass 64 bits per pair of ``values``.
     """
     pairs = len(values) * (len(values) - 1) // 2
-    top = planes[0].bit_length() - 1
-    mirrors = [int(bin(p)[:1:-1].ljust(top + 1, "0"), 2) for p in planes]
-    while n < j:
-        offsets = spec.height_set(n)
-        steps = Counter(b - a for a, b in itertools.combinations(offsets, 2))
-        span = offsets[-1] - offsets[0]
-        if len(steps) * (top + span + 1) > 64 * pairs:  # bits over 64 per pair
-            return None
-        # t = 0 makes r >= 2 copies of each p, t > 0 one of t + p and t - p per offset pair
-        grown, flipped = planes[:1] * len(planes), [mirrors[0] << span] * len(planes)
-        for t, w in steps.items():
-            for acc, a, b in (grown, t, t - top), (flipped, top + span - t, span - t):
-                once = planes[0] << a | mirrors[0] << b
-                if len(planes) > 1:  # twice |= copy_twice | once & copy_once
-                    acc[1] |= (once if w > 1 else planes[1] << a | mirrors[1] << b) | acc[0] & once
-                acc[0] |= once
-                del once  # before the next copy is built: one fewer big int alive is faster
-        planes, mirrors, top = grown, flipped, top + span
-        n += 1
+    stages = [spec.height_set(n) for n in range(level.stage, j)]
+    tops = itertools.accumulate(offsets[-1] for offsets in stages)  # the largest difference
+    if any(len({b - a for a, b in itertools.combinations(offsets, 2)}) * (top + 1) > 64 * pairs
+           for offsets, top in zip(stages, tops)):
+        return None
+    planes = [1] + [0] * (depth - 1)
+    for offsets in stages:
+        for shifts in offsets, [offsets[-1] - o for o in offsets]:
+            grown = [p << shifts[0] for p in planes]
+            for shift in shifts[1:]:
+                _add(grown, [p << shift for p in planes])
+            planes = grown
     return planes
+
+
+def _add(acc: list[int], planes: list[int]) -> None:
+    """``acc += planes`` on bit-sliced counts, saturating at ``2**depth - 1``:
+    a ripple-carry add that skips the planes where nothing is added; at
+    depth 1 an OR."""
+    if len(acc) == 1:
+        acc[0] |= planes[0]
+        return
+    carry = 0
+    for i, (a, b) in enumerate(zip(acc, planes)):
+        if b or carry:
+            half = a ^ b
+            acc[i], carry = half ^ carry, a & b | carry & half
+    if carry:
+        acc[:] = [a | carry for a in acc]
 
 
 class PartnerSet(NamedTuple):
@@ -328,10 +323,10 @@ class _RunLengths(Mapping[int, int]):
         return self._size
 
 
-def _ones(bits: str) -> list[int]:
-    """Indices of ``"1"`` in ``bits`` past index 0, ascending, found by C loops."""
-    gaps = bits[1:].split("1")[:-1]  # the zeros before each "1"
-    return list(map(int.__add__, itertools.accumulate(map(len, gaps)), itertools.count(1)))
+def _ones(bits: str, first: int = 1) -> list[int]:
+    """Indices of ``"1"`` in ``bits`` from index ``first``, ascending, found by C loops."""
+    gaps = bits[first:].split("1")[:-1]  # the zeros before each "1"
+    return list(map(int.__add__, itertools.accumulate(map(len, gaps)), itertools.count(first)))
 
 
 def ap_search(values: Iterable[int], max_len: int) -> APSearchResult:

@@ -837,6 +837,8 @@ def test_anchored_difference_counts_match_keys(spec, alpha, data):
 
 @settings(max_examples=60, deadline=None)
 @given(_small_specs(), st.tuples(st.integers(0, 12), st.integers(0, 12)))
+@example(validate_spec({"h0": 2, "stages": [{"r": 3, "s": [0, 1, 2]}, {"r": 2, "s": [1, 0]}]}),
+         (10**12, 0))  # far past every difference: no plane is shifted that far
 def test_non_ergodic_difference_counts_match_slide_scan(spec, shifts):
     horizon = len(spec.explicit_stages())
     cert = non_ergodic_check(spec, (1, 1), shifts, 0, horizon)
@@ -1029,14 +1031,9 @@ def _bracket_cases(spec):
 @example((load_spec(spec_path("tq41.json")), LevelRef(1, 3), (-4, 2, 2, 30), 3))
 def test_block_brackets_match_the_listing(case):
     # Any level, stage and 1-6 exponents: negative, repeated, or shifts at
-    # or past h_j.  Blocks forced, listing forced, and the size rule's pick.
+    # or past h_j, which leave no earlier block stage (k = j).
     spec, level, exps, j = case
-    want = _bracket_by_listing(spec, level, exps, j)
-    assert intersection_measure(spec, level, exps, j) == want
-    for forced in (True, False):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(construction, "_blocks_pay", lambda *args: forced)
-            assert intersection_measure(spec, level, exps, j) == want
+    assert intersection_measure(spec, level, exps, j) == _bracket_by_listing(spec, level, exps, j)
 
 
 def test_intersection_measure_charges_the_listing_it_skips(chacon, monkeypatch):

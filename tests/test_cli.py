@@ -7,6 +7,7 @@ import contextlib
 import importlib.util
 import io
 import inspect
+import itertools
 import json
 import os
 import re
@@ -595,6 +596,25 @@ def test_descendant_answers_from_height_sets_stay_small(argv, fingerprint):
     assert ranklab.fingerprint(payload) == "sha256:" + fingerprint
 
 
+def test_shift_criterion_counts_at_the_budget_edge_stay_small():
+    # chacon stage 7 has 2,187 descendants, charged 2,187**2 = 4,782,969
+    # units: the deepest horizon the default budget admits.  The ordered
+    # pairs per difference come from the bit-sliced planes.
+    code, peak_kb, _, payload = _probe(
+        "non-ergodic", "--spec", "specs/chacon.json", "--alpha", "1,1",
+        "--shifts", "0,1", "--base", "0", "--horizon", "7",
+    )
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+    rows = payload["evidence"]["certificate"]["evidence"]["stages"]
+    assert rows[-1] == {"stage": 7, "tuples": 4782969, "route": "difference-counts",
+                        "matched": 4747412, "fraction": rational(4747412, 4782969)}
+    del payload["durationMs"]
+    assert ranklab.fingerprint(payload) == (
+        "sha256:76f67516dbcc16006f69b2421ef25ef10784ae96a2bc4499ce1edb183f053a4b"
+    )
+
+
 def test_asymmetry_past_the_budget_is_still_refused(capsys, monkeypatch):
     monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
     code, payload = report(capsys, "asymmetry", "--spec", spec_path("chacon.json"),
@@ -1062,6 +1082,42 @@ def test_no_function_calls_itself():
             ):
                 found.add(f"{module}.{fn.name}")
     assert found == {"reporting.jsonable", "reporting._walk"}
+
+
+def _label_literals(arg: ast.expr, fn: ast.AST) -> list[str]:
+    """The labels a ``charge`` argument can be: a literal, an f-string up to
+    its first field, or every literal assigned in ``fn`` to the name passed."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return [arg.value]
+    if isinstance(arg, ast.JoinedStr):
+        head = itertools.takewhile(lambda part: isinstance(part, ast.Constant), arg.values)
+        return ["".join(part.value for part in head)]
+    if isinstance(arg, ast.Name):
+        return [node.value for assign in ast.walk(fn) if isinstance(assign, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == arg.id
+                        for target in assign.targets for t in ast.walk(target))
+                for node in ast.walk(assign.value)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    raise AssertionError(f"unreadable budget label {ast.unparse(arg)}")
+
+
+def test_every_budget_label_is_documented():
+    # README's budget section names each label ``src/`` charges, so that a
+    # refusal's label can be looked up there.
+    labels = set()
+    for path in sorted(_PACKAGE.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "charge":
+                continue
+            for call in ast.walk(fn):
+                f = getattr(call, "func", None)
+                if getattr(f, "id", getattr(f, "attr", None)) == "charge":
+                    labels.update(_label_literals(call.args[1], fn))
+    assert {"descendant set at stage ", "difference counts for the shift criterion",
+            "per-tuple slide scan with shifts"} <= labels
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Enumeration budget\n")[1].split("\n## ")[0]
+    assert sorted(label for label in labels if f"`{label}" not in section) == []
 
 
 @pytest.mark.parametrize(

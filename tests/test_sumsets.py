@@ -69,10 +69,10 @@ def test_decompose_roundtrip_property(data, tq41):
 
 @st.composite
 def _descendant_cases(draw):
-    """A small spec, a level, a target stage and an optional earlier stage.
+    """A small spec, a level and a target stage.
 
-    Spacers up to 10**9 make some difference sets sparse, so both the bitset
-    and the set route of :func:`descendant_differences` run.
+    Spacers up to 10**9 make some difference sets sparse, so both the planes
+    and the pairwise fallback of :func:`descendant_differences` run.
     """
     stages = []
     spacers = st.integers(0, 12) | st.integers(0, 10**9)
@@ -82,13 +82,11 @@ def _descendant_cases(draw):
     spec = validate_spec({"h0": draw(st.integers(1, 3)), "stages": stages})
     stage = draw(st.integers(0, len(stages)))
     level = LevelRef(stage, draw(st.integers(0, spec.height(stage) - 1)))
-    j = draw(st.integers(stage, len(stages)))
-    known = draw(st.none() | st.integers(stage, j))
-    return spec, level, j, known
+    return spec, level, draw(st.integers(stage, len(stages)))
 
 
-def _pinned(name, level, j, known):
-    return (load_spec(spec_path(name)), level, j, known)
+def _pinned(name, level, j):
+    return (load_spec(spec_path(name)), level, j)
 
 
 def _bits(diffs):
@@ -104,27 +102,43 @@ def _dense(values):
     return values[-1] - values[0] + 1 <= 64 * max(pairs, 1)
 
 
+def _sliced(counts, width, depth):
+    """``depth`` bit-sliced planes of ``counts`` (signed difference -> count),
+    bit ``d + width`` of plane ``i`` being bit ``i`` of ``min(count, 2**depth - 1)``."""
+    rows = [["0"] * (2 * width + 1) for _ in range(depth)]
+    for d, c in counts.items():
+        for i, row in enumerate(rows):
+            if min(c, 2**depth - 1) >> i & 1:
+                row[d + width] = "1"
+    return [int("".join(reversed(row)), 2) for row in rows]
+
+
 @settings(deadline=None, max_examples=150)
 @given(_descendant_cases(), st.integers(1, 6))
-@example(_pinned("chacon.json", LevelRef(1, 2), 6, None), 14)  # convolution
-@example(_pinned("chacon.json", LevelRef(0, 0), 5, 2), 3)
-@example(_pinned("asymm.json", LevelRef(1, 0), 2, None), 14)  # pairwise
-@example(_pinned("asymm.json", LevelRef(0, 0), 4, 2), 5)  # sparse after dense
-@example(_pinned("chacon.json", LevelRef(1, 0), 4, None), 1)  # runs of one
+@example(_pinned("chacon.json", LevelRef(1, 2), 6), 14)
+@example(_pinned("chacon.json", LevelRef(0, 0), 5), 3)
+@example(_pinned("asymm.json", LevelRef(1, 0), 2), 14)  # pairwise
+@example(_pinned("asymm.json", LevelRef(0, 0), 4), 5)  # pairwise after planes
+@example(_pinned("chacon.json", LevelRef(1, 0), 4), 1)  # runs of one
+@example(_pinned("tq41.json", LevelRef(0, 0), 2), 3)  # offset steps 1 and 3 twice each
+@example(_pinned("dyadic.json", LevelRef(0, 0), 2), 3)  # counts 1-4: 2**d and 2**d - 1
+@example(_pinned("chacon.json", LevelRef(0, 0), 1), 3)  # count 3 at 0: 2**2 - 1
 def test_descendant_differences_match_pair_oracle(case, max_len):
-    spec, level, j, known = case
+    # The planes at depth 1, 2 and past every count against a Counter of all
+    # ordered pairs, saturated; then the nonnegative half, counted and not.
+    spec, level, j = case
     values = descendant_heights(spec, level, j)
-    expected = Counter(b - a for a in values for b in values if b >= a)
-    for counted in (True, False):
-        start = None
-        if known is not None:
-            earlier = descendant_heights(spec, level, known)
-            start = (known, descendant_differences(spec, level, known, earlier, counted))
-        got = descendant_differences(spec, level, j, values, counted, start)
-        if counted:
-            assert dict(got) == expected
-    # ``got`` is now the uncounted result: a bitset only within 64 bits per pair.
+    signed = Counter(s - t for s in values for t in values)
+    for depth in 1, 2, (len(values) ** 2).bit_length():
+        planes = sumsets._difference_planes(spec, level, j, values, depth)
+        if planes is not None:
+            assert planes == _sliced(signed, values[-1] - values[0], depth)
+    expected = {d: c for d, c in signed.items() if d >= 0}
+    assert dict(descendant_differences(spec, level, j, values, counted=True)) == expected
+    got = descendant_differences(spec, level, j, values)
+    # A bitset where the planes are built, only within 64 bits per pair.
     assert _bits(got) == set(expected)
+    assert isinstance(got, int) == (planes is not None)
     if not _dense(values):
         assert isinstance(got, set)
     for res in _assert_runs_match_walk(got, max_len):
@@ -174,17 +188,15 @@ def test_progression_runs_match_walk(diffs, max_len):
     "name, level, j, pairwise",
     [
         ("chacon.json", LevelRef(1, 0), 7, False),
-        ("asymm.json", LevelRef(0, 0), 4, False),
+        ("asymm.json", LevelRef(0, 0), 4, True),
         ("asymm.json", LevelRef(1, 0), 2, True),
     ],
 )
 def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
-    # Counted: one step from a single descendant predicts |H - H| > r(r-1)/2
-    # units of work and pairs the values instead; every longer walk
-    # convolves.  Uncounted, and the two planes of the single differences:
-    # bitsets within 64 bits per pair, else the pairs; chacon's differences
-    # fit, asymm's far-apart offsets do not.
-    dense = name == "chacon.json"
+    # Counted, uncounted and the single differences share the planes and
+    # their rule: within 64 bits per pair, else the pairs.  chacon's
+    # differences fit; asymm's far-apart offsets do not, at its first stage
+    # or after three.
     spec = load_spec(spec_path(name))
     values = descendant_heights(spec, level, j)
     paired = []
@@ -195,9 +207,9 @@ def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
     counts = descendant_differences(spec, level, j, values, counted=True)
     diffs = descendant_differences(spec, level, j, values)
     singles = sumsets._single_differences(spec, level, j, values)
-    assert paired == [True] * pairwise + [False] * (not dense) + [True] * (not dense)
+    assert paired == [True, False, True] * pairwise
     assert singles == sum(c == 1 for d, c in counts.items() if d)
-    assert isinstance(diffs, int) == dense == _dense(values)
+    assert isinstance(diffs, int) == (not pairwise) == _dense(values)
     assert _bits(diffs) == set(counts) and counts[0] == len(values)
     assert sum(counts.values()) * 2 - len(values) == len(values) ** 2
 
@@ -210,6 +222,18 @@ def test_bitset_holds_at_most_64_bits_per_pair(spacer, dense):
     values = descendant_heights(spec, LevelRef(0, 0), 1)
     diffs = descendant_differences(spec, LevelRef(0, 0), 1, values)
     assert diffs == ((1 << 1 + spacer | 1) if dense else {0, 1 + spacer})
+
+
+@pytest.mark.parametrize("spacers, dense", [((30, 31), True), ((30, 32), False)])
+def test_plane_rule_counts_every_positive_step(spacers, dense):
+    # Descendants 0, 1 + a and 2 + a + b: three positive offset steps, two
+    # of them consecutive, times 3 + a + b bits pass 64 bits for each of the
+    # three pairs once a + b = 62.  Every depth shares the rule.
+    spec = validate_spec({"h0": 1, "stages": [{"r": 3, "s": [*spacers, 0]}]})
+    values = descendant_heights(spec, LevelRef(0, 0), 1)
+    for depth in 1, 2, 3:
+        planes = sumsets._difference_planes(spec, LevelRef(0, 0), 1, values, depth)
+        assert (planes is not None) == dense
 
 
 def test_sparse_route_never_allocates_the_bitset(monkeypatch):
