@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -258,17 +257,7 @@ def non_ergodic_check(
             continue
         values = construction._listed(spec, base, j)
         if by_differences:
-            # Count the ordered differences u with u - want a difference too;
-            # no count passes V, so V.bit_length() planes hold each exactly.
-            want = b[0] - b[1]
-            planes = sumsets._difference_planes(spec, base, j, values, count.bit_length())
-            if planes is None:  # u = -p < 0 qualifies iff |p + want| is in the half
-                counts = sumsets._pair_differences(values, True)
-                matched = sum(c for p, c in counts.items() if abs(p - want) in counts)
-                matched += sum(c for p, c in counts.items() if p and abs(p + want) in counts)
-            else:  # bit i of u's count at bit u + W; u -> -u turns want into -want
-                support = functools.reduce(int.__or__, planes) >> abs(want)
-                matched = sum((p & support).bit_count() << i for i, p in enumerate(planes))
+            matched = sumsets._shift_matches(spec, base, j, values, b[0] - b[1])
             row["route"] = "difference-counts"
         else:
             matched = _slide_scan(values, alphas, b)

@@ -145,12 +145,11 @@ def descendant_differences(
     values where it returns ``None``.
     """
     depth = len(values).bit_length() if counted else 1  # no count passes V
-    planes = _difference_planes(spec, level, j, values, depth)
-    if planes is None:
+    halves = _difference_planes(spec, level, j, values, depth, values[-1] - values[0])
+    if halves is None:
         return _pair_differences(values, counted)
-    halves = [p >> values[-1] - values[0] for p in planes]  # bit d is difference d
     if not counted:
-        return halves[0]
+        return halves[0]  # bit d is difference d
     counts: Counter[int] = Counter()
     for i, half in enumerate(halves):
         counts.update(dict.fromkeys(_ones(bin(half)[:1:-1], 0), 1 << i))
@@ -160,56 +159,77 @@ def descendant_differences(
 def _single_differences(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int]) -> int:
     """How many positive differences of ``level``'s stage-``j`` descendants
     ``values`` one pair alone realizes: counts 1 in two planes of :func:`_difference_planes`."""
-    planes = _difference_planes(spec, level, j, values, 2)
+    planes = _difference_planes(spec, level, j, values, 2, values[-1] - values[0] + 1)
     if planes is None:
         return sum(c == 1 for d, c in _pair_differences(values, True).items() if d)
-    return ((planes[0] & ~planes[1]) >> values[-1] - values[0] + 1).bit_count()
+    return (planes[0] & ~planes[1]).bit_count()  # 1 sets plane 0 alone, 2 plane 1, 3 both
 
 
 def _difference_planes(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int],
-                       depth: int) -> list[int] | None:
+                       depth: int, low: int = 0) -> list[int] | None:
     """Ordered-pair counts of the signed differences ``s - t`` of ``level``'s
     stage-``j`` descendants ``values``, in ``depth`` bit-sliced planes.
 
-    Bit ``d + W`` of plane ``i``, with ``W = max - min`` of ``values``, is
-    bit ``i`` of the number of pairs with ``s - t = d``, saturated at
-    ``2**depth - 1``; at depth 1 plane 0 marks each difference.  From the
-    level's single descendant, stage ``n`` adds one copy per ordered offset
-    pair ``(o, o')`` of ``H_n``, shifted by ``o' - o + max H_n``: a copy per
-    ``o'``, then a copy of their sum per ``max H_n - o``.  ``None``, before
+    Bit ``d + W - low`` of plane ``i``, with ``W = max - min`` of ``values``,
+    is bit ``i`` of the number of pairs with ``s - t = d``, saturated at
+    ``2**depth - 1``.  From the level's single descendant, stage ``n`` adds
+    one copy per ordered offset pair ``(o, o')`` of ``H_n``, shifted by
+    ``o' - o + max H_n``: a copy per ``o'``, then a copy of their sum per
+    ``max H_n - o``, the last ones ``low`` bits less.  ``None``, before
     anything is built, where some stage's positive steps in ``H_n - H_n``
-    times its nonnegative width would pass 64 bits per pair of ``values``.
+    times its nonnegative width, times ``depth`` past depth 2 (whose
+    readers keep one half), would pass 64 bits per pair of ``values``.
     """
     pairs = len(values) * (len(values) - 1) // 2
     stages = [spec.height_set(n) for n in range(level.stage, j)]
     tops = itertools.accumulate(offsets[-1] for offsets in stages)  # the largest difference
-    if any(len({b - a for a, b in itertools.combinations(offsets, 2)}) * (top + 1) > 64 * pairs
-           for offsets, top in zip(stages, tops)):
+    weight = depth if depth > 2 else 1
+    if any(len({b - a for a, b in itertools.combinations(offsets, 2)}) * (top + 1) * weight
+           > 64 * pairs for offsets, top in zip(stages, tops)):
         return None
+    passes = [shifts for h in stages for shifts in (h, [h[-1] - o for o in h])] or [[0]]
+    passes[-1] = [shift - low for shift in passes[-1]]
     planes = [1] + [0] * (depth - 1)
-    for offsets in stages:
-        for shifts in offsets, [offsets[-1] - o for o in offsets]:
-            grown = [p << shifts[0] for p in planes]
-            for shift in shifts[1:]:
-                _add(grown, [p << shift for p in planes])
-            planes = grown
+    for shifts in passes:
+        grown = [_shift(p, shifts[0]) for p in planes]
+        for shift in shifts[1:]:
+            _add(grown, planes, shift)
+        planes = grown
     return planes
 
 
-def _add(acc: list[int], planes: list[int]) -> None:
-    """``acc += planes`` on bit-sliced counts, saturating at ``2**depth - 1``:
-    a ripple-carry add that skips the planes where nothing is added; at
-    depth 1 an OR."""
+def _shift(p: int, shift: int) -> int:
+    return p << shift if shift >= 0 else p >> -shift  # drops the bits shifted below 0
+
+
+def _add(acc: list[int], planes: list[int], shift: int) -> None:
+    """``acc += planes`` shifted, on bit-sliced counts saturating at ``2**depth - 1``:
+    a ripple-carry add, a plane at a time and in place; at depth 1 an OR."""
     if len(acc) == 1:
-        acc[0] |= planes[0]
+        acc[0] |= _shift(planes[0], shift)
         return
     carry = 0
-    for i, (a, b) in enumerate(zip(acc, planes)):
-        if b or carry:
-            half = a ^ b
-            acc[i], carry = half ^ carry, a & b | carry & half
-    if carry:
-        acc[:] = [a | carry for a in acc]
+    for i, p in enumerate(planes):
+        if p or carry:
+            b = _shift(p, shift)
+            acc[i] ^= b  # the half sum; the carry is b where it is 0, else the old carry
+            carry, acc[i] = b ^ (b ^ carry) & acc[i], acc[i] ^ carry
+    for i, a in enumerate(acc if carry else ()):  # past the top plane: saturate
+        acc[i] = a | carry
+
+
+def _shift_matches(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int],
+                   want: int) -> int:
+    """Ordered pairs of ``level``'s stage-``j`` descendants ``values`` whose difference
+    ``u`` has ``u - want`` one too: planes at depth ``V.bit_length()``, else pairs."""
+    planes = _difference_planes(spec, level, j, values, len(values).bit_length())
+    if planes is None:  # u = -p < 0 qualifies iff |p + want| is in the half
+        counts = _pair_differences(values, True)
+        matched = sum(c for p, c in counts.items() if abs(p - want) in counts)
+        return matched + sum(c for p, c in counts.items() if p and abs(p + want) in counts)
+    # bit i of u's count at bit u + W; u -> -u turns want into -want
+    support = reduce(int.__or__, planes) >> abs(want)
+    return sum((p & support).bit_count() << i for i, p in enumerate(planes))
 
 
 class PartnerSet(NamedTuple):

@@ -615,6 +615,36 @@ def test_shift_criterion_counts_at_the_budget_edge_stay_small():
     )
 
 
+def test_shift_criterion_counts_at_the_plane_rule_edge_stay_small(tmp_path):
+    # 2,048 descendants, [0, 1024) and [1024 + s, 2048 + s), charged
+    # 4,194,304 units.  The last stage's one positive step times its 2,048 + s
+    # nonnegative differences, times 12 planes, is at most 64 bits for each
+    # of the 2,096,128 pairs up to this s, which peaks at ~76 MB.  Without
+    # the depth in the rule, s ran to ~1.3 * 10**8, and s = 6 * 10**7
+    # already peaked at ~420 MB.
+    from ranklab import sumsets
+
+    edge = 64 * 2096128 // 12 - 2048
+    stages = [{"r": 2, "s": [0, 0]}] * 10
+    past = ranklab.validate_spec({"h0": 1, "stages": stages + [{"r": 2, "s": [edge + 1, 0]}]})
+    values = descendant_heights(past, LevelRef(0, 0), 11)
+    assert sumsets._difference_planes(past, LevelRef(0, 0), 11, values, 12) is None
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"h0": 1, "stages": stages + [{"r": 2, "s": [edge, 0]}]}))
+    code, peak_kb, _, payload = _probe(
+        "non-ergodic", "--spec", path, "--alpha", "1,1", "--shifts", "0,1",
+        "--base", "0", "--horizon", "11",
+    )
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+    # Every ordered pair but four has its difference plus 1 a difference:
+    # the pair 1023 apart in each block and the cross pairs 2047 + s and
+    # -1 - s apart.
+    rows = payload["evidence"]["certificate"]["evidence"]["stages"]
+    assert rows[-1] == {"stage": 11, "tuples": 4194304, "route": "difference-counts",
+                        "matched": 4194300, "fraction": rational(1048575, 1048576)}
+
+
 def test_asymmetry_past_the_budget_is_still_refused(capsys, monkeypatch):
     monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
     code, payload = report(capsys, "asymmetry", "--spec", spec_path("chacon.json"),

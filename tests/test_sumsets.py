@@ -129,16 +129,19 @@ def test_descendant_differences_match_pair_oracle(case, max_len):
     spec, level, j = case
     values = descendant_heights(spec, level, j)
     signed = Counter(s - t for s in values for t in values)
+    built = []
     for depth in 1, 2, (len(values) ** 2).bit_length():
         planes = sumsets._difference_planes(spec, level, j, values, depth)
         if planes is not None:
             assert planes == _sliced(signed, values[-1] - values[0], depth)
+        built.append(planes is not None)
+    assert built == sorted(built, reverse=True)  # a deeper count is built no more often
     expected = {d: c for d, c in signed.items() if d >= 0}
     assert dict(descendant_differences(spec, level, j, values, counted=True)) == expected
     got = descendant_differences(spec, level, j, values)
-    # A bitset where the planes are built, only within 64 bits per pair.
+    # A bitset where the depth-1 plane is built, only within 64 bits per pair.
     assert _bits(got) == set(expected)
-    assert isinstance(got, int) == (planes is not None)
+    assert isinstance(got, int) == built[0]
     if not _dense(values):
         assert isinstance(got, set)
     for res in _assert_runs_match_walk(got, max_len):
@@ -194,9 +197,9 @@ def test_progression_runs_match_walk(diffs, max_len):
 )
 def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
     # Counted, uncounted and the single differences share the planes and
-    # their rule: within 64 bits per pair, else the pairs.  chacon's
-    # differences fit; asymm's far-apart offsets do not, at its first stage
-    # or after three.
+    # their rule: within 64 bits per pair (for each plane of a deeper
+    # count), else the pairs.  chacon's differences fit at every depth;
+    # asymm's far-apart offsets do not, at its first stage or after three.
     spec = load_spec(spec_path(name))
     values = descendant_heights(spec, level, j)
     paired = []
@@ -224,16 +227,41 @@ def test_bitset_holds_at_most_64_bits_per_pair(spacer, dense):
     assert diffs == ((1 << 1 + spacer | 1) if dense else {0, 1 + spacer})
 
 
-@pytest.mark.parametrize("spacers, dense", [((30, 31), True), ((30, 32), False)])
-def test_plane_rule_counts_every_positive_step(spacers, dense):
+@pytest.mark.parametrize("depth, spacers, dense", [
+    (1, (30, 31), True), (1, (30, 32), False),
+    (2, (30, 31), True), (2, (30, 32), False),
+    (4, (6, 7), True), (4, (6, 8), False),
+])
+def test_plane_rule_counts_every_positive_step(depth, spacers, dense):
     # Descendants 0, 1 + a and 2 + a + b: three positive offset steps, two
     # of them consecutive, times 3 + a + b bits pass 64 bits for each of the
-    # three pairs once a + b = 62.  Every depth shares the rule.
+    # three pairs once a + b = 62.  The set and the singles share that rule;
+    # a deeper count counts each plane, so at depth 4 once a + b = 14.
     spec = validate_spec({"h0": 1, "stages": [{"r": 3, "s": [*spacers, 0]}]})
     values = descendant_heights(spec, LevelRef(0, 0), 1)
-    for depth in 1, 2, 3:
-        planes = sumsets._difference_planes(spec, LevelRef(0, 0), 1, values, depth)
-        assert (planes is not None) == dense
+    planes = sumsets._difference_planes(spec, LevelRef(0, 0), 1, values, depth)
+    assert (planes is not None) == dense
+
+
+def test_set_and_singles_at_the_rule_edge_hold_the_nonnegative_half():
+    # 1,024 descendants, [0, 512) and [512 + s, 1024 + s), at the largest s
+    # the set and the singles build planes for.  Their last pass keeps the
+    # differences from 0 up, a plane of ~4.2 MB: the set peaks at ~3.2 such
+    # planes and the singles at ~5.3, where full signed planes took ~6.4 and
+    # ~11.7.
+    s = 64 * (1024 * 1023 // 2) - 1024
+    spec = validate_spec({"h0": 1, "stages": [{"r": 2, "s": [0, 0]}] * 9 + [{"r": 2, "s": [s, 0]}]})
+    values = descendant_heights(spec, LevelRef(0, 0), 10)
+    half = (values[-1] + 1) / 8
+    for read, planes in (descendant_differences, 4), (sumsets._single_differences, 7):
+        tracemalloc.start()
+        try:
+            got = read(spec, LevelRef(0, 0), 10, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(got, int)
+        assert peak <= planes * half
 
 
 def test_sparse_route_never_allocates_the_bitset(monkeypatch):
