@@ -76,7 +76,9 @@ def _slide_scan(values: Sequence[int], alphas: Sequence[int], shifts: Sequence[i
     if max(hi - lo, vmax - vmin) >= len(values) ** 2:
         masks, start = _rank_masks(values, alphas, shifts), -1  # -1 has every bit set
     else:
-        row = bin(sum(1 << vmax - a for a in values))[2:]  # "1" at a - vmin for each value a
+        row = bytearray(b"0") * (vmax - vmin + 1)  # "1" at a - vmin for each value a
+        for a in values:
+            row[a - vmin] = 49  # ord("1")
         masks = {pair: Counter() for pair in zip(alphas, shifts)}
         for (al, b), counts in masks.items():
             g, r = abs(al), row if al > 0 else row[::-1]

@@ -21,7 +21,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._budget import charge
@@ -350,8 +350,7 @@ def _ones(bits: str, first: int = 1) -> list[int]:
 
 
 def ap_search(values: Iterable[int], max_len: int) -> APSearchResult:
-    if max_len < 1:
-        raise ParamOutOfRange(f"max_len must be >= 1, got {max_len}")
+    _check_max_len(max_len)
     vals = sorted(set(values))
     charge(len(vals) ** 2, "difference set for progression search")
     return progression_runs(_pair_differences(vals, counted=False), max_len)
@@ -362,22 +361,24 @@ def progression_runs(diffs: int | Collection[int], max_len: int) -> APSearchResu
 
     ``diffs`` is a bitset or a set, as :func:`descendant_differences` returns;
     0 is skipped.  On a bitset, ``alive[l - 1]`` has bit ``x`` set when all of
-    ``x..l*x`` are differences.  Each length ``s`` ANDs the last mask with one
-    stride of the binary string, which holds bit ``s*x`` of ``diffs`` as bit
-    ``x``, until no ``x`` survives or ``s`` reaches ``max_len``.  Each ``x``'s
-    run length is peeled from those masks only when a length is read.  On a
-    set, only ``x`` with ``2x`` present can run past length 1, and each walks
-    its multiples.
+    ``x..l*x`` are differences.  Each length ``s`` ANDs the last mask with
+    ``diffs``'s stride ``s`` (bit ``x`` is bit ``s*x``), gathered from its
+    bytes by :func:`_gather`, until no ``x`` survives or ``s`` reaches
+    ``max_len``.  Each ``x``'s run length is peeled from those masks only when
+    a length is read.  On a set, only ``x`` with ``2x`` present can run past
+    length 1, and each walks its multiples.
     """
+    _check_max_len(max_len)
     if isinstance(diffs, int):
-        bits = bin(diffs)[2:]  # character -1 - d is bit d
-        top = len(bits) - 1
-        has = lambda x: x <= top and bits[~x] == "1"
-        keys = lambda: _ones(bits[::-1])
+        row = diffs.to_bytes(-(-diffs.bit_length() // 8), "little")  # bit x in byte x >> 3
+        has = lambda x: x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1
+        keys = lambda: _ones(bin(diffs)[:1:-1])
         alive = [diffs & ~1]
         while len(alive) < max_len:
-            s = len(alive) + 1  # the stride's last character is bit 0
-            longer = alive[-1] & int(bits[top % s :: s], 2)
+            s = len(alive) + 1  # x = 8m + t reads byte s*m + (s*t >> 3) of row
+            stride = sum(int.from_bytes(row[s * t >> 3 :: s].translate(table), "little")
+                         for t, table in _gather(s if s < 8 else 8 | s & 7))
+            longer = alive[-1] & stride
             if not longer:
                 break
             alive.append(longer)
@@ -402,6 +403,24 @@ def progression_runs(diffs: int | Collection[int], max_len: int) -> APSearchResu
         table = long.copy
     progression = tuple(witness * i for i in range(1, longest + 1)) if witness else ()
     return APSearchResult(longest, witness, progression, _RunLengths(has, keys, size, table))
+
+
+_BITS = [int.from_bytes((bytes(1 << p) + b"\1" * (1 << p)) * (128 >> p), "little")
+         for p in range(8)]  # byte b of _BITS[p] is bit p of b
+
+
+@cache
+def _gather(s: int) -> list[tuple[int, bytes]]:
+    """``(t, T)`` per byte offset ``k = s*t >> 3``, ``t`` its least: ``T`` moves bit
+    ``s*t' - 8k`` of a byte to bit ``t'`` for each ``t' < 8`` with that ``k``.  Past 7
+    each ``t`` has its own ``k``, so ``8 + s % 8`` stands for ``s``: at most 16 entries."""
+    runs = [list(ts) for _, ts in itertools.groupby(range(8), lambda t: s * t >> 3)]
+    return [(ts[0], sum(_BITS[s * t & 7] << t for t in ts).to_bytes(256, "little")) for ts in runs]
+
+
+def _check_max_len(max_len: int) -> None:
+    if not is_plain_int(max_len) or max_len < 1:
+        raise ParamOutOfRange(f"max_len must be an integer >= 1, got {max_len!r}")
 
 
 def _peel(alive: Sequence[int]) -> dict[int, int]:

@@ -645,6 +645,34 @@ def test_shift_criterion_counts_at_the_plane_rule_edge_stay_small(tmp_path):
                         "matched": 4194300, "fraction": rational(1048575, 1048576)}
 
 
+def test_progression_search_at_the_set_rule_edge_stays_small(tmp_path):
+    # 2,048 descendants, [0, 1024) and [1024 + s, 2048 + s), charged
+    # 4,194,304 units.  The difference bitset's one positive step times its
+    # 2,048 + s nonnegative differences is at most 64 bits for each of the
+    # 2,096,128 pairs up to this s: ~134 * 10**6 bits, ~17 MB.  As a binary
+    # string, one byte per bit, with a stride string and an int per length,
+    # the search peaked at ~310 MB.
+    from ranklab import sumsets
+
+    edge = 64 * 2096128 - 2048
+    stages = [{"r": 2, "s": [0, 0]}] * 10
+    past = ranklab.validate_spec({"h0": 1, "stages": stages + [{"r": 2, "s": [edge + 1, 0]}]})
+    values = descendant_heights(past, LevelRef(0, 0), 11)
+    assert sumsets._difference_planes(past, LevelRef(0, 0), 11, values, 1) is None
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"h0": 1, "stages": stages + [{"r": 2, "s": [edge, 0]}]}))
+    code, peak_kb, _, payload = _probe(
+        "ap", "--spec", path, "--base", "0:0", "--to", "11", "--max-len", "3"
+    )
+    assert code == 2  # 1, 2, 3 reach the cap
+    assert peak_kb <= 150 * 1024
+    del payload["durationMs"]
+    payload["inputs"]["spec"] = "edge.json"
+    assert ranklab.fingerprint(payload) == (
+        "sha256:c4f599254e0d98f11e9a3f3226b30a938079b1aa7edaccdb0ec73c8874927a17"
+    )
+
+
 def test_asymmetry_past_the_budget_is_still_refused(capsys, monkeypatch):
     monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
     code, payload = report(capsys, "asymmetry", "--spec", spec_path("chacon.json"),

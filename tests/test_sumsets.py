@@ -185,6 +185,46 @@ def _assert_runs_match_walk(diffs, max_len):
 def test_progression_runs_match_walk(diffs, max_len):
     # Dense ranges [0, N) run 1 up to N - 1 terms, past every cap but 10**6.
     _assert_runs_match_walk(diffs, max_len)
+    # dense-1000 at 10**6 gathers strides 2..999 from 16 table sets at most.
+    assert sumsets._gather.cache_info().currsize <= 16
+
+
+@st.composite
+def _gather_cases(draw):
+    """A bitset of 1-4,000 bits whose dense prefix ``[0, n)`` runs ``x = 1``
+    to ``n - 1`` terms, and a cap up to 40."""
+    width = draw(st.integers(1, 4000))
+    bits = draw(st.integers(0, (1 << width) - 1)) | 1 << width - 1
+    return bits | (1 << draw(st.integers(0, width))) - 1, draw(st.integers(1, 40))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_gather_cases())
+@example(((1 << 41) - 1 | 1 << 3999, 40))  # x = 1 and 2 past the strides 8, 9, 16, 17
+@example(((1 << 203) - 1, 17))  # 203 bits: a partial top byte
+@example((0b1_0000_0001, 9))  # 8 alone, in the second byte
+def test_progression_runs_gather_matches_walk(case):
+    # The bitset route reads stride s from the bytes of the difference set:
+    # for s >= 8 each bit of an output byte has its own input byte, and the
+    # tables of s and s + 8 agree, which the dense prefixes here reach.
+    diffs, max_len = case
+    runs = _assert_runs_match_walk(diffs, max_len)[0].runs
+    top = diffs.bit_length() - 1
+    for x in range(max(1, top & ~7), (top | 7) + 9):  # the top byte and the next
+        assert (x in runs) == (x <= top and diffs >> x & 1 == 1)
+    assert sumsets._gather.cache_info().currsize <= 16
+
+
+@pytest.mark.parametrize("max_len", [0, -1, True, 2.0, "3"])
+@pytest.mark.parametrize("search", [
+    lambda cap: progression_runs(0b111, cap),
+    lambda cap: progression_runs({0, 1, 2}, cap),
+    lambda cap: ap_search([0, 1, 2], cap),
+], ids=["bitset", "set", "values"])
+def test_progression_search_refuses_a_bad_cap(search, max_len):
+    # A cap of 0 answered longest 1 on both routes, past the cap.
+    with pytest.raises(ParamOutOfRange, match="max_len must be an integer >= 1"):
+        search(max_len)
 
 
 @pytest.mark.parametrize(
