@@ -27,9 +27,7 @@ def _residues(spec: RankOneSpec, level: LevelRef, j: int, m: int) -> Counter[int
     return counts
 
 
-def _anchored_matched(
-    values: Sequence[int], alpha0: int, arity: int
-) -> tuple[int, Fraction]:
+def _anchored_matched(values: Sequence[int], alpha0: int, arity: int) -> tuple[int, Fraction]:
     """Uniform-multiplier route: group tuples by anchored difference key.
 
     Sliding a tuple by ``n * alpha`` preserves the coordinate differences and
@@ -43,6 +41,43 @@ def _anchored_matched(
     matched = sum(c for c in groups.values() if c >= 2)
     diag_matched = sum(c for key, c in groups.items() if key[0] == zero and c >= 2)
     return matched, Fraction(diag_matched, len(values))
+
+
+def _keys_fit(count: int, width: int) -> bool:
+    """:func:`_key_slides`'s rule: ``count`` copies of ``width`` bits, 1,024 bits per pair."""
+    return count * width <= 1024 * count * count
+
+
+def _key_slides(values: Sequence[int], alphas: Sequence[int],
+                shifts: Sequence[int]) -> tuple[int, Fraction] | None:
+    """:func:`_slide_scan` for two multipliers, with :func:`_anchored_matched`'s diagonal;
+    ``None`` past :func:`_keys_fit`.  With ``p, q = alphas / gcd``, ``(a, b)`` and ``(d, e)``
+    differ by a slide iff their keys ``q*a - p*b`` agree and ``a = d mod |alphas[0]|``.
+    Per residue class, each ``a`` folds its keys (bits ``-p*b`` shifted by ``q*a``) into
+    planes at least once and at least twice.  With zero shifts a pair returns iff its
+    key is not single; else ``(a, b)`` does iff its key moved by ``q*b0 - p*b1`` is in
+    the support of the class of ``a - b0``."""
+    (a0, a1), (b0, b1), g = alphas, shifts, math.gcd(*alphas)
+    p, q, m, lo, span = a0 // g, a1 // g, abs(a0), values[0], values[-1] - values[0]
+    if not _keys_fit(len(values), width := (abs(p) + abs(q)) * span + 1):
+        return None
+    at = lambda c, a: abs(c) * (a - lo if c > 0 else span + lo - a)  # bit c*a, offset to 0
+    row, classes = bytearray(abs(p) * span // 8 + 1), {}
+    for a in values:
+        row[at(-p, a) >> 3] |= 1 << (at(-p, a) & 7)
+        classes.setdefault(a % m, []).append(a)
+    keys, want = int.from_bytes(row, "little"), q * b0 - p * b1
+    matched = 0 if b0 or b1 else len(values) ** 2
+    for r, members in classes.items() if abs(want) < width else ():  # else no key meets
+        once = twice = 0
+        for a in members:
+            copy = keys << at(q, a)
+            once, twice = once | copy, twice | once & copy
+        support = once << want if want >= 0 else once >> -want
+        moved = classes.get((r + b0) % m, ())
+        matched += (sum((keys << at(q, a) & support).bit_count() for a in moved)
+                    if b0 or b1 else twice.bit_count() - once.bit_count())
+    return matched, Fraction(sum(len(c) for c in classes.values() if len(c) > 1), len(values))
 
 
 def _rank_masks(values: Sequence[int], alphas: Sequence[int], shifts: Sequence[int]) -> dict:
@@ -135,11 +170,14 @@ def conservativity_fraction(
                 matched = diag + count * (count - 1) - 2 * singles
                 diagonal = Fraction(diag, count)
             else:
-                matched, diagonal = _anchored_matched(values, alpha[0], v)
+                matched, diagonal = (v == 2 and _key_slides(values, alpha, query.shifts)
+                                     or _anchored_matched(values, alpha[0], v))
             route = "anchored"
         else:
             _budget.charge(count ** (v + 1), "per-tuple slide scan")
-            matched = _slide_scan(construction._listed(spec, base, j), alpha, query.shifts)
+            values = construction._listed(spec, base, j)
+            keyed = v == 2 and _key_slides(values, alpha, query.shifts)
+            matched = keyed[0] if keyed else _slide_scan(values, alpha, query.shifts)
             route = "scan"
         fraction = Fraction(matched, count**v)
         _require(0 <= fraction <= 1, "fraction outside [0, 1]")
@@ -175,13 +213,8 @@ def conservativity_fraction(
 # ergodicity obstructions for products with unequal shifts
 
 
-def non_ergodic_check(
-    spec: RankOneSpec,
-    alpha: Sequence[int],
-    shifts: Sequence[int],
-    base_stage: int,
-    horizon: int,
-) -> Certificate:
+def non_ergodic_check(spec: RankOneSpec, alpha: Sequence[int], shifts: Sequence[int],
+                      base_stage: int, horizon: int) -> Certificate:
     """Certify that no tuple slide ever realizes the requested shifts.
 
     Necessary condition for a matched pair: some integer ``n`` (zero
@@ -193,15 +226,11 @@ def non_ergodic_check(
     alphas = tuple(alpha)
     b = tuple(shifts)
     if not alphas or len(b) != len(alphas):
-        raise ParamOutOfRange(
-            f"{len(b)} shifts for {len(alphas)} multipliers"
-        )
+        raise ParamOutOfRange(f"{len(b)} shifts for {len(alphas)} multipliers")
     _require_ints(alphas, "multipliers must be nonzero integers", bool)
     _require_ints(b, "shifts must be integers")
     if base_stage < 0 or horizon <= base_stage:
-        raise ParamOutOfRange(
-            f"need 0 <= base stage < horizon, got {base_stage}, {horizon}"
-        )
+        raise ParamOutOfRange(f"need 0 <= base stage < horizon, got {base_stage}, {horizon}")
     v = len(alphas)
     base = LevelRef(base_stage, 0)
 
@@ -262,7 +291,8 @@ def non_ergodic_check(
             matched = sumsets._shift_matches(spec, base, j, values, b[0] - b[1])
             row["route"] = "difference-counts"
         else:
-            matched = _slide_scan(values, alphas, b)
+            keyed = v == 2 and _key_slides(values, alphas, b)
+            matched = keyed[0] if keyed else _slide_scan(values, alphas, b)
             row["route"] = "scan"
         fraction = Fraction(matched, count**v)
         row["matched"] = matched

@@ -370,6 +370,8 @@ def progression_runs(diffs: int | Collection[int], max_len: int) -> APSearchResu
     """
     _check_max_len(max_len)
     if isinstance(diffs, int):
+        if diffs < 0:
+            raise ParamOutOfRange(f"a difference bitset must be >= 0, got {diffs}")
         row = diffs.to_bytes(-(-diffs.bit_length() // 8), "little")  # bit x in byte x >> 3
         has = lambda x: x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1
         keys = lambda: _ones(bin(diffs)[:1:-1])

@@ -56,7 +56,7 @@ from ranklab import (
 from ranklab import _budget, construction, sumsets
 from ranklab.certificates import matching, mixing
 from ranklab.certificates.asymmetry import _adjacent_pairs
-from ranklab.certificates.products import _anchored_matched, _residues, _slide_scan
+from ranklab.certificates.products import _anchored_matched, _key_slides, _residues, _slide_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -918,6 +918,32 @@ def test_slide_scan_matches_brute_force_on_any_value_set(values, alphas, shifts)
     b = tuple(shifts[: len(alphas)])
     want = _slide_oracle(values, alphas, b, nonzero=not any(b))
     assert _slide_scan(values, tuple(alphas), b) == want
+
+
+_MULTIPLIER_PAIRS = [(1, 2), (2, 1), (-1, 2), (2, -3), (-2, -3), (1, -1), (-1, -1), (2, 2),
+                     (-2, -2), (-3, -3), (2, 4), (6, 4), (-4, 6), (3, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.sets(st.integers(-12, 30), min_size=1, max_size=9).map(sorted),
+    alphas=st.sampled_from(_MULTIPLIER_PAIRS),
+    shifts=st.sampled_from([(0, 0)]) | st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+)
+@example(values=[0, 1, 2, 4], alphas=(2, 4), shifts=(0, 0))  # not coprime
+@example(values=[-12, 0, 30], alphas=(6, 4), shifts=(1, -1))
+@example(values=[0, 3, 6, 7], alphas=(-3, -3), shifts=(0, 0))  # one class of three
+@example(values=[0, 1], alphas=(1, 2), shifts=(10**12, 0))  # far past every key
+def test_key_slides_match_slide_scan_on_any_value_set(values, alphas, shifts):
+    # Pairs that differ by a slide share the key q*a - p*b and the class of
+    # a mod |alpha_0|: the slide scan, brute force and, with equal
+    # multipliers, the anchored keys' matched count and diagonal agree.
+    matched, diagonal = _key_slides(values, alphas, shifts)
+    assert matched == _slide_scan(values, alphas, shifts)
+    if abs(shifts[0]) < 100:
+        assert matched == _slide_oracle(values, alphas, shifts, nonzero=not any(shifts))
+    if alphas[0] == alphas[1] and not any(shifts):
+        assert (matched, diagonal) == _anchored_matched(values, alphas[0], 2)
 
 
 def test_slide_scan_rows_on_chacon(chacon):

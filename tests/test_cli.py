@@ -516,9 +516,9 @@ def test_slide_scan_with_sparse_values_stays_small():
 
 def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
     # conservativity 1,1 counts single differences on two bitset planes,
-    # never by pairs.  1,2 on chacon indexes its masks by slide position at
-    # every stage, the windows (7, 41, 243, 1,453 slides) being within V^2
-    # (9, 81, 729, 6,561); rank masks would be built by _rank_masks.
+    # never by pairs.  Other pairs of multipliers fold difference keys into
+    # bitsets at every stage, chacon's keys spanning at most 2 * 26,128 + 1
+    # bits for 729 values: no slide scan, rank mask or anchored-key dict.
     from ranklab import sumsets
     from ranklab.certificates import products
 
@@ -530,15 +530,90 @@ def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
             built.append((name, len(values))) or real(values, *rest)))
 
     spy(sumsets, "_pair_differences")
-    spy(products, "_rank_masks")
+    for name in ("_slide_scan", "_anchored_matched", "_rank_masks"):
+        spy(products, name)
     chacon = spec_path("chacon.json")
-    for multipliers, horizon, matched in ("1,1", 6, 530321), ("1,2", 4, 6178):
-        code, payload = report(capsys, "conservativity", "--spec", chacon, "--multipliers",
-                               multipliers, "--base", "0", "--horizon", horizon)
+    for argv, horizon, matched in [
+        (("conservativity", "--multipliers", "1,1"), 6, 530321),
+        (("conservativity", "--multipliers", "1,2"), 4, 6178),
+        (("conservativity", "--multipliers", "2,2"), 6, 526367),
+        (("non-ergodic", "--alpha", "1,2", "--shifts", "0,1"), 4, 6447),
+    ]:
+        code, payload = report(capsys, argv[0], "--spec", chacon, *argv[1:],
+                               "--base", "0", "--horizon", horizon)
         assert code == 0
         rows = payload["evidence"]["certificate"]["evidence"]["stages"]
         assert rows[-1]["matched"] == matched
     assert built == []
+
+
+_KEY_GRID = [
+    ("conservativity", "--multipliers", "1,2"),
+    ("conservativity", "--multipliers", "2,-3"),
+    ("conservativity", "--multipliers", "2,2"),
+    ("conservativity", "--multipliers", "2,4"),
+    ("non-ergodic", "--alpha", "1,2", "--shifts", "0,1"),
+    ("non-ergodic", "--alpha", "2,1", "--shifts", "1,0"),
+    ("non-ergodic", "--alpha", "2,4", "--shifts", "0,2"),
+    ("non-ergodic", "--alpha=-3,2", "--shifts", "1,0"),  # b0 = 1 moves a class of 3
+]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "specs").glob("*.json")))
+def test_key_slide_rule_picks_a_route_not_a_report(capsys, monkeypatch, name):
+    # Forced either way, the difference keys' size rule changes only who
+    # counts: the keys, or the slide scan and the anchored-key dict.  asymm
+    # stops at stage 2, whose 30 values span 186,960 heights.
+    from ranklab.certificates import products
+
+    horizon = 2 if name == "asymm.json" else 3
+    for argv in _KEY_GRID:
+        texts = []
+        for fits in (True, False):
+            monkeypatch.setattr(products, "_keys_fit", lambda count, width, fits=fits: fits)
+            code, out, err = cli(capsys, argv[0], "--spec", spec_path(name), *argv[1:],
+                                 "--base", "0", "--horizon", horizon)
+            texts.append((code, re.sub(r'"durationMs":\d+,', "", out), err))
+        assert texts[0] == texts[1], argv
+        assert texts[0][0] in (0, 2) and '"matched"' in texts[0][1], argv
+
+
+@pytest.mark.parametrize("spacer, scanned", [(1362, False), (1363, True)])
+def test_key_slide_rule_edge(capsys, monkeypatch, tmp_path, spacer, scanned):
+    # Four descendants {0, 1, 2 + s, 3 + s}: with 1,2 the keys span
+    # 3 * (3 + s) + 1 bits, 4,096 = 1,024 per pair at s = 1,362, the widest
+    # the rule admits.  One more and the slide scan counts.
+    from ranklab.certificates import products
+
+    scans = []
+    real = products._slide_scan
+    monkeypatch.setattr(products, "_slide_scan", lambda *args: scans.append(args) or real(*args))
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"h0": 1, "stages": [{"r": 2, "s": [0, 0]},
+                                                    {"r": 2, "s": [spacer, 0]}]}))
+    code, payload = report(capsys, "conservativity", "--spec", path, "--multipliers", "1,2",
+                           "--base", "0", "--horizon", "2")
+    assert code == 0
+    assert [len(values) for values, *_ in scans] == ([4] if scanned else [])
+    rows = payload["evidence"]["certificate"]["evidence"]["stages"]
+    assert [(row["route"], row["matched"]) for row in rows] == [("scan", 0), ("scan", 0)]
+
+
+def test_equal_multipliers_at_the_budget_edge_stay_small():
+    # chacon stage 7 has 2,187 descendants, charged 2,187**2 = 4,782,969
+    # units.  A dict of the anchored keys of every pair took ~10 s and
+    # ~70 MB here; the difference keys fold 2,187 copies of 2 * 156,765 + 1 bits.
+    code, peak_kb, seconds, payload = _probe(
+        "conservativity", "--spec", "specs/chacon.json", "--multipliers", "2,2",
+        "--base", "0", "--horizon", "7",
+    )
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+    assert seconds < 1.0
+    del payload["durationMs"]
+    assert ranklab.fingerprint(payload) == (
+        "sha256:8a8cc5f9de46af56c549c95ba8300c05d0f43001352812def1aabda58c027f4b"
+    )
 
 
 def test_asymmetry_takes_the_block_route(capsys, monkeypatch):

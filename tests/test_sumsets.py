@@ -227,6 +227,13 @@ def test_progression_search_refuses_a_bad_cap(search, max_len):
         search(max_len)
 
 
+@pytest.mark.parametrize("diffs", [-1, -5, -(1 << 70)])
+def test_progression_search_refuses_a_negative_bitset(diffs):
+    # A negative bitset died with OverflowError converting it to bytes.
+    with pytest.raises(ParamOutOfRange, match="bitset must be >= 0"):
+        progression_runs(diffs, 3)
+
+
 @pytest.mark.parametrize(
     "name, level, j, pairwise",
     [
