@@ -27,7 +27,9 @@ def _residues(spec: RankOneSpec, level: LevelRef, j: int, m: int) -> Counter[int
     return counts
 
 
-def _anchored_matched(values: Sequence[int], alpha0: int, arity: int) -> tuple[int, Fraction]:
+def _anchored_matched(
+    values: Sequence[int], alpha0: int, arity: int
+) -> tuple[int, Fraction]:
     """Uniform-multiplier route: group tuples by anchored difference key.
 
     Sliding a tuple by ``n * alpha`` preserves the coordinate differences and
@@ -44,8 +46,9 @@ def _anchored_matched(values: Sequence[int], alpha0: int, arity: int) -> tuple[i
 
 
 def _keys_fit(count: int, width: int) -> bool:
-    """:func:`_key_slides`'s rule: ``count`` copies of ``width`` bits, 1,024 bits per pair."""
-    return count * width <= 1024 * count * count
+    """:func:`_key_slides`'s rule: ``count`` copies of ``width`` bits, 8,192 bits per pair,
+    below where the slide scan or the anchored-key dict started to win (README)."""
+    return width <= 8192 * count
 
 
 def _key_slides(values: Sequence[int], alphas: Sequence[int],
@@ -54,9 +57,9 @@ def _key_slides(values: Sequence[int], alphas: Sequence[int],
     ``None`` past :func:`_keys_fit`.  With ``p, q = alphas / gcd``, ``(a, b)`` and ``(d, e)``
     differ by a slide iff their keys ``q*a - p*b`` agree and ``a = d mod |alphas[0]|``.
     Per residue class, each ``a`` folds its keys (bits ``-p*b`` shifted by ``q*a``) into
-    planes at least once and at least twice.  With zero shifts a pair returns iff its
-    key is not single; else ``(a, b)`` does iff its key moved by ``q*b0 - p*b1`` is in
-    the support of the class of ``a - b0``."""
+    planes at least once and at least twice.  With zero shifts a pair returns iff its key
+    is not single; else ``(a, b)`` does iff its key moved by ``q*b0 - p*b1`` is in the
+    support of the class of ``a - b0``."""
     (a0, a1), (b0, b1), g = alphas, shifts, math.gcd(*alphas)
     p, q, m, lo, span = a0 // g, a1 // g, abs(a0), values[0], values[-1] - values[0]
     if not _keys_fit(len(values), width := (abs(p) + abs(q)) * span + 1):
@@ -64,7 +67,7 @@ def _key_slides(values: Sequence[int], alphas: Sequence[int],
     at = lambda c, a: abs(c) * (a - lo if c > 0 else span + lo - a)  # bit c*a, offset to 0
     row, classes = bytearray(abs(p) * span // 8 + 1), {}
     for a in values:
-        row[at(-p, a) >> 3] |= 1 << (at(-p, a) & 7)
+        row[(bit := at(-p, a)) >> 3] |= 1 << (bit & 7)
         classes.setdefault(a % m, []).append(a)
     keys, want = int.from_bytes(row, "little"), q * b0 - p * b1
     matched = 0 if b0 or b1 else len(values) ** 2
@@ -74,8 +77,8 @@ def _key_slides(values: Sequence[int], alphas: Sequence[int],
             copy = keys << at(q, a)
             once, twice = once | copy, twice | once & copy
         support = once << want if want >= 0 else once >> -want
-        moved = classes.get((r + b0) % m, ())
-        matched += (sum((keys << at(q, a) & support).bit_count() for a in moved)
+        matched += (sum((keys << at(q, a) & support).bit_count()
+                        for a in classes.get((r + b0) % m, ()))
                     if b0 or b1 else twice.bit_count() - once.bit_count())
     return matched, Fraction(sum(len(c) for c in classes.values() if len(c) > 1), len(values))
 
@@ -213,8 +216,13 @@ def conservativity_fraction(
 # ergodicity obstructions for products with unequal shifts
 
 
-def non_ergodic_check(spec: RankOneSpec, alpha: Sequence[int], shifts: Sequence[int],
-                      base_stage: int, horizon: int) -> Certificate:
+def non_ergodic_check(
+    spec: RankOneSpec,
+    alpha: Sequence[int],
+    shifts: Sequence[int],
+    base_stage: int,
+    horizon: int,
+) -> Certificate:
     """Certify that no tuple slide ever realizes the requested shifts.
 
     Necessary condition for a matched pair: some integer ``n`` (zero
@@ -226,11 +234,15 @@ def non_ergodic_check(spec: RankOneSpec, alpha: Sequence[int], shifts: Sequence[
     alphas = tuple(alpha)
     b = tuple(shifts)
     if not alphas or len(b) != len(alphas):
-        raise ParamOutOfRange(f"{len(b)} shifts for {len(alphas)} multipliers")
+        raise ParamOutOfRange(
+            f"{len(b)} shifts for {len(alphas)} multipliers"
+        )
     _require_ints(alphas, "multipliers must be nonzero integers", bool)
     _require_ints(b, "shifts must be integers")
     if base_stage < 0 or horizon <= base_stage:
-        raise ParamOutOfRange(f"need 0 <= base stage < horizon, got {base_stage}, {horizon}")
+        raise ParamOutOfRange(
+            f"need 0 <= base stage < horizon, got {base_stage}, {horizon}"
+        )
     v = len(alphas)
     base = LevelRef(base_stage, 0)
 

@@ -578,25 +578,24 @@ def test_key_slide_rule_picks_a_route_not_a_report(capsys, monkeypatch, name):
         assert texts[0][0] in (0, 2) and '"matched"' in texts[0][1], argv
 
 
-@pytest.mark.parametrize("spacer, scanned", [(1362, False), (1363, True)])
+@pytest.mark.parametrize("spacer, scanned", [(5460, False), (5461, True)])
 def test_key_slide_rule_edge(capsys, monkeypatch, tmp_path, spacer, scanned):
-    # Four descendants {0, 1, 2 + s, 3 + s}: with 1,2 the keys span
-    # 3 * (3 + s) + 1 bits, 4,096 = 1,024 per pair at s = 1,362, the widest
-    # the rule admits.  One more and the slide scan counts.
+    # Two descendants {0, 1 + s}: with 1,2 the keys span 3 * (1 + s) + 1
+    # bits, 16,384 = 8,192 per pair at s = 5,460, the widest the rule
+    # admits.  One more and the slide scan counts.
     from ranklab.certificates import products
 
     scans = []
     real = products._slide_scan
     monkeypatch.setattr(products, "_slide_scan", lambda *args: scans.append(args) or real(*args))
     path = tmp_path / "edge.json"
-    path.write_text(json.dumps({"h0": 1, "stages": [{"r": 2, "s": [0, 0]},
-                                                    {"r": 2, "s": [spacer, 0]}]}))
+    path.write_text(json.dumps({"h0": 1, "stages": [{"r": 2, "s": [spacer, 0]}]}))
     code, payload = report(capsys, "conservativity", "--spec", path, "--multipliers", "1,2",
-                           "--base", "0", "--horizon", "2")
+                           "--base", "0", "--horizon", "1")
     assert code == 0
-    assert [len(values) for values, *_ in scans] == ([4] if scanned else [])
+    assert [len(values) for values, *_ in scans] == ([2] if scanned else [])
     rows = payload["evidence"]["certificate"]["evidence"]["stages"]
-    assert [(row["route"], row["matched"]) for row in rows] == [("scan", 0), ("scan", 0)]
+    assert [(row["route"], row["matched"]) for row in rows] == [("scan", 0)]
 
 
 def test_equal_multipliers_at_the_budget_edge_stay_small():
