@@ -11,11 +11,13 @@ noise never changes it.
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Mapping, NamedTuple
+from functools import cache
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ._version import __version__
 from .errors import IntegerTooLong, IoError, is_plain_int
@@ -113,12 +115,21 @@ def canonical_json(payload: Any) -> str:
 
 
 def fingerprint(payload: Any) -> str:
-    # Imported on first use: hashlib maps OpenSSL (~3.5 MB resident), which must
-    # not be live yet while ``certificates`` compiles (see ``cli``'s handlers).
-    import hashlib
-
-    digest = hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+    digest = _sha256()(canonical_json(payload).encode("ascii")).hexdigest()
     return f"sha256:{digest}"
+
+
+@cache
+def _sha256() -> Callable[[bytes], Any]:
+    """SHA-256 from CPython's builtin module (``_sha2`` from 3.12, ``_sha256``
+    before), which, unlike ``hashlib``, loads no OpenSSL (~2.5 MB resident)."""
+    name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    try:
+        return importlib.import_module(name).sha256
+    except ImportError:  # an interpreter built without it
+        import hashlib
+
+        return hashlib.sha256
 
 
 class Report(NamedTuple):
