@@ -23,8 +23,6 @@ _EXPORTS = {
         "StageSpec",
         "RankOneSpec",
         "validate_spec",
-        "ColumnStats",
-        "column_stats",
         "LevelRef",
         "check_level",
         "level_width",
@@ -41,8 +39,9 @@ _EXPORTS = {
         "PartnerShift",
         "partner_shift",
         "APSearchResult",
-        "ap_search",
         "progression_runs",
+    ),
+    "digits": (
         "DigitAlphabet",
         "admissible_alphabets",
         "sumset_membership",
@@ -72,7 +71,6 @@ _EXPORTS = {
         "conservativity_fraction",
         "ErgodicMatchResult",
         "ergodic_matching",
-        "exhaustive_matches",
         "PatternQuery",
         "PatternResult",
         "pattern_measure",
@@ -86,6 +84,7 @@ _EXPORTS = {
         "AsymmetryResult",
         "asymmetry_statistic",
     ),
+    "oracles": ("ColumnStats", "column_stats", "ap_search", "exhaustive_matches"),
     "reporting": (
         "Report",
         "canonical_json",
@@ -129,14 +128,23 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = ["TOOL_VERSION", "__version__", *_MODULE_OF]
 
 
-def __getattr__(name: str) -> Any:
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy_exports(namespace: dict[str, Any], module_of: dict[str, str]) -> tuple[Any, Any]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for the package whose globals are
+    ``namespace``: a name is imported from its module in ``module_of``, relative
+    to the package, the first time it is looked up."""
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        if name not in module_of:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(f".{module_of[name]}", package)
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(namespace["__all__"]))
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(globals(), _MODULE_OF)

@@ -22,10 +22,10 @@ commands share, and its own part (``products``, ``matching``, ``mixing``,
 
 from __future__ import annotations
 
-import importlib
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
+from .. import _lazy_exports
 from ..construction import LevelRef, RankOneSpec, check_level
 from ..errors import CheckedRecord, ParamOutOfRange, PreconditionViolated, is_plain_int
 from ..reporting import TOOL_VERSION
@@ -35,8 +35,8 @@ from ..specio import spec_fingerprint
 # time one of its names is looked up (PEP 562), as in ``ranklab/__init__``.
 _PARTS = {
     "products": ("conservativity_fraction", "non_ergodic_check"),
-    "matching": ("ErgodicMatchResult", "ergodic_matching", "exhaustive_matches",
-                 "PatternQuery", "PatternResult", "pattern_measure"),
+    "matching": ("ErgodicMatchResult", "ergodic_matching", "PatternQuery", "PatternResult",
+                 "pattern_measure"),
     "mixing": ("MixingEntry", "MixingResult", "mixing_decay"),
     "npc": ("npc_certificate",),
     "pwm": ("PwmResult", "pwm_witness"),
@@ -236,15 +236,4 @@ def verify_match_witness(spec: RankOneSpec, witness: MatchWitness) -> None:
         )
 
 
-
-def __getattr__(name: str) -> Any:
-    part = _PART_OF.get(name)
-    if part is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{part}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(globals(), _PART_OF)

@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .. import families, sumsets
 from ..construction import LevelRef
+from ..digits import gamma_search
 from ..errors import HypothesisUnmet, ParamOutOfRange, StageTooLow
+from ..families.tq import TQParams, make_tq
 from . import VERDICT_HOLDS, Certificate, MatchWitness, _certificate
 from . import _require, _require_ints, verify_match_witness
 
@@ -31,7 +32,7 @@ def _geometric_head(k: int, length: int) -> int:
 
 
 def pwm_witness(
-    params: families.TQParams,
+    params: TQParams,
     alpha: Sequence[int],
     shifts: Sequence[int],
     base_stage: int,
@@ -46,7 +47,7 @@ def pwm_witness(
     stages align the residuals, and a final gap-one digit pair supplies the
     unit step.  The witness is replayed from raw integers before emission.
     """
-    spec, _ = families.make_tq(params.t, params.q, params.positions)
+    spec, _ = make_tq(params.t, params.q, params.positions)
     alphabet = params.alphabet
     if not alphabet.has_unit_diff:
         raise HypothesisUnmet(
@@ -67,7 +68,7 @@ def pwm_witness(
 
     k = params.k
     v = len(alphas) + 1
-    gs = sumsets.gamma_search(alphabet, {abs(a) for a in alphas}, horizon)
+    gs = gamma_search(alphabet, {abs(a) for a in alphas}, horizon)
     gamma = gs.gamma
 
     digit_rows: list[tuple[int, ...]] = [gs.zero_digits]

@@ -21,14 +21,14 @@ import sys
 import time
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .errors import IoError, ParamOutOfRange, RankLabError, UsageError
+from .errors import IoError, RankLabError, UsageError
 
 if TYPE_CHECKING:
     import argparse
     from fractions import Fraction
+    from types import ModuleType
 
     from .construction import MeasureInterval, RankOneSpec
-    from .sumsets import DigitAlphabet
 
 __all__ = ["main", "run"]
 
@@ -48,9 +48,9 @@ _VERDICT_EXIT = {
     "fails": EXIT_PROPERTY_FAILED,
 }
 
-# A handler gets the spec or digit alphabet that ``run`` loaded and returns
-# (result, evidence, exit code); ``run`` adds the spec fingerprint and the
-# ``inputs`` block, echoed from the command's flags.
+# A handler (see ``handlers``) gets the spec or digit alphabet that ``run``
+# loaded and returns (result, evidence, exit code); ``run`` adds the spec
+# fingerprint and the ``inputs`` block, echoed from the command's flags.
 Outcome = tuple[dict[str, Any], dict[str, Any], int]
 
 
@@ -142,377 +142,6 @@ def _load(args: argparse.Namespace) -> tuple[RankOneSpec, str]:
     return spec, spec_fingerprint(spec)
 
 
-def _digit_alphabet(args: argparse.Namespace) -> tuple[DigitAlphabet, str]:
-    """Alphabet from ``--spec`` (tower family) or ``--k``/``--alphabet``."""
-    from .sumsets import DigitAlphabet
-
-    if args.spec is not None:
-        if args.k is not None or args.alphabet is not None:
-            raise UsageError("give either --spec or --k/--alphabet, not both")
-        from .specio import tq_params_of
-
-        spec, fp = _load(args)
-        params = tq_params_of(spec)
-        if params is None:
-            raise ParamOutOfRange(
-                "this spec does not define a digit alphabet;"
-                " use a tower-family spec or pass --k/--alphabet"
-            )
-        return params.alphabet, fp
-    if args.k is None or args.alphabet is None:
-        raise UsageError("need --spec, or both --k and --alphabet")
-    from .reporting import fingerprint
-
-    alphabet = DigitAlphabet(args.k, tuple(args.alphabet))
-    payload = {"digitAlphabet": {"k": alphabet.k, "digits": list(alphabet.digits)}}
-    return alphabet, fingerprint(payload)
-
-
-# ---------------------------------------------------------------------------
-# command handlers
-#
-# ``_cmd_<name>`` handles command ``<name>`` (dashes as underscores), given
-# the input ``run`` loaded: the spec, or the digit alphabet for a command
-# with the digit-source flags.  Each imports what it calls, so a command
-# loads only the modules it needs; a certificate command imports the part of
-# ``certificates`` that the command table names for it, never the other
-# parts.  Without cached bytecode each imported module is compiled on every
-# start, and the compiler's working memory lands on top of whatever is live,
-# so ``run`` imports that part first, before argparse or a spec.
-
-
-def _cmd_validate(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .specio import spec_payload
-
-    preview = []
-    for n in range(6):
-        try:
-            preview.append(spec.height(n))
-        except RankLabError:
-            break
-    result = {"valid": True, "spec": spec_payload(spec)}
-    return result, {"heightPreview": preview}, EXIT_OK
-
-
-def _cmd_heights(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    hs = [spec.height(n) for n in range(args.stages)]
-    return {"heights": hs}, {}, EXIT_OK
-
-
-def _cmd_descendants(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from ._budget import charge
-    from .construction import LevelRef, descendant_extent, descendant_heights, level_width
-
-    level = LevelRef(*args.base)
-    count, lo, hi = descendant_extent(spec, level, args.to)
-    if count <= TABLE_CAP:
-        evidence = {"values": list(descendant_heights(spec, level, args.to))}
-    else:
-        # Too many to list: read from the height sets, charged as if listed,
-        # so that a refusal does not depend on the route.
-        charge(count, f"descendant set at stage {args.to}")
-        evidence = {"summary": {"count": count, "first": lo, "last": hi}}
-    width = level_width(spec, LevelRef(args.to, lo))
-    result = {"count": count, "min": lo, "max": hi, "levelWidth": width}
-    _attach_approx(args, result, {"levelWidth": width})
-    return result, evidence, EXIT_OK
-
-
-def _cmd_diffset(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from ._budget import charge
-    from .construction import LevelRef, descendant_heights
-    from .sumsets import descendant_differences
-
-    level = LevelRef(*args.base)
-    values = descendant_heights(spec, level, args.to)
-    charge(len(values) ** 2, "difference multiset")
-    diffs = descendant_differences(spec, level, args.to, values)
-    if isinstance(diffs, int):  # bit d is difference d, 0 included
-        rest = diffs >> 1  # bit d - 1 is positive difference d
-        size, first, last = rest.bit_count(), (rest & -rest).bit_length(), rest.bit_length()
-    else:
-        rest = diffs - {0}
-        size, first, last = len(rest), min(rest, default=None), max(rest, default=0)
-    result = {"setSize": len(values), "distinctPositive": size, "maxDifference": last}
-    if size > TABLE_CAP:  # summarized: only a listing reads the counts
-        return result, {"summary": {"count": size, "first": first, "last": last}}, EXIT_OK
-    counts = descendant_differences(spec, level, args.to, values, counted=True)
-    table = [[v, counts[v]] for v in sorted(counts)[1:]]  # 0 is always present
-    return result, {"positive": table}, EXIT_OK
-
-
-def _cmd_ap(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from ._budget import charge
-    from .construction import LevelRef, descendant_heights
-    from .sumsets import descendant_differences, progression_runs
-
-    level = LevelRef(*args.base)
-    values = descendant_heights(spec, level, args.to)
-    charge(len(values) ** 2, "difference set for progression search")
-    diffs = descendant_differences(spec, level, args.to, values)
-    res = progression_runs(diffs, args.max_len)
-    cap_reached = res.longest >= args.max_len
-    result = {
-        "longest": res.longest,
-        "witness": res.witness,
-        "progression": list(res.progression),
-        "capReached": cap_reached,
-    }
-    if len(res.runs) <= RUNS_CAP:  # ``runs`` iterates in ascending order
-        evidence: dict[str, Any] = {"runs": [[x, ln] for x, ln in res.runs.items()]}
-    else:
-        evidence = {
-            "runCount": len(res.runs),
-            "longest": res.longest,
-            "witness": res.witness,
-        }
-    code = EXIT_PROPERTY_FAILED if cap_reached else EXIT_OK
-    return result, evidence, code
-
-
-def _cmd_partners(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .sumsets import partner_set, partner_shift
-
-    heights = spec.height_set(args.stage)
-    if args.shift is not None:
-        s0 = partner_set(heights, args.shift)
-        s1 = partner_set(heights, args.shift + 1)
-        result = {
-            "z": args.shift,
-            "sizeAtZ": len(s0.members),
-            "sizeAtZPlus1": len(s1.members),
-            "delta": s0.delta,
-        }
-        _attach_approx(args, result, {"delta": s0.delta})
-        evidence = {"membersAtZ": list(s0.members), "membersAtZPlus1": list(s1.members)}
-        return result, evidence, EXIT_OK
-    ps = partner_shift(heights)
-    if ps is None:
-        return {"found": False}, {"heights": list(heights)}, EXIT_OK
-    result = {
-        "found": True,
-        "z": ps.z,
-        "pairCount": len(ps.at_z.members),
-        "delta": ps.delta,
-    }
-    _attach_approx(args, result, {"delta": ps.delta})
-    evidence = {
-        "membersAtZ": list(ps.at_z.members),
-        "membersAtZPlus1": list(ps.at_z_plus_1.members),
-    }
-    return result, evidence, EXIT_OK
-
-
-def _cmd_membership(args: argparse.Namespace, alphabet: DigitAlphabet) -> Outcome:
-    from .sumsets import sumset_membership
-
-    digits = sumset_membership(alphabet, args.digits, args.target)
-    result = {
-        "member": digits is not None,
-        "representation": None if digits is None else list(digits),
-        "base": alphabet.k,
-    }
-    return result, {}, EXIT_OK
-
-
-def _cmd_gaps(args: argparse.Namespace, alphabet: DigitAlphabet) -> Outcome:
-    from .sumsets import gap_count
-
-    gc = gap_count(alphabet, args.digits)
-    result = {
-        "g": gc.g,
-        "recursion": list(gc.recursion),
-        "brute": gc.brute,
-        "matches": gc.matches,
-    }
-    evidence: dict[str, Any] = {"unitGaps": list(gc.unit_gaps)}
-    evidence |= (
-        {"missing": list(gc.missing)}
-        if len(gc.missing) <= TABLE_CAP
-        else {"missingCount": len(gc.missing)}
-    )
-    code = EXIT_OK if gc.matches else EXIT_PROPERTY_FAILED
-    return result, evidence, code
-
-
-def _cmd_coverage(args: argparse.Namespace, alphabet: DigitAlphabet) -> Outcome:
-    from .sumsets import coverage_checks
-
-    cc = coverage_checks(alphabet, args.digits)
-    result = {
-        "passed": cc.passed,
-        "hasUnitDiff": cc.has_unit_diff,
-        "halfAlphabetOk": cc.half_alphabet_ok,
-        "halfRangeOk": cc.half_range_ok,
-        "parityOk": cc.parity_ok,
-    }
-    evidence = {"failures": [[kind, value] for kind, value in cc.failures]}
-    code = EXIT_OK if cc.passed else EXIT_PROPERTY_FAILED
-    return result, evidence, code
-
-
-def _cmd_gamma(args: argparse.Namespace, alphabet: DigitAlphabet) -> Outcome:
-    from .sumsets import gamma_search
-
-    gw = gamma_search(alphabet, args.multipliers, args.horizon)
-    result = {"n": gw.n, "m": gw.m, "gamma": gw.gamma}
-    evidence = {
-        "zeroDigits": list(gw.zero_digits),
-        "multiplierDigits": [[b, list(d)] for b, d in gw.beta_digits],
-    }
-    return result, evidence, EXIT_OK
-
-
-def _cmd_conservativity(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .certificates.products import ProductQuery, conservativity_fraction
-
-    query = ProductQuery(
-        multipliers=args.multipliers,
-        shifts=(0,) * len(args.multipliers),
-        base_stage=args.base,
-        horizon=args.horizon,
-        epsilon=args.epsilon,
-    )
-    best, cert = conservativity_fraction(spec, query)
-    result = {"bestFraction": best, "verdict": cert.verdict}
-    _attach_approx(args, result, {"bestFraction": best})
-    return result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
-
-
-def _cmd_ergodic_match(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .certificates.matching import ProductQuery, ergodic_matching
-
-    query = ProductQuery(
-        multipliers=args.multipliers,
-        shifts=args.shifts,
-        base_stage=args.base,
-        horizon=args.horizon,
-    )
-    res = ergodic_matching(spec, query)
-    result = {
-        "fraction": res.fraction,
-        "dead": res.dead,
-        "pending": res.pending,
-        "verdict": res.certificate.verdict,
-    }
-    _attach_approx(args, result, {"fraction": res.fraction, "dead": res.dead})
-    evidence = {"certificate": res.certificate, "witness": res.witness}
-    return result, evidence, _VERDICT_EXIT[res.certificate.verdict]
-
-
-def _cmd_pattern(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .certificates.matching import PatternQuery, pattern_measure
-
-    query = PatternQuery(
-        arity=len(args.moves),
-        shifts=args.moves,
-        base_stage=args.base,
-        cutoff=args.cutoff,
-        dconst=args.dconst,
-    )
-    res = pattern_measure(spec, query)
-    result = {
-        "matched": _interval(res.matched),
-        "hitMass": res.hit_mass,
-        "bound": res.bound,
-        "moveCount": res.gamma,
-        "verdict": res.certificate.verdict,
-    }
-    _attach_approx(
-        args,
-        result,
-        {"confirmed": res.matched.confirmed, "bound": res.bound},
-    )
-    evidence = {"certificate": res.certificate}
-    return result, evidence, _VERDICT_EXIT[res.certificate.verdict]
-
-
-def _cmd_mixing(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .certificates.mixing import mixing_decay
-    from .construction import LevelRef
-
-    if not args.shifts and args.window is None:
-        raise UsageError("give --shifts and/or --window")
-    level = LevelRef(*args.base)
-    res = mixing_decay(spec, level, args.shifts, args.window)
-    result = {
-        "verdict": res.verdict,
-        "entryCount": len(res.shifts),
-        "inWindow": res.in_window,
-        "violations": res.violation_count,
-        "worstRatio": res.worst_ratio,
-    }
-    _attach_approx(args, result, {"worstRatio": res.worst_ratio})
-    evidence = {"certificate": res.certificate}
-    return result, evidence, _VERDICT_EXIT[res.verdict]
-
-
-def _cmd_npc(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .certificates.npc import npc_certificate
-
-    cert = npc_certificate(spec, args.kappa, args.start, args.horizon)
-    longest = max(row["longest"] for row in cert.evidence["progressions"])
-    result = {
-        "verdict": cert.verdict,
-        "longest": longest,
-        "proofSup": cert.evidence["proofSup"],
-    }
-    _attach_approx(args, result, {"proofSup": cert.evidence["proofSup"]})
-    return result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
-
-
-def _cmd_pwm(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .certificates.pwm import pwm_witness
-    from .specio import tq_params_of
-
-    params = tq_params_of(spec)
-    if params is None:
-        raise ParamOutOfRange(
-            "power weak mixing witnesses need a tower-family spec (kind 'tq')"
-        )
-    res = pwm_witness(params, args.alpha, args.shifts, args.base, args.horizon)
-    result = {
-        "moveCount": res.gamma,
-        "tailStage": res.tail_stage,
-        "beta": res.beta,
-        "verdict": res.certificate.verdict,
-    }
-    _attach_approx(args, result, {"beta": res.beta})
-    evidence = {"certificate": res.certificate, "witness": res.match}
-    return result, evidence, _VERDICT_EXIT[res.certificate.verdict]
-
-
-def _cmd_non_ergodic(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .certificates.products import non_ergodic_check
-
-    cert = non_ergodic_check(spec, args.alpha, args.shifts, args.base, args.horizon)
-    result = {"verdict": cert.verdict, "scope": cert.evidence.get("scope")}
-    return result, {"certificate": cert}, _VERDICT_EXIT[cert.verdict]
-
-
-def _cmd_asymmetry(args: argparse.Namespace, spec: RankOneSpec) -> Outcome:
-    from .certificates.asymmetry import asymmetry_statistic
-
-    res = asymmetry_statistic(spec, args.base, args.scale, args.eval)
-    result = {
-        "verdict": res.certificate.verdict,
-        "zeroSide": _interval(res.zero_side),
-        "forwardSide": _interval(res.forward_side),
-        "adjacencyFree": res.adjacency_free,
-        "zeroExact": res.zero_exact,
-    }
-    _attach_approx(
-        args,
-        result,
-        {
-            "forwardConfirmed": res.forward_side.confirmed,
-            "zeroUpper": res.zero_side.upper,
-        },
-    )
-    evidence = {"certificate": res.certificate}
-    return result, evidence, _VERDICT_EXIT[res.certificate.verdict]
-
-
 # ---------------------------------------------------------------------------
 # the command table
 
@@ -568,39 +197,42 @@ _SCALE = _required("--scale", _positive_int, "STAGE")
 _EVAL = _required("--eval", _positive_int, "STAGE")
 
 # Every command: its help line, its flags after --json and --approx, and the
-# part of ``certificates`` its handler imports (None if it issues no
-# certificate).  Each flag is echoed into the report's ``inputs`` under its
-# camelCase name, except that the flags in _ECHO_IF_GIVEN are left out when not given.
-_COMMANDS: dict[str, tuple[str, tuple[Flag, ...], str | None]] = {
-    "validate": ("parse a spec file and echo its normal form", (_SPEC,), None),
-    "heights": ("column heights h_0..h_{N-1}", (_SPEC, _STAGES), None),
-    "descendants": ("heights a level splits into", (_SPEC, _LEVEL, _TO), None),
-    "diffset": ("difference multiset of the descendants", (_SPEC, _LEVEL, _TO), None),
+# module of ``handlers`` that holds its handler, for a certificate command
+# named after the part of ``certificates`` it imports.  Each flag is echoed
+# into the report's ``inputs`` under its camelCase name, except that the flags
+# in _ECHO_IF_GIVEN are left out when not given.
+_COMMANDS: dict[str, tuple[str, tuple[Flag, ...], str]] = {
+    "validate": ("parse a spec file and echo its normal form", (_SPEC,), "columns"),
+    "heights": ("column heights h_0..h_{N-1}", (_SPEC, _STAGES), "columns"),
+    "descendants": ("heights a level splits into", (_SPEC, _LEVEL, _TO), "columns"),
+    "diffset": (
+        "difference multiset of the descendants", (_SPEC, _LEVEL, _TO), "differences"
+    ),
     "ap": (
         "longest run x,2x,..,lx inside the difference set",
         (_SPEC, _LEVEL, _TO, _MAX_LEN),
-        None,
+        "differences",
     ),
     "partners": (
-        "offsets with a partner at distance z, z+1", (_SPEC, _STAGE, _SHIFT), None
+        "offsets with a partner at distance z, z+1", (_SPEC, _STAGE, _SHIFT), "differences"
     ),
     "membership": (
         "digit representation of a target value",
         (*_DIGIT_SOURCE, _DIGITS, _TARGET),
-        None,
+        "digits",
     ),
     "gaps": (
         "missing-value counts: recursion vs brute force",
         (*_DIGIT_SOURCE, _DIGITS),
-        None,
+        "digits",
     ),
     "coverage": (
-        "low-range and parity coverage checks", (*_DIGIT_SOURCE, _DIGITS), None
+        "low-range and parity coverage checks", (*_DIGIT_SOURCE, _DIGITS), "digits"
     ),
     "gamma": (
         "shift keeping scaled powers representable",
         (*_DIGIT_SOURCE, _MULTIPLIERS, _HORIZON_8),
-        None,
+        "digits",
     ),
     "conservativity": (
         "returning-tuple fraction",
@@ -732,13 +364,15 @@ def _inputs(args: argparse.Namespace) -> dict[str, Any]:
 # entry points
 
 
+def _handlers(command: str) -> ModuleType:
+    return importlib.import_module(f".handlers.{_COMMANDS[command][2]}", __package__)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse, dispatch, emit one report, and return the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    part = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else None
-    if part is not None:
-        # Compiled before anything else is live; see the note on the handlers.
-        importlib.import_module(f".certificates.{part}", __package__)
+    if argv and argv[0] in _COMMANDS:
+        _handlers(argv[0])  # compiled before anything else is live; see ``handlers``
     from .reporting import Report, emit_report
 
     try:
@@ -750,8 +384,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     started = time.monotonic()
     try:
         # Looked up at call time, so a replaced handler takes effect.
-        handler = globals()["_cmd_" + args.command.replace("-", "_")]
-        load = _load if _SPEC in _COMMANDS[args.command][1] else _digit_alphabet
+        handlers = _handlers(args.command)
+        handler = getattr(handlers, "_cmd_" + args.command.replace("-", "_"))
+        load = _load if _SPEC in _COMMANDS[args.command][1] else handlers._digit_alphabet
         source, fp = load(args)
         result, evidence, code = handler(args, source)
         inputs = _inputs(args)

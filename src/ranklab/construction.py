@@ -45,10 +45,8 @@ __all__ = [
     "FamilyTag",
     "RankOneSpec",
     "LevelRef",
-    "ColumnStats",
     "MeasureInterval",
     "validate_spec",
-    "column_stats",
     "level_width",
     "check_level",
     "descendant_extent",
@@ -242,21 +240,6 @@ def validate_spec(raw: object) -> RankOneSpec:
             extension=raw.get("extension", EXTENSION_ERROR),
         )
     raise SpecError(f"cannot validate a {type(raw).__name__} as a construction spec")
-
-
-class ColumnStats(NamedTuple):
-    """Exact per-column bookkeeping."""
-
-    stage: int
-    height: int
-    level_width: Fraction
-    total_measure: Fraction
-
-
-def column_stats(spec: RankOneSpec, n: int) -> ColumnStats:
-    h = spec.height(n)
-    w = spec.level_width(n)
-    return ColumnStats(stage=n, height=h, level_width=w, total_measure=h * w)
 
 
 class LevelRef(NamedTuple):

@@ -11,7 +11,7 @@ rejected, so a fingerprint always refers to one unambiguous construction.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .construction import (
     EXTENSION_ERROR,
@@ -21,14 +21,10 @@ from .construction import (
     validate_spec,
 )
 from .errors import IoError, SpecFileError, is_plain_int
-from .families import (
-    AsymmParams,
-    TQParams,
-    make_asymm_construction,
-    make_inf_chacon,
-    make_tq,
-)
 from .reporting import fingerprint
+
+if TYPE_CHECKING:
+    from .families.tq import TQParams
 
 __all__ = [
     "parse_spec",
@@ -87,11 +83,14 @@ def _parse_stages(raw: Any) -> list[StageSpec]:
 
 
 def _parse_family(block: Mapping[str, Any]) -> RankOneSpec:
+    # Each kind imports its own part of ``families``; an explicit one, none.
     if not isinstance(block, dict):
         raise SpecFileError("family must be an object")
     kind = block.get("kind")
     if kind == "inf_chacon":
         _exact_keys(block, {"kind", "t", "q", "m1", "m0"}, "family")
+        from .families.inf_chacon import make_inf_chacon
+
         return make_inf_chacon(
             t=_plain_int(block["t"], "family.t"),
             q=_plain_int(block["q"], "family.q"),
@@ -100,6 +99,8 @@ def _parse_family(block: Mapping[str, Any]) -> RankOneSpec:
         )
     if kind == "tq":
         _exact_keys(block, {"kind", "t", "q", "positions"}, "family")
+        from .families.tq import make_tq
+
         spec, _ = make_tq(
             t=_plain_int(block["t"], "family.t"),
             q=_plain_int(block["q"], "family.q"),
@@ -108,6 +109,8 @@ def _parse_family(block: Mapping[str, Any]) -> RankOneSpec:
         return spec
     if kind == "asymm":
         _exact_keys(block, {"kind", "k", "p", "stages", "separationFactor"}, "family")
+        from .families.asymm import AsymmParams, make_asymm_construction
+
         params = AsymmParams(
             k=_plain_int(block["k"], "family.k"),
             p=_int_or_none(block["p"], "family.p"),
@@ -192,6 +195,8 @@ def tq_params_of(spec: RankOneSpec) -> TQParams | None:
     """Recover tower-alphabet parameters when the spec came from that family."""
     if spec.family is None or spec.family.kind != "tq":
         return None
+    from .families.tq import TQParams
+
     params = spec.family.as_dict()
     return TQParams(
         t=params["t"], q=params["q"], positions=tuple(params["positions"])

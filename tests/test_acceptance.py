@@ -21,15 +21,12 @@ from ranklab import (
     PatternQuery,
     ProductQuery,
     admissible_alphabets,
-    ap_search,
     asymm_stage_sets,
     asymmetry_statistic,
-    column_stats,
     conservativity_fraction,
     coverage_checks,
     descendant_heights,
     ergodic_matching,
-    exhaustive_matches,
     fingerprint,
     gamma_search,
     gap_count,
@@ -46,7 +43,8 @@ from ranklab import (
     verify_match_witness,
 )
 from ranklab.cli import run
-from ranklab.sumsets import DigitAlphabet
+from ranklab.digits import DigitAlphabet
+from ranklab.oracles import ap_search, column_stats, exhaustive_matches
 
 
 class _Clock:

@@ -37,7 +37,6 @@ from ranklab import (
     descendant_differences,
     descendant_heights,
     ergodic_matching,
-    exhaustive_matches,
     gamma_search,
     gap_count,
     intersection_measure,
@@ -57,6 +56,7 @@ from ranklab import _budget, construction, sumsets
 from ranklab.certificates import matching, mixing
 from ranklab.certificates.asymmetry import _adjacent_pairs
 from ranklab.certificates.products import _anchored_matched, _key_slides, _residues, _slide_scan
+from ranklab.oracles import exhaustive_matches
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from conftest import spec_path
 import ranklab
 import ranklab.cli
+import ranklab.handlers.columns
 from ranklab import LevelRef, descendant_differences, descendant_heights, load_spec, validate_report
 from ranklab.cli import run
 
@@ -871,7 +872,7 @@ def test_internal_error_yields_error_report(capsys, monkeypatch):
     def broken(args, spec):
         raise AssertionError("descendants collided")
 
-    monkeypatch.setattr(ranklab.cli, "_cmd_heights", broken)
+    monkeypatch.setattr(ranklab.handlers.columns, "_cmd_heights", broken)
     args = ("heights", "--spec", spec_path("chacon.json"), "--stages", "3")
     code, out, err = cli(capsys, *args)
     assert code == 1
@@ -886,7 +887,7 @@ def test_internal_error_yields_error_report(capsys, monkeypatch):
     def interrupted(args, spec):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(ranklab.cli, "_cmd_heights", interrupted)
+    monkeypatch.setattr(ranklab.handlers.columns, "_cmd_heights", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run(list(args))
 
@@ -1120,6 +1121,33 @@ def test_in_process_workload_reports_match_golden(workload, capsys, monkeypatch)
     assert len(seen) == {"mixing": 11, "enumerate": 22}[workload]
 
 
+def test_benchmark_tracer_installs_over_the_split_modules(capsys, monkeypatch):
+    # ``perfbench/tracer.py`` (``--trace 1``) imports every module of its
+    # LAYERS map and wraps the functions their ``__all__`` lists; a traced
+    # enumerate job still charges the budget and writes its golden report.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    jobs = _perfbench_jobs()
+    monkeypatch.chdir(REPO)
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    template = jobs.templates("enumerate")[1]  # diffset: descendants, then sumsets
+    argv = jobs.instantiate(template, 0)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        code = run(list(argv))
+    finally:
+        spans.uninstall()
+    counts = spans.collect()
+    assert counts["budget.charges"] > 0
+    specs = {path: load_spec(path) for path in jobs.SPEC_FILES["enumerate"]}
+    text = capsys.readouterr().out
+    assert jobs.check_report(jobs.load_golden(), template, argv, code, text, specs) == []
+
+
 _DEEP_WINDOW_MESSAGE = (
     "overlap counts across a shift window needs ~29991924739071 enumeration units,"
     " over the budget of 5000000 (raise RANKLAB_BUDGET to allow it)"
@@ -1331,67 +1359,91 @@ import contextlib, io, json, sys
 import ranklab.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = ranklab.cli.run(sys.argv[1:])
-watched = ("ranklab.certificates", "ranklab.sumsets", "dataclasses")
+watched = ("ranklab.certificates", "ranklab.sumsets", "ranklab.digits", "ranklab.families",
+           "ranklab.handlers", "dataclasses", "_hashlib")
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(watched))]))
 """
 
 
-def _certificate_part(part, *others):
-    """Modules a certificate command loads: the core, its part, maybe sumsets."""
-    return ["ranklab.certificates", f"ranklab.certificates.{part}", *others]
+def _family(kind):
+    """Modules a spec of family ``kind`` loads: the package and that kind's part."""
+    return ["ranklab.families", f"ranklab.families.{kind}"]
+
+
+def _handlers(group, *others):
+    """A command's handler module, with the package, then ``others``."""
+    return ["ranklab.handlers", f"ranklab.handlers.{group}", *others]
+
+
+def _certificate_part(part, family, *others):
+    """Modules a certificate command on a family spec loads, maybe sumsets too."""
+    return ["ranklab.certificates", f"ranklab.certificates.{part}",
+            *_family(family), *_handlers(part, *others)]
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (("heights", "--spec", spec_path("chacon.json"), "--stages", "4"), []),
+        (("heights", "--spec", spec_path("chacon.json"), "--stages", "4"),
+         [*_family("inf_chacon"), *_handlers("columns")]),
         (("gaps", "--k", "9", "--alphabet", "0,2,3,5,6,8", "--digits", "3"),
-         ["ranklab.sumsets"]),
+         ["ranklab.digits", *_handlers("digits")]),  # no difference half
         (
             ("npc", "--spec", spec_path("chacon.json"), "--kappa", "13", "--horizon", "6"),
-            _certificate_part("npc", "ranklab.sumsets"),
+            _certificate_part("npc", "inf_chacon", "ranklab.sumsets"),
         ),
-        (("validate", "--spec", spec_path("asymm.json")), []),  # families load no sumsets
-        (("validate", "--spec", spec_path("tq41.json")), []),
+        # families load no sumsets, and a spec loads its own family part alone
+        (("validate", "--spec", spec_path("asymm.json")),
+         [*_family("asymm"), *_handlers("columns")]),
+        (("validate", "--spec", spec_path("tq41.json")),
+         [*_family("tq"), *_handlers("columns")]),
         # Every other certificate command: its own part, no other, no dataclasses.
         (
             ("conservativity", "--spec", spec_path("chacon.json"), "--multipliers", "1,1",
              "--base", "0", "--horizon", "2"),
-            _certificate_part("products", "ranklab.sumsets"),
+            _certificate_part("products", "inf_chacon", "ranklab.sumsets"),  # no digit half
         ),
         (
             ("ergodic-match", "--spec", spec_path("chacon.json"), "--multipliers", "1,-1",
              "--shifts", "0,1", "--base", "1", "--horizon", "2"),
-            _certificate_part("matching", "ranklab.sumsets"),
+            _certificate_part("matching", "inf_chacon", "ranklab.sumsets"),
         ),
         (
             ("pattern", "--spec", spec_path("chacon.json"), "--moves", "0,1", "--base", "1",
              "--cutoff", "3"),
-            _certificate_part("matching", "ranklab.sumsets"),
+            _certificate_part("matching", "inf_chacon", "ranklab.sumsets"),
         ),
-        (
+        (  # an explicit spec: no family part
             ("mixing", "--spec", spec_path("mixing_window.json"), "--base", "0:0",
              "--shifts", "0,10,40"),
-            _certificate_part("mixing", "ranklab.sumsets"),
+            ["ranklab.certificates", "ranklab.certificates.mixing",
+             *_handlers("mixing", "ranklab.sumsets")],
         ),
-        (
+        (  # both halves: the digits for gamma, the differences for the witness check
             ("pwm", "--spec", spec_path("tq41.json"), "--alpha", "2,-3", "--shifts", "0,1,2",
              "--base", "1"),
-            _certificate_part("pwm", "ranklab.sumsets"),
+            ["ranklab.certificates", "ranklab.certificates.pwm", "ranklab.digits",
+             *_family("tq"), *_handlers("pwm", "ranklab.sumsets")],
         ),
         (
             ("non-ergodic", "--spec", spec_path("chacon.json"), "--alpha", "1,2",
              "--shifts", "0,1", "--base", "0", "--horizon", "3"),
-            _certificate_part("products", "ranklab.sumsets"),
+            _certificate_part("products", "inf_chacon", "ranklab.sumsets"),
         ),
         (  # the only certificate command that needs no sumsets
             ("asymmetry", "--spec", spec_path("chacon.json"), "--base", "1", "--scale", "1",
              "--eval", "5"),
-            _certificate_part("asymmetry"),
+            _certificate_part("asymmetry", "inf_chacon"),
         ),
+        (("validate", "--spec", spec_path("mixing_window.json")), _handlers("columns")),
+        (("gamma", "--spec", spec_path("tq41.json"), "--multipliers", "2,3"),
+         ["ranklab.digits", *_family("tq"), *_handlers("digits")]),  # no difference half
+        (("diffset", "--spec", spec_path("chacon.json"), "--base", "1:0", "--to", "3"),
+         [*_family("inf_chacon"), *_handlers("differences", "ranklab.sumsets")]),  # no digits
     ],
 )
 def test_startup_loads_only_what_the_command_needs(argv, loaded):
+    # Every watched module a run loads; none loads OpenSSL's ``_hashlib``.
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, *argv],
@@ -1401,18 +1453,22 @@ def test_startup_loads_only_what_the_command_needs(argv, loaded):
 
 
 def test_certificate_commands_are_the_ones_that_import_certificates():
-    # ``run`` imports the part the table names first (peak RSS), so a handler
-    # imports from that part of ``certificates`` and from no other.
+    # ``run`` imports the handler module the table names first (peak RSS), so
+    # a certificate command's module imports its part of ``certificates`` and
+    # no other, and no other handler module imports ``certificates``.
     import ranklab.certificates as certificates
 
     parts = set()
-    for name, (_, _, part) in ranklab.cli._COMMANDS.items():
-        source = inspect.getsource(getattr(ranklab.cli, "_cmd_" + name.replace("-", "_")))
-        imported = re.findall(r"from \.certificates\.(\w+) import", source)
+    for name, (_, _, group) in ranklab.cli._COMMANDS.items():
+        module = importlib.import_module(f"ranklab.handlers.{group}")
+        source = inspect.getsource(module)
+        part = group if group in certificates._PARTS else None
+        imported = re.findall(r"from \.\.certificates\.(\w+) import", source)
         assert imported == ([] if part is None else [part]), name
-        assert ("from .certificates" in source) == (part is not None), name
+        assert ("from ..certificates" in source) == (part is not None), name
         # ``run`` loads the spec or digit alphabet; no handler loads its own.
-        assert not re.search(r"\b(_load|_digit_alphabet)\(", source), name
+        handler = getattr(module, "_cmd_" + name.replace("-", "_"))
+        assert not re.search(r"\b(_load|_digit_alphabet)\(", inspect.getsource(handler)), name
         parts.add(part)
     assert parts - {None} == set(certificates._PARTS)
 

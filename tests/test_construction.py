@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from ranklab import (
     BudgetExceeded,
     SpecError,
-    ColumnStats,
     CutTooSmall,
     LengthMismatch,
     LevelRef,
@@ -26,13 +25,13 @@ from ranklab import (
     StageTooLow,
     StageUnavailable,
     check_level,
-    column_stats,
     descendant_extent,
     descendant_heights,
     intersection_measure,
     level_width,
     validate_spec,
 )
+from ranklab.oracles import ColumnStats, column_stats
 
 # ---------------------------------------------------------------------------
 # stage and spec validation

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranklab import (
     IntegerTooLong,
@@ -89,6 +92,33 @@ def test_fingerprint_ignores_key_insertion_order():
     assert one.startswith("sha256:")
     assert len(one) == len("sha256:") + 64
     assert fingerprint({"a": 1}) != fingerprint({"a": 2})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200)
+@given(payload=_JSON)
+def test_fingerprint_is_hashlib_sha256(payload):
+    # The builtin SHA-256 and the hashlib fallback, used where the interpreter
+    # has no builtin module, both give hashlib's digest.
+    from ranklab import reporting
+
+    want = "sha256:" + hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+    assert fingerprint(payload) == want
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in ("_sha2", "_sha256"):  # masked: importing them raises ImportError
+            monkeypatch.setitem(sys.modules, name, None)
+        reporting._sha256.cache_clear()
+        assert reporting._sha256() is hashlib.sha256
+        assert fingerprint(payload) == want
+    reporting._sha256.cache_clear()
+    assert reporting._sha256() is not hashlib.sha256
+    assert fingerprint(payload) == want
 
 
 def _report(duration: int = 7) -> Report:

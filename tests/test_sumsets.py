@@ -20,7 +20,6 @@ from ranklab import (
     ParamOutOfRange,
     PreconditionViolated,
     admissible_alphabets,
-    ap_search,
     coverage_checks,
     descendant_decompose,
     descendant_differences,
@@ -35,6 +34,8 @@ from ranklab import (
     validate_spec,
 )
 from ranklab import sumsets
+from ranklab.digits import _absent, _sumset_row
+from ranklab.oracles import ap_search
 
 # ---------------------------------------------------------------------------
 # descendant sets and the greedy decomposition
@@ -488,8 +489,8 @@ def test_truncated_sumset_small():
     alpha = DigitAlphabet(3, (0, 2))
     # (A - A) = {-2, 0, 2}; with two digits: c0 + 3*c1.
     assert _sumset_oracle(alpha, 2) == (-8, -6, -4, -2, 0, 2, 4, 6, 8)
-    assert sumsets._sumset_row(alpha, 2) == "101010101"
-    assert sumsets._sumset_row(alpha, 0) == "1"
+    assert _sumset_row(alpha, 2) == "101010101"
+    assert _sumset_row(alpha, 0) == "1"
 
 
 @given(data=st.data())
@@ -503,12 +504,12 @@ def test_digit_sumset_matches_oracles(data):
         st.lists(st.integers(-cap - 1, cap + 1), min_size=1, max_size=30), label="targets"
     )
     present = set(_sumset_oracle(alpha, n))
-    row = sumsets._sumset_row(alpha, n)
+    row = _sumset_row(alpha, n)
     assert row == "".join("1" if v in present else "0" for v in range(cap + 1))
     for values in (range(cap + 1), range(1, cap + 1, 2), range(0, cap // 3)):
         absent = [v for v in values if v not in present]
-        assert sumsets._absent(values, row) == absent
-        assert sumsets._absent(values, row, 8) == absent[:8]
+        assert _absent(values, row) == absent
+        assert _absent(values, row, 8) == absent[:8]
     for target in [-cap - 1, cap + 1, *targets]:
         digits = sumset_membership(alpha, n, target)
         assert digits == _membership_oracle(alpha, n, target), target
