@@ -122,7 +122,7 @@ def fingerprint(payload: Any) -> str:
 @cache
 def _sha256() -> Callable[[bytes], Any]:
     """SHA-256 from CPython's builtin module (``_sha2`` from 3.12, ``_sha256``
-    before), which, unlike ``hashlib``, loads no OpenSSL (~2.5 MB resident)."""
+    before), which, unlike ``hashlib``, loads no OpenSSL (~4 MB resident)."""
     name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
     try:
         return importlib.import_module(name).sha256
