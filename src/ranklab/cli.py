@@ -16,6 +16,7 @@ decimal renderings of the headline rationals (clearly grouped under an
 
 from __future__ import annotations
 
+import functools
 import importlib
 import sys
 import time
@@ -279,15 +280,20 @@ _COMMANDS: dict[str, tuple[str, tuple[Flag, ...], str]] = {
 _ECHO_IF_GIVEN = frozenset({"--spec", "--k", "--alphabet", "--shift"})
 
 
-def _new_parser(**kwargs: Any) -> argparse.ArgumentParser:
-    """An argument parser that reports usage problems via ``UsageError``."""
+@functools.cache
+def _parser_class() -> type[argparse.ArgumentParser]:
+    """The argument parser class, reporting usage problems via ``UsageError``."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
         def error(self, message: str) -> Any:  # noqa: A003 - argparse API
             raise UsageError(message)
 
-    return Parser(**kwargs)
+    return Parser
+
+
+# Each command's parser, built on the command's first run in the process.
+_PARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
 def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, for help, ``--version`` and usage errors."""
     from ._version import __version__
 
-    parser = _new_parser(
+    parser = _parser_class()(
         prog="ranklab",
         description="exact certificates for rank-one cutting-and-stacking maps",
     )
@@ -327,8 +333,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if not argv or argv[0] not in _COMMANDS:
         return build_parser().parse_args(argv)
     command = argv[0]
-    parser = _new_parser(prog=f"ranklab {command}")
-    _add_flags(parser, command)
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = _parser_class()(prog=f"ranklab {command}")
+        _add_flags(parser, command)
     # argparse reads a token starting with "-" as an option unless it is a
     # plain negative number, so ``--alpha -1,2`` would lose its value: such a
     # value is joined to its list option as ``--alpha=-1,2``.

@@ -9,6 +9,8 @@ always at least ``max H_n + h_n``.  It re-verifies every stage it emits with
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -71,21 +73,30 @@ def separation_check(
             raise ParamOutOfRange("restricted subset has elements outside the height set")
     threshold = 2 * factor * h_n
     charge(len(xs) * len(hs) ** 3, "separation quadruple scan")
+    # |x - z - y + z'| is the distance from x - y to the difference z - z'.
+    # Leaving out the pair (x, y) itself, the nearest is x - y again when it
+    # occurs twice, else the next difference up or down.
+    counts = Counter(z - z2 for z in hs for z2 in hs)
+    keys = sorted(counts)
     min_abs: int | None = None
     violation: tuple[int, int, int, int] | None = None
     for x in xs:
         for y in hs:
             if x == y:
                 continue
-            for z in hs:
-                for z2 in hs:
-                    if z == x and z2 == y:
-                        continue
-                    val = abs(x - z - y + z2)
-                    if min_abs is None or val < min_abs:
-                        min_abs = val
-                    if val < threshold and violation is None:
-                        violation = (x, y, z, z2)
+            d = x - y
+            i = bisect_left(keys, d)  # 0 is a key, so d has a neighbour
+            near = [abs(d - e) for e in keys[max(i - 1, 0) : i + 2] if e != d]
+            gap = 0 if counts[d] > 1 else min(near)
+            if min_abs is None or gap < min_abs:
+                min_abs = gap
+            if gap < threshold and violation is None:
+                violation = next(
+                    (x, y, z, z2)
+                    for z in hs
+                    for z2 in hs
+                    if (z, z2) != (x, y) and abs(d - z + z2) < threshold
+                )
     passed = violation is None
     return SeparationResult(passed, threshold, min_abs, violation)
 

@@ -350,6 +350,49 @@ def test_negative_first_lists_take_either_form(capsys, argv):
     assert with_equals == spaced
 
 
+_CHACON_0_2 = ("--spec", spec_path("chacon.json"), "--base", "0", "--horizon", "2")
+_ABL_0_3 = ("--spec", spec_path("all_but_last.json"), "--base", "0", "--horizon", "3")
+_SAME_PROCESS_RUNS = (
+    ("conservativity", *_CHACON_0_2, "--multipliers", "1,1"),
+    ("conservativity", *_CHACON_0_2, "--multipliers", "1,2", "--epsilon", "1/3"),
+    ("non-ergodic", *_ABL_0_3, "--alpha", "-1,2", "--shifts", "-1,0"),
+    ("conservativity", *_CHACON_0_2, "--multipliers", "1,x"),  # usage error
+    ("non-ergodic", *_ABL_0_3, "--alpha", "1,1", "--shifts", "0,1"),
+    ("conservativity", *_CHACON_0_2, "--multipliers", "-1,-1,3"),
+)
+
+
+def test_parsers_are_reused_across_runs(capsys):
+    # One process runs each command's parser again; every report, usage
+    # error and exit code is the one a freshly built parser gives.
+    def outcomes(fresh):
+        texts = []
+        for argv in _SAME_PROCESS_RUNS:
+            if fresh:
+                ranklab.cli._PARSERS.clear()
+            code, out, err = cli(capsys, *argv)
+            texts.append((code, re.sub(r'"durationMs":\d+,', "", out), err))
+        return texts
+
+    fresh = outcomes(fresh=True)
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 64, 2, 0]
+    assert "usage error" in fresh[3][2]
+    assert outcomes(fresh=False) == fresh
+    parsers = dict(ranklab.cli._PARSERS)
+    assert outcomes(fresh=False) == fresh
+    assert ranklab.cli._PARSERS == parsers  # the same parser objects
+    # Help, --version and an unknown command still list every command.
+    built = mock.patch.object(ranklab.cli, "build_parser", wraps=ranklab.cli.build_parser)
+    with built as build_parser:
+        for argv in (["--help"], ["--version"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 0
+        assert cli(capsys, "no-such-command")[0] == 64
+    assert build_parser.call_count == 3
+    assert ranklab.cli._PARSERS == parsers
+
+
 def test_mixing_needs_shifts_or_window(capsys):
     code, _, err = cli(
         capsys, "mixing", "--spec", spec_path("chacon.json"), "--base", "1:0"

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
+from typing import Sequence
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranklab import (
     AsymmParams,
+    BudgetExceeded,
     ParamOutOfRange,
+    SeparationResult,
     TQParams,
     asymm_stage_sets,
     make_asymm_construction,
@@ -18,6 +25,7 @@ from ranklab import (
     partner_shift,
     separation_check,
 )
+from ranklab._budget import charge
 from ranklab.families import iroot_ceil
 
 
@@ -124,6 +132,66 @@ def test_separation_restricted_scan():
     assert isinstance(part.passed, bool)
     with pytest.raises(ParamOutOfRange):
         separation_check((0, 10), h_n=1, factor=1, restricted=(3,))
+
+
+def _quadruple_scan(
+    heights: Sequence[int],
+    h_n: int,
+    factor: int,
+    restricted: Sequence[int] | None = None,
+) -> SeparationResult:
+    """The reference scan: every constrained quadruple, in scan order."""
+    hs = sorted(set(heights))
+    if restricted is None:
+        xs = hs
+    else:
+        xs = sorted(set(restricted))
+        if not set(xs) <= set(hs):
+            raise ParamOutOfRange("restricted subset has elements outside the height set")
+    threshold = 2 * factor * h_n
+    charge(len(xs) * len(hs) ** 3, "separation quadruple scan")
+    min_abs: int | None = None
+    violation: tuple[int, int, int, int] | None = None
+    for x in xs:
+        for y in hs:
+            if x == y:
+                continue
+            for z in hs:
+                for z2 in hs:
+                    if z == x and z2 == y:
+                        continue
+                    val = abs(x - z - y + z2)
+                    if min_abs is None or val < min_abs:
+                        min_abs = val
+                    if val < threshold and violation is None:
+                        violation = (x, y, z, z2)
+    passed = violation is None
+    return SeparationResult(passed, threshold, min_abs, violation)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    heights=st.lists(st.integers(-30, 90), min_size=1, max_size=7),
+    h_n=st.integers(0, 6),
+    factor=st.integers(0, 3),
+    data=st.data(),
+)
+def test_separation_check_matches_quadruple_scan(heights, h_n, factor, data):
+    # Thresholds up to 36 on offsets this close make many sets fail, so the
+    # scan order of ``violation`` is compared too, not only ``min_abs``.
+    restricted = data.draw(
+        st.one_of(st.none(), st.just(()), st.lists(st.sampled_from(heights)))
+    )
+    expected = _quadruple_scan(heights, h_n, factor, restricted)
+    assert separation_check(heights, h_n, factor, restricted) == expected
+    # The check is still charged one unit per quadruple, under the same label.
+    r = len(set(heights))
+    units = len(set(heights if restricted is None else restricted)) * r**3
+    if units > 1:
+        with mock.patch.dict(os.environ, {"RANKLAB_BUDGET": str(units - 1)}):
+            with pytest.raises(BudgetExceeded) as info:
+                separation_check(heights, h_n, factor, restricted)
+        assert (info.value.what, info.value.units) == ("separation quadruple scan", units)
 
 
 # ---------------------------------------------------------------------------
