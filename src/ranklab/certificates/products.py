@@ -7,6 +7,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Mapping, Sequence
 
 from .. import _budget, construction, sumsets
@@ -45,42 +46,39 @@ def _anchored_matched(
     return matched, Fraction(diag_matched, len(values))
 
 
-def _keys_fit(count: int, width: int) -> bool:
-    """:func:`_key_slides`'s rule: ``count`` copies of ``width`` bits, 8,192 bits per pair,
-    below where the slide scan or the anchored-key dict started to win (README)."""
-    return width <= 8192 * count
-
-
-def _key_slides(values: Sequence[int], alphas: Sequence[int],
-                shifts: Sequence[int]) -> tuple[int, Fraction] | None:
-    """:func:`_slide_scan` for two multipliers, with :func:`_anchored_matched`'s diagonal;
-    ``None`` past :func:`_keys_fit`.  With ``p, q = alphas / gcd``, ``(a, b)`` and ``(d, e)``
-    differ by a slide iff their keys ``q*a - p*b`` agree and ``a = d mod |alphas[0]|``.
-    Per residue class, each ``a`` folds its keys (bits ``-p*b`` shifted by ``q*a``) into
-    planes at least once and at least twice.  With zero shifts a pair returns iff its key
-    is not single; else ``(a, b)`` does iff its key moved by ``q*b0 - p*b1`` is in the
-    support of the class of ``a - b0``."""
+def _pair_slides(spec: RankOneSpec, base: LevelRef, j: int, values: Sequence[int],
+                 alphas: Sequence[int], shifts: Sequence[int]) -> int:
+    """:func:`_slide_scan` for two multipliers on ``base``'s stage-``j`` descendants ``values``,
+    from :func:`sumsets._difference_planes`, else from a ``Counter`` of the pairs.  With zero
+    shifts a pair returns iff another pair of its class shares its key; else ``(a, b)``
+    does iff its key moved by ``q*b0 - p*b1`` is in the support of the class of ``a - b0``."""
     (a0, a1), (b0, b1), g = alphas, shifts, math.gcd(*alphas)
-    p, q, m, lo, span = a0 // g, a1 // g, abs(a0), values[0], values[-1] - values[0]
-    if not _keys_fit(len(values), width := (abs(p) + abs(q)) * span + 1):
-        return None
-    at = lambda c, a: abs(c) * (a - lo if c > 0 else span + lo - a)  # bit c*a, offset to 0
-    row, classes = bytearray(abs(p) * span // 8 + 1), {}
-    for a in values:
-        row[(bit := at(-p, a)) >> 3] |= 1 << (bit & 7)
-        classes.setdefault(a % m, []).append(a)
-    keys, want = int.from_bytes(row, "little"), q * b0 - p * b1
-    matched = 0 if b0 or b1 else len(values) ** 2
-    for r, members in classes.items() if abs(want) < width else ():  # else no key meets
-        once = twice = 0
-        for a in members:
-            copy = keys << at(q, a)
-            once, twice = once | copy, twice | once & copy
-        support = once << want if want >= 0 else once >> -want
-        matched += (sum((keys << at(q, a) & support).bit_count()
-                        for a in classes.get((r + b0) % m, ()))
-                    if b0 or b1 else twice.bit_count() - once.bit_count())
-    return matched, Fraction(sum(len(c) for c in classes.values() if len(c) > 1), len(values))
+    p, q, m, v = a0 // g, a1 // g, abs(a0), len(values)
+    want, shifted = q * b0 - p * b1, b0 or b1
+    planes = sumsets._difference_planes(spec, base, j, values, v.bit_length() if shifted else 2,
+                                        0, alphas)
+    if planes is None and m == 1 and p == q:  # keys ±(a - b): the nonnegative half
+        counts = sumsets._pair_differences(values, True)
+        if not shifted:  # each single d > 0 twice; 0 is single only when v = 1
+            return v * v - 2 * sum(c == 1 for c in counts.values()) + (v == 1)
+        d0 = want * p  # a - b = x moves to x - d0; -x qualifies iff |x + d0| is in the half
+        return (sum(c for x, c in counts.items() if abs(x - d0) in counts)
+                + sum(c for x, c in counts.items() if x and abs(x + d0) in counts))
+    if planes is None:
+        counts, seconds = Counter(), [p * m * b for b in values]
+        for a in values:  # key k of class c at k*m + c
+            counts.update(map((q * m * a + a % m).__sub__, seconds))
+        if not shifted:
+            return sum(c for c in counts.values() if c > 1)
+        return sum(c for key, c in counts.items()
+                   if (key // m - want) * m + (key % m - b0) % m in counts)
+    if not shifted:  # 1 sets plane 0 alone, 2 plane 1, 3 both
+        return v * v - sum((counts[0] & ~counts[1]).bit_count() for counts in planes.values())
+    width = (abs(p) + abs(q)) * (values[-1] - values[0]) + 1
+    supports = {c: sumsets._shift(reduce(int.__or__, counts), want)
+                for c, counts in planes.items() if abs(want) < width}  # else no key meets
+    return sum((plane & supports.get((c - b0) % m, 0)).bit_count() << i
+               for c, counts in planes.items() for i, plane in enumerate(counts))
 
 
 def _rank_masks(values: Sequence[int], alphas: Sequence[int], shifts: Sequence[int]) -> dict:
@@ -164,24 +162,23 @@ def conservativity_fraction(
         if v == 1:
             matched = sum(c for c in _residues(spec, base, j, abs(alpha[0])).values() if c >= 2)
             route = "residue"
-        elif len(set(alpha)) == 1:
-            _budget.charge(count**v, "anchored difference keys")
-            values = construction._listed(spec, base, j)
-            if v == 2 and abs(alpha[0]) == 1:  # a key per difference: all but singles match
-                diag = count if count >= 2 else 0
-                singles = sumsets._single_differences(spec, base, j, values)
-                matched = diag + count * (count - 1) - 2 * singles
-                diagonal = Fraction(diag, count)
-            else:
-                matched, diagonal = (v == 2 and _key_slides(values, alpha, query.shifts)
-                                     or _anchored_matched(values, alpha[0], v))
-            route = "anchored"
         else:
-            _budget.charge(count ** (v + 1), "per-tuple slide scan")
+            equal = len(set(alpha)) == 1
+            route = "anchored" if equal else "scan"
+            power, label = ((v, "anchored difference keys") if equal
+                            else (v + 1, "per-tuple slide scan"))
+            _budget.charge(count**power, label)
             values = construction._listed(spec, base, j)
-            keyed = v == 2 and _key_slides(values, alpha, query.shifts)
-            matched = keyed[0] if keyed else _slide_scan(values, alpha, query.shifts)
-            route = "scan"
+            if v == 2:
+                matched = _pair_slides(spec, base, j, values, alpha, query.shifts)
+                if equal:  # a diagonal pair returns iff its class holds another value
+                    m = abs(alpha[0])
+                    classes = Counter(map(m.__rmod__, values)).values() if m > 1 else (count,)
+                    diagonal = Fraction(sum(c for c in classes if c > 1), count)
+            elif equal:
+                matched, diagonal = _anchored_matched(values, alpha[0], v)
+            else:
+                matched = _slide_scan(values, alpha, query.shifts)
         fraction = Fraction(matched, count**v)
         _require(0 <= fraction <= 1, "fraction outside [0, 1]")
         row: dict[str, Any] = {
@@ -285,7 +282,7 @@ def non_ergodic_check(
     zero_everywhere = True
     any_rows = False
     count = 1
-    by_differences = v == 2 and alphas == (1, 1)
+    by_differences = alphas == (1, 1)
     power, label = ((2, "difference counts for the shift criterion") if by_differences
                     else (v + 1, "per-tuple slide scan with shifts"))
     for j in range(base_stage + 1, horizon + 1):
@@ -299,13 +296,9 @@ def non_ergodic_check(
             rows.append(row)
             continue
         values = construction._listed(spec, base, j)
-        if by_differences:
-            matched = sumsets._shift_matches(spec, base, j, values, b[0] - b[1])
-            row["route"] = "difference-counts"
-        else:
-            keyed = v == 2 and _key_slides(values, alphas, b)
-            matched = keyed[0] if keyed else _slide_scan(values, alphas, b)
-            row["route"] = "scan"
+        matched = (_pair_slides(spec, base, j, values, alphas, b) if v == 2
+                   else _slide_scan(values, alphas, b))
+        row["route"] = "difference-counts" if by_differences else "scan"
         fraction = Fraction(matched, count**v)
         row["matched"] = matched
         row["fraction"] = fraction

@@ -16,10 +16,11 @@ The digit sumsets are in :mod:`ranklab.digits`.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, partial
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .construction import LevelRef, RankOneSpec, check_level
@@ -125,57 +126,64 @@ def descendant_differences(
     values where it returns ``None``.
     """
     depth = len(values).bit_length() if counted else 1  # no count passes V
-    halves = _difference_planes(spec, level, j, values, depth, values[-1] - values[0])
-    if halves is None:
+    planes = _difference_planes(spec, level, j, values, depth, values[-1] - values[0])
+    if planes is None:
         return _pair_differences(values, counted)
     if not counted:
-        return halves[0]  # bit d is difference d
+        return planes[0][0]  # class 0's plane 0: bit d is difference d
     counts: Counter[int] = Counter()
-    for i, half in enumerate(halves):
+    for i, half in enumerate(planes[0]):
         counts.update(dict.fromkeys(_ones(bin(half)[:1:-1], 0), 1 << i))
     return counts
 
 
-def _single_differences(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int]) -> int:
-    """How many positive differences of ``level``'s stage-``j`` descendants
-    ``values`` one pair alone realizes: counts 1 in two planes of :func:`_difference_planes`."""
-    planes = _difference_planes(spec, level, j, values, 2, values[-1] - values[0] + 1)
-    if planes is None:
-        return sum(c == 1 for d, c in _pair_differences(values, True).items() if d)
-    return (planes[0] & ~planes[1]).bit_count()  # 1 sets plane 0 alone, 2 plane 1, 3 both
-
-
 def _difference_planes(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int],
-                       depth: int, low: int = 0) -> list[int] | None:
-    """Ordered-pair counts of the signed differences ``s - t`` of ``level``'s
-    stage-``j`` descendants ``values``, in ``depth`` bit-sliced planes.
+                       depth: int, low: int = 0,
+                       alphas: Sequence[int] = (1, 1)) -> dict[int, list[int]] | None:
+    """Ordered-pair counts of the keys ``q*s - p*t`` (``p, q = alphas / gcd``) of
+    ``level``'s stage-``j`` descendants ``values``, as ``{s mod |alphas[0]|: planes}``.
 
-    Bit ``d + W - low`` of plane ``i``, with ``W = max - min`` of ``values``,
-    is bit ``i`` of the number of pairs with ``s - t = d``, saturated at
-    ``2**depth - 1``.  From the level's single descendant, stage ``n`` adds
-    one copy per ordered offset pair ``(o, o')`` of ``H_n``, shifted by
-    ``o' - o + max H_n``: a copy per ``o'``, then a copy of their sum per
-    ``max H_n - o``, the last ones ``low`` bits less.  ``None``, before
-    anything is built, where some stage's positive steps in ``H_n - H_n``
-    times its nonnegative width, times ``depth`` past depth 2 (whose
-    readers keep one half), would pass 64 bits per pair of ``values``.
+    Two pairs share a key and a class iff a slide by ``alphas`` moves one to the
+    other.  Bit ``k`` of plane ``i`` is bit ``i`` of the count of the key ``k + low``
+    above the least, saturated at ``2**depth - 1``: for ``(1, 1)``, ``d`` is at
+    ``d + W - low`` with ``W = max - min`` of ``values``.  From the level's single
+    descendant, stage ``n`` adds a copy per offset ``o`` of ``H_n``, shifted by ``q*o``
+    and ``o`` classes on, then a copy of their sum per ``o'``, shifted by ``-p*o'``,
+    the last ones ``low`` bits less.  ``None``, before anything is built, past
+    :func:`_planes_fit`.
     """
-    pairs = len(values) * (len(values) - 1) // 2
+    g = math.gcd(*alphas)
+    p, q, m = alphas[0] // g, alphas[1] // g, abs(alphas[0])
     stages = [spec.height_set(n) for n in range(level.stage, j)]
-    tops = itertools.accumulate(offsets[-1] for offsets in stages)  # the largest difference
-    weight = depth if depth > 2 else 1
-    if any(len({b - a for a, b in itertools.combinations(offsets, 2)}) * (top + 1) * weight
-           > 64 * pairs for offsets, top in zip(stages, tops)):
+    held = depth if depth > 2 or not low else 1  # below depth 3 a cut keeps one half
+    if not _planes_fit(stages, len(values) * (len(values) - 1) // 2,
+                       held * (abs(p) + abs(q)) * min(m, len(values))):
         return None
-    passes = [shifts for h in stages for shifts in (h, [h[-1] - o for o in h])] or [[0]]
-    passes[-1] = [shift - low for shift in passes[-1]]
-    planes = [1] + [0] * (depth - 1)
-    for shifts in passes:
-        grown = [_shift(p, shifts[0]) for p in planes]
-        for shift in shifts[1:]:
-            _add(grown, planes, shift)
-        planes = grown
-    return planes
+    passes = [moves for h in stages for moves in (  # each second pass widest copy first
+        [(q * o, o) for o in h] if q > 0 else [(-q * (h[-1] - o), o) for o in h],
+        [(p * (h[-1] - o), 0) for o in h] if p > 0 else [(-p * o, 0) for o in h[::-1]],
+    )] or [[(0, 0)]]
+    passes[-1] = [(shift - low, move) for shift, move in passes[-1]]
+    classes = {level.height % m: [1] + [0] * (depth - 1)}
+    for moves in passes:
+        grown: dict[int, list[int]] = {}
+        for c, planes in classes.items():
+            for shift, move in moves:
+                if (to := (c + move) % m) in grown:
+                    _add(grown[to], planes, shift)
+                else:
+                    grown[to] = [_shift(plane, shift) for plane in planes]
+        classes = grown
+    return classes
+
+
+def _planes_fit(stages: Sequence[Sequence[int]], pairs: int, weight: int) -> bool:
+    """:func:`_difference_planes`'s size rule: each stage's positive steps in ``H_n - H_n``
+    times its largest difference plus one, times ``weight`` (the planes held, times the
+    key's width ``|p| + |q|`` and the class count), is at most 128 bits per pair."""
+    tops = itertools.accumulate(offsets[-1] for offsets in stages)  # the largest difference
+    return all(len({b - a for a, b in itertools.combinations(offsets, 2)}) * (top + 1) * weight
+               <= 128 * pairs for offsets, top in zip(stages, tops))
 
 
 def _shift(p: int, shift: int) -> int:
@@ -196,20 +204,6 @@ def _add(acc: list[int], planes: list[int], shift: int) -> None:
             carry, acc[i] = b ^ (b ^ carry) & acc[i], acc[i] ^ carry
     for i, a in enumerate(acc if carry else ()):  # past the top plane: saturate
         acc[i] = a | carry
-
-
-def _shift_matches(spec: RankOneSpec, level: LevelRef, j: int, values: Sequence[int],
-                   want: int) -> int:
-    """Ordered pairs of ``level``'s stage-``j`` descendants ``values`` whose difference
-    ``u`` has ``u - want`` one too: planes at depth ``V.bit_length()``, else pairs."""
-    planes = _difference_planes(spec, level, j, values, len(values).bit_length())
-    if planes is None:  # u = -p < 0 qualifies iff |p + want| is in the half
-        counts = _pair_differences(values, True)
-        matched = sum(c for p, c in counts.items() if abs(p - want) in counts)
-        return matched + sum(c for p, c in counts.items() if p and abs(p + want) in counts)
-    # bit i of u's count at bit u + W; u -> -u turns want into -want
-    support = reduce(int.__or__, planes) >> abs(want)
-    return sum((p & support).bit_count() << i for i, p in enumerate(planes))
 
 
 class PartnerSet(NamedTuple):

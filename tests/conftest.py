@@ -10,6 +10,11 @@ from ranklab import RankOneSpec, load_spec
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 
+# Pairs of multipliers for the two-multiplier slide counts: coprime or not,
+# signed either way, equal or not.
+_MULTIPLIER_PAIRS = [(1, 1), (1, 2), (2, 1), (-1, 2), (2, -3), (-2, -3), (1, -1), (-1, -1),
+                     (2, 2), (-2, -2), (-3, -3), (2, 4), (6, 4), (-4, 6), (3, 3)]
+
 
 def spec_path(name: str) -> str:
     p = SPECS_DIR / name

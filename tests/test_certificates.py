@@ -10,12 +10,13 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import spec_path
+from conftest import _MULTIPLIER_PAIRS, spec_path
 from ranklab import (
     BudgetExceeded,
     DigitAlphabet,
@@ -55,7 +56,7 @@ from ranklab import (
 from ranklab import _budget, construction, sumsets
 from ranklab.certificates import matching, mixing
 from ranklab.certificates.asymmetry import _adjacent_pairs
-from ranklab.certificates.products import _anchored_matched, _key_slides, _residues, _slide_scan
+from ranklab.certificates.products import _anchored_matched, _pair_slides, _residues, _slide_scan
 from ranklab.oracles import exhaustive_matches
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -803,21 +804,27 @@ def _pair_singles(values):
 
 @settings(max_examples=60, deadline=None)
 @given(_small_specs().flatmap(lambda spec: st.tuples(
-    st.just(spec), st.just(LevelRef(0, 0)), st.integers(0, len(spec.explicit_stages())))))
-@example((load_spec(spec_path("asymm.json")), LevelRef(1, 0), 2))  # pairwise
-@example((load_spec(spec_path("asymm.json")), LevelRef(0, 0), 3))  # pairwise
-@example((load_spec(spec_path("chacon.json")), LevelRef(1, 2), 5))
-def test_single_differences_match_pair_counter(case):
-    # Two bitset planes, at least once and at least twice, or the pairs
-    # where the bitsets would pass 64 bits per pair.
+    st.just(spec), st.just(LevelRef(0, 0)), st.integers(0, len(spec.explicit_stages())))),
+    st.booleans())
+@example((load_spec(spec_path("asymm.json")), LevelRef(1, 0), 2), True)  # pairwise
+@example((load_spec(spec_path("asymm.json")), LevelRef(0, 0), 3), False)  # pairwise
+@example((load_spec(spec_path("chacon.json")), LevelRef(1, 2), 5), True)
+@example((load_spec(spec_path("chacon.json")), LevelRef(1, 2), 5), False)
+def test_single_differences_match_pair_counter(case, fits):
+    # conservativity 1,1 counts every ordered pair but the two of each
+    # single difference, from the planes or, forced past their rule, from
+    # the half Counter; 0 is single only on one value.
     spec, level, j = case
     values = descendant_heights(spec, level, j)
-    assert sumsets._single_differences(spec, level, j, values) == _pair_singles(values)
+    v = len(values)
+    with mock.patch.object(sumsets, "_planes_fit", lambda *args: fits):
+        matched = _pair_slides(spec, level, j, values, (1, 1), (0, 0))
+    assert matched == v * v - 2 * _pair_singles(values) - (v == 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_specs(), st.sampled_from([1, -1]), st.data())
-def test_anchored_difference_counts_match_keys(spec, alpha, data):
+@given(_small_specs(), st.sampled_from([1, -1]), st.booleans(), st.data())
+def test_anchored_difference_counts_match_keys(spec, alpha, fits, data):
     # A group of anchored keys is the ordered pairs at one difference, so
     # every pair off the diagonal matches but those a difference holds alone.
     j = data.draw(st.integers(1, len(spec.explicit_stages())))
@@ -825,13 +832,15 @@ def test_anchored_difference_counts_match_keys(spec, alpha, data):
     values = descendant_heights(spec, base, j)
     matched, diagonal = _anchored_matched(values, alpha, 2)
     counts = descendant_differences(spec, base, j, values, counted=True)
-    singles = sumsets._single_differences(spec, base, j, values)
+    singles = _pair_singles(values)
     assert singles == sum(c == 1 for d, c in counts.items() if d)
     v = len(values)
     assert diagonal * v + v * (v - 1) - 2 * singles == matched
-    rows = conservativity_fraction(
-        spec, ProductQuery((alpha, alpha), (0, 0), 0, j)
-    )[1].evidence["stages"]
+    with mock.patch.object(sumsets, "_planes_fit", lambda *args: fits):
+        assert _pair_slides(spec, base, j, values, (alpha, alpha), (0, 0)) == matched
+        rows = conservativity_fraction(
+            spec, ProductQuery((alpha, alpha), (0, 0), 0, j)
+        )[1].evidence["stages"]
     assert (rows[-1]["matched"], rows[-1]["diagonalFraction"]) == (matched, diagonal)
 
 
@@ -920,8 +929,10 @@ def test_slide_scan_matches_brute_force_on_any_value_set(values, alphas, shifts)
     assert _slide_scan(values, tuple(alphas), b) == want
 
 
-_MULTIPLIER_PAIRS = [(1, 2), (2, 1), (-1, 2), (2, -3), (-2, -3), (1, -1), (-1, -1), (2, 2),
-                     (-2, -2), (-3, -3), (2, 4), (6, 4), (-4, 6), (3, 3)]
+def _spec_of(values):
+    """A one-stage spec whose stage-1 descendants of level 0 are ``values`` less their least."""
+    gaps = [b - a - 1 for a, b in zip(values, values[1:])] or [0]
+    return validate_spec({"stages": [{"r": len(gaps) + 1, "s": gaps + [0]}]})
 
 
 @settings(max_examples=150, deadline=None)
@@ -929,21 +940,79 @@ _MULTIPLIER_PAIRS = [(1, 2), (2, 1), (-1, 2), (2, -3), (-2, -3), (1, -1), (-1, -
     values=st.sets(st.integers(-12, 30), min_size=1, max_size=9).map(sorted),
     alphas=st.sampled_from(_MULTIPLIER_PAIRS),
     shifts=st.sampled_from([(0, 0)]) | st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    fits=st.booleans(),
 )
-@example(values=[0, 1, 2, 4], alphas=(2, 4), shifts=(0, 0))  # not coprime
-@example(values=[-12, 0, 30], alphas=(6, 4), shifts=(1, -1))
-@example(values=[0, 3, 6, 7], alphas=(-3, -3), shifts=(0, 0))  # one class of three
-@example(values=[0, 1], alphas=(1, 2), shifts=(10**12, 0))  # far past every key
-def test_key_slides_match_slide_scan_on_any_value_set(values, alphas, shifts):
-    # Pairs that differ by a slide share the key q*a - p*b and the class of
-    # a mod |alpha_0|: the slide scan, brute force and, with equal
-    # multipliers, the anchored keys' matched count and diagonal agree.
-    matched, diagonal = _key_slides(values, alphas, shifts)
+@example(values=[0, 1, 2, 4], alphas=(2, 4), shifts=(0, 0), fits=True)  # not coprime
+@example(values=[-12, 0, 30], alphas=(6, 4), shifts=(1, -1), fits=True)
+@example(values=[-12, 0, 30], alphas=(6, 4), shifts=(1, -1), fits=False)
+@example(values=[0, 3, 6, 7], alphas=(-3, -3), shifts=(0, 0), fits=True)  # one class of three
+@example(values=[0, 1], alphas=(1, 2), shifts=(10**12, 0), fits=True)  # far past every key
+def test_key_slides_match_slide_scan_on_any_value_set(values, alphas, shifts, fits):
+    # A translation of the values moves every key and class alike, so the
+    # pair slides of a one-stage spec whose descendants are ``values`` less
+    # their least, from the planes or forced past their rule, match the slide
+    # scan and brute force on ``values``; with equal multipliers, also the
+    # anchored keys' matched count and diagonal.
+    spec, base, j = _spec_of(values), LevelRef(0, 0), int(len(values) > 1)
+    heights = descendant_heights(spec, base, j)
+    assert heights == tuple(a - values[0] for a in values)
+    anchored = alphas[0] == alphas[1] and not any(shifts) and j
+    with mock.patch.object(sumsets, "_planes_fit", lambda *args: fits):
+        matched = _pair_slides(spec, base, j, heights, alphas, shifts)
+        if anchored:
+            _, cert = conservativity_fraction(spec, ProductQuery(alphas, shifts, 0, j))
     assert matched == _slide_scan(values, alphas, shifts)
     if abs(shifts[0]) < 100:
         assert matched == _slide_oracle(values, alphas, shifts, nonzero=not any(shifts))
-    if alphas[0] == alphas[1] and not any(shifts):
-        assert (matched, diagonal) == _anchored_matched(values, alphas[0], 2)
+    if anchored:
+        row = cert.evidence["stages"][-1]
+        want = _anchored_matched(values, alphas[0], 2)
+        assert (row["matched"], row["diagonalFraction"]) == want == (matched, want[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=_small_specs(),
+    alphas=st.sampled_from(_MULTIPLIER_PAIRS),
+    shifts=st.sampled_from([(0, 0)]) | st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    fits=st.booleans(),
+    data=st.data(),
+)
+@example(spec=validate_spec({"stages": [{"r": 4, "s": [0, 0, 1, 0]}]}), alphas=(2, 4),
+         shifts=(0, 0), fits=True, data=None)  # not coprime
+@example(spec=validate_spec({"h0": 2, "stages": [{"r": 3, "s": [7, 0, 0]}]}), alphas=(6, 4),
+         shifts=(1, -1), fits=False, data=None)
+@example(spec=validate_spec({"h0": 3, "stages": [{"r": 3, "s": [0, 0, 0]}]}), alphas=(-3, -3),
+         shifts=(0, 0), fits=True, data=None)  # one class of three
+@example(spec=validate_spec({"stages": [{"r": 2, "s": [0, 0]}]}), alphas=(1, 2),
+         shifts=(10**12, 0), fits=True, data=None)  # far past every key
+@example(spec=validate_spec({"stages": [{"r": 3, "s": [0, 0, 8]}]}), alphas=(-3, -3),
+         shifts=(1, 5), fits=True, data=None)  # b0 = 1 moves a class of 3
+@example(spec=validate_spec({"stages": [{"r": 2, "s": [0, 0]}]}), alphas=(-1, -1),
+         shifts=(1, 0), fits=False, data=None)  # the half Counter, shifted
+@example(spec=validate_spec({"stages": [{"r": 2, "s": [0, 0]}]}), alphas=(1, 1),
+         shifts=(0, 0), fits=False, data=None)  # 0 is no single difference
+def test_pair_slides_match_slide_scan_and_oracle(spec, alphas, shifts, fits, data):
+    # Pairs that differ by a slide share the key q*a - p*b and the class of
+    # a mod |alpha_0|.  The planes and, forced past their rule, the pairs
+    # (a half Counter for ±1,±1, a Counter of keys and classes else) match
+    # the slide scan and brute force; with equal multipliers, also the
+    # anchored keys' matched count and diagonal.
+    j = data.draw(st.integers(0, len(spec.explicit_stages()))) if data else 1
+    base = LevelRef(0, 0)
+    values = descendant_heights(spec, base, j)
+    anchored = alphas[0] == alphas[1] and not any(shifts) and j
+    with mock.patch.object(sumsets, "_planes_fit", lambda *args: fits):
+        matched = _pair_slides(spec, base, j, values, alphas, shifts)
+        if anchored:
+            _, cert = conservativity_fraction(spec, ProductQuery(alphas, shifts, 0, j))
+    assert matched == _slide_scan(values, alphas, shifts)
+    if abs(shifts[0]) < 100:
+        assert matched == _slide_oracle(values, alphas, shifts, nonzero=not any(shifts))
+    if anchored:
+        row = cert.evidence["stages"][-1]
+        want = _anchored_matched(values, alphas[0], 2)
+        assert (row["matched"], row["diagonalFraction"]) == want == (matched, want[1])
 
 
 def test_slide_scan_rows_on_chacon(chacon):

@@ -543,8 +543,8 @@ def test_membership_search_is_linear_in_the_digits():
 
 def test_slide_scan_with_sparse_values_stays_small():
     # asymm's stage-3 descendants span far more than V^2 = 8,100 heights, so
-    # the scan indexes its masks by slide rank: position masks took ~6.6 s
-    # and ~310 MB here.  The fingerprint is that of the rank-mask report.
+    # a Counter keys their 8,100 pairs.  The slide scan's position masks took
+    # ~6.6 s and ~310 MB here.  The fingerprint is that of the rank-mask report.
     code, peak_kb, seconds, payload = _probe(
         "conservativity", "--spec", "specs/asymm.json", "--multipliers", "1,2",
         "--base", "0", "--horizon", "3",
@@ -559,10 +559,11 @@ def test_slide_scan_with_sparse_values_stays_small():
 
 
 def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
-    # conservativity 1,1 counts single differences on two bitset planes,
-    # never by pairs.  Other pairs of multipliers fold difference keys into
-    # bitsets at every stage, chacon's keys spanning at most 2 * 26,128 + 1
-    # bits for 729 values: no slide scan, rank mask or anchored-key dict.
+    # Every pair of multipliers counts its slides on the difference planes,
+    # keyed q*s - p*t per class of s, grown stage by stage: chacon's keys
+    # span at most 5 * 26,128 + 1 bits for 729 values.  The planes never
+    # decline, so no Counter of the pairs, slide scan, rank mask or
+    # anchored-key dict runs.
     from ranklab import sumsets
     from ranklab.certificates import products
 
@@ -576,11 +577,16 @@ def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
     spy(sumsets, "_pair_differences")
     for name in ("_slide_scan", "_anchored_matched", "_rank_masks"):
         spy(products, name)
+    real = sumsets._difference_planes
+    monkeypatch.setattr(sumsets, "_difference_planes", lambda spec, level, j, values, *rest: (
+        real(spec, level, j, values, *rest) or built.append(("declined", len(values)))))
     chacon = spec_path("chacon.json")
     for argv, horizon, matched in [
         (("conservativity", "--multipliers", "1,1"), 6, 530321),
         (("conservativity", "--multipliers", "1,2"), 4, 6178),
+        (("conservativity", "--multipliers=2,-3"), 4, 5474),
         (("conservativity", "--multipliers", "2,2"), 6, 526367),
+        (("non-ergodic", "--alpha", "1,1", "--shifts", "0,1"), 6, 525290),
         (("non-ergodic", "--alpha", "1,2", "--shifts", "0,1"), 4, 6447),
     ]:
         code, payload = report(capsys, argv[0], "--spec", chacon, *argv[1:],
@@ -592,10 +598,13 @@ def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
 
 
 _KEY_GRID = [
+    ("conservativity", "--multipliers", "1,1"),
+    ("conservativity", "--multipliers=-1,-1"),
     ("conservativity", "--multipliers", "1,2"),
     ("conservativity", "--multipliers", "2,-3"),
     ("conservativity", "--multipliers", "2,2"),
     ("conservativity", "--multipliers", "2,4"),
+    ("non-ergodic", "--alpha", "1,1", "--shifts", "0,1"),
     ("non-ergodic", "--alpha", "1,2", "--shifts", "0,1"),
     ("non-ergodic", "--alpha", "2,1", "--shifts", "1,0"),
     ("non-ergodic", "--alpha", "2,4", "--shifts", "0,2"),
@@ -605,16 +614,16 @@ _KEY_GRID = [
 
 @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "specs").glob("*.json")))
 def test_key_slide_rule_picks_a_route_not_a_report(capsys, monkeypatch, name):
-    # Forced either way, the difference keys' size rule changes only who
-    # counts: the keys, or the slide scan and the anchored-key dict.  asymm
-    # stops at stage 2, whose 30 values span 186,960 heights.
-    from ranklab.certificates import products
+    # Forced either way, the difference planes' size rule changes only who
+    # counts: the planes, or a Counter of the pairs.  asymm stops at stage
+    # 2, whose 30 values span 186,960 heights.
+    from ranklab import sumsets
 
     horizon = 2 if name == "asymm.json" else 3
     for argv in _KEY_GRID:
         texts = []
         for fits in (True, False):
-            monkeypatch.setattr(products, "_keys_fit", lambda count, width, fits=fits: fits)
+            monkeypatch.setattr(sumsets, "_planes_fit", lambda *args, fits=fits: fits)
             code, out, err = cli(capsys, argv[0], "--spec", spec_path(name), *argv[1:],
                                  "--base", "0", "--horizon", horizon)
             texts.append((code, re.sub(r'"durationMs":\d+,', "", out), err))
@@ -622,30 +631,50 @@ def test_key_slide_rule_picks_a_route_not_a_report(capsys, monkeypatch, name):
         assert texts[0][0] in (0, 2) and '"matched"' in texts[0][1], argv
 
 
-@pytest.mark.parametrize("spacer, scanned", [(5460, False), (5461, True)])
+@pytest.mark.parametrize("spacer, scanned", [(19, False), (20, True)])
 def test_key_slide_rule_edge(capsys, monkeypatch, tmp_path, spacer, scanned):
-    # Two descendants {0, 1 + s}: with 1,2 the keys span 3 * (1 + s) + 1
-    # bits, 16,384 = 8,192 per pair at s = 5,460, the widest the rule
-    # admits.  One more and the slide scan counts.
-    from ranklab.certificates import products
+    # Two descendants {0, 1 + s}, one pair: with 1,2 the rule charges the
+    # step 1 + s, plus one, times two planes, times a key of width 3, at most
+    # 128 bits per pair: 6 * (2 + s) <= 128 up to s = 19.  One more and the
+    # pairs count.
+    from ranklab import sumsets
 
-    scans = []
-    real = products._slide_scan
-    monkeypatch.setattr(products, "_slide_scan", lambda *args: scans.append(args) or real(*args))
+    paired = []
+    real = sumsets._difference_planes
+    monkeypatch.setattr(sumsets, "_difference_planes", lambda spec, level, j, values, *rest: (
+        real(spec, level, j, values, *rest) or paired.append(values)))
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"h0": 1, "stages": [{"r": 2, "s": [spacer, 0]}]}))
     code, payload = report(capsys, "conservativity", "--spec", path, "--multipliers", "1,2",
                            "--base", "0", "--horizon", "1")
     assert code == 0
-    assert [len(values) for values, *_ in scans] == ([2] if scanned else [])
+    assert [len(values) for values in paired] == ([2] if scanned else [])
     rows = payload["evidence"]["certificate"]["evidence"]["stages"]
     assert [(row["route"], row["matched"]) for row in rows] == [("scan", 0)]
+
+
+def test_sparse_equal_multipliers_stay_small():
+    # asymm's 900 stage-4 descendants are too sparse for the planes, so a
+    # Counter keys their 810,000 pairs.  The anchored-key dict took ~1.8 s
+    # and ~94 MB here.  The fingerprint is that of the dict's report.
+    code, peak_kb, seconds, payload = _probe(
+        "conservativity", "--spec", "specs/asymm.json", "--multipliers", "2,2",
+        "--base", "0", "--horizon", "4",
+    )
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+    assert seconds < 1.0
+    del payload["durationMs"]
+    assert ranklab.fingerprint(payload) == (
+        "sha256:a62eaf84a759c250c111f2123953650d0daf5c105ef744eda070978eb35040ca"
+    )
 
 
 def test_equal_multipliers_at_the_budget_edge_stay_small():
     # chacon stage 7 has 2,187 descendants, charged 2,187**2 = 4,782,969
     # units.  A dict of the anchored keys of every pair took ~10 s and
-    # ~70 MB here; the difference keys fold 2,187 copies of 2 * 156,765 + 1 bits.
+    # ~70 MB here; the planes grow by six shifted copies per class and stage,
+    # of at most 2 * 156,765 + 1 bits.
     code, peak_kb, seconds, payload = _probe(
         "conservativity", "--spec", "specs/chacon.json", "--multipliers", "2,2",
         "--base", "0", "--horizon", "7",
@@ -761,6 +790,35 @@ def test_shift_criterion_counts_at_the_plane_rule_edge_stay_small(tmp_path):
     rows = payload["evidence"]["certificate"]["evidence"]["stages"]
     assert rows[-1] == {"stage": 11, "tuples": 4194304, "route": "difference-counts",
                         "matched": 4194300, "fraction": rational(1048575, 1048576)}
+
+
+def test_pair_slides_at_the_plane_rule_edge_stay_small(tmp_path):
+    # 2,048 descendants, [0, 1024) and [1024 + s, 2048 + s), charged
+    # 4,194,304 units.  conservativity 1,1 reads two planes of the full
+    # signed width, so the rule charges the last stage's one positive step
+    # times its 2,048 + s nonnegative differences once per plane: at most
+    # 64 bits for each of the 2,096,128 pairs up to this s.  Its planes
+    # span ~1.3 * 10**8 bits, and the run peaks at ~110 MB.
+    from ranklab import sumsets
+
+    edge = 32 * 2096128 - 2048
+    stages = [{"r": 2, "s": [0, 0]}] * 10
+    for s, fits in (edge, True), (edge + 1, False):
+        spec = ranklab.validate_spec({"h0": 1, "stages": stages + [{"r": 2, "s": [s, 0]}]})
+        stage_sets = [spec.height_set(n) for n in range(11)]
+        assert sumsets._planes_fit(stage_sets, 2096128, 2 * 2) == fits
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"h0": 1, "stages": stages + [{"r": 2, "s": [edge, 0]}]}))
+    code, peak_kb, _, payload = _probe(
+        "conservativity", "--spec", path, "--multipliers", "1,1", "--base", "0",
+        "--horizon", "11",
+    )
+    assert code == 0
+    assert peak_kb <= 150 * 1024
+    # Only the cross pairs 1 + s and 2047 + s apart, either way round, hold
+    # their difference alone.
+    rows = payload["evidence"]["certificate"]["evidence"]["stages"]
+    assert rows[-1]["matched"] == 4194304 - 4
 
 
 def test_progression_search_at_the_set_rule_edge_stays_small(tmp_path):

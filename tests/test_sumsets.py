@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import spec_path
+from conftest import _MULTIPLIER_PAIRS, spec_path
 from ranklab import (
     DigitAlphabet,
     HorizonExceeded,
@@ -103,15 +105,23 @@ def _dense(values):
     return values[-1] - values[0] + 1 <= 64 * max(pairs, 1)
 
 
-def _sliced(counts, width, depth):
-    """``depth`` bit-sliced planes of ``counts`` (signed difference -> count),
-    bit ``d + width`` of plane ``i`` being bit ``i`` of ``min(count, 2**depth - 1)``."""
-    rows = [["0"] * (2 * width + 1) for _ in range(depth)]
-    for d, c in counts.items():
-        for i, row in enumerate(rows):
-            if min(c, 2**depth - 1) >> i & 1:
-                row[d + width] = "1"
-    return [int("".join(reversed(row)), 2) for row in rows]
+def _sliced(counts, offset, depth):
+    """``depth`` bit-sliced planes of ``counts`` (key -> count), bit ``k + offset``
+    of plane ``i`` being bit ``i`` of ``min(count, 2**depth - 1)``."""
+    return [sum(1 << k + offset for k, c in counts.items() if min(c, 2**depth - 1) >> i & 1)
+            for i in range(depth)]
+
+
+def _keyed(values, alphas):
+    """Ordered pairs per key ``q*s - p*t`` in each class of ``s mod |alphas[0]|``, by a
+    Counter, as ``{class: {key: count}}``, and the least key."""
+    g = math.gcd(*alphas)
+    p, q, m = alphas[0] // g, alphas[1] // g, abs(alphas[0])
+    keys = Counter((q * s - p * t, s % m) for s in values for t in values)
+    classes = {}
+    for (k, c), n in keys.items():
+        classes.setdefault(c, {})[k] = n
+    return classes, min(k for k, _ in keys)
 
 
 @settings(deadline=None, max_examples=150)
@@ -127,6 +137,7 @@ def _sliced(counts, width, depth):
 def test_descendant_differences_match_pair_oracle(case, max_len):
     # The planes at depth 1, 2 and past every count against a Counter of all
     # ordered pairs, saturated; then the nonnegative half, counted and not.
+    # Each pair of multipliers keys its planes by q*s - p*t and s's class.
     spec, level, j = case
     values = descendant_heights(spec, level, j)
     signed = Counter(s - t for s in values for t in values)
@@ -134,9 +145,18 @@ def test_descendant_differences_match_pair_oracle(case, max_len):
     for depth in 1, 2, (len(values) ** 2).bit_length():
         planes = sumsets._difference_planes(spec, level, j, values, depth)
         if planes is not None:
-            assert planes == _sliced(signed, values[-1] - values[0], depth)
+            assert planes == {0: _sliced(signed, values[-1] - values[0], depth)}
         built.append(planes is not None)
     assert built == sorted(built, reverse=True)  # a deeper count is built no more often
+    # Past the size rule too, where the keys span few enough bits.
+    small = len(values) <= 81 and values[-1] - values[0] <= 10**4
+    with mock.patch.object(sumsets, "_planes_fit", lambda *args: True):
+        for alphas in _MULTIPLIER_PAIRS if small else ():
+            classes, least = _keyed(values, alphas)
+            for depth in 2, len(values).bit_length():
+                planes = sumsets._difference_planes(spec, level, j, values, depth, 0, alphas)
+                assert planes == {c: _sliced(keys, -least, depth)
+                                  for c, keys in classes.items()}, (alphas, depth)
     expected = {d: c for d, c in signed.items() if d >= 0}
     assert dict(descendant_differences(spec, level, j, values, counted=True)) == expected
     got = descendant_differences(spec, level, j, values)
@@ -244,10 +264,13 @@ def test_progression_search_refuses_a_negative_bitset(diffs):
     ],
 )
 def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
-    # Counted, uncounted and the single differences share the planes and
-    # their rule: within 64 bits per pair (for each plane of a deeper
-    # count), else the pairs.  chacon's differences fit at every depth;
-    # asymm's far-apart offsets do not, at its first stage or after three.
+    # Counted, uncounted and the pair slides of 1,1 share the planes and
+    # their rule: within 64 bits per pair (for each plane of a deeper count
+    # or of the full signed width), else the pairs.  chacon's differences fit
+    # at every depth; asymm's far-apart offsets do not, at its first stage or
+    # after three.
+    from ranklab.certificates import products
+
     spec = load_spec(spec_path(name))
     values = descendant_heights(spec, level, j)
     paired = []
@@ -257,9 +280,10 @@ def test_descendant_differences_route(monkeypatch, name, level, j, pairwise):
     )
     counts = descendant_differences(spec, level, j, values, counted=True)
     diffs = descendant_differences(spec, level, j, values)
-    singles = sumsets._single_differences(spec, level, j, values)
+    matched = products._pair_slides(spec, level, j, values, (1, 1), (0, 0))
     assert paired == [True, False, True] * pairwise
-    assert singles == sum(c == 1 for d, c in counts.items() if d)
+    # A pair returns iff its signed difference is not single.
+    assert matched == sum(c * (1 + (d > 0)) for d, c in counts.items() if c > 1)
     assert isinstance(diffs, int) == (not pairwise) == _dense(values)
     assert _bits(diffs) == set(counts) and counts[0] == len(values)
     assert sum(counts.values()) * 2 - len(values) == len(values) ** 2
@@ -277,39 +301,53 @@ def test_bitset_holds_at_most_64_bits_per_pair(spacer, dense):
 
 @pytest.mark.parametrize("depth, spacers, dense", [
     (1, (30, 31), True), (1, (30, 32), False),
-    (2, (30, 31), True), (2, (30, 32), False),
+    (2, (14, 15), True), (2, (14, 16), False),
     (4, (6, 7), True), (4, (6, 8), False),
 ])
 def test_plane_rule_counts_every_positive_step(depth, spacers, dense):
     # Descendants 0, 1 + a and 2 + a + b: three positive offset steps, two
     # of them consecutive, times 3 + a + b bits pass 64 bits for each of the
-    # three pairs once a + b = 62.  The set and the singles share that rule;
-    # a deeper count counts each plane, so at depth 4 once a + b = 14.
+    # three pairs once a + b = 62.  A deeper count of the full signed width
+    # counts each plane, so at depth 2 once a + b = 30 and at depth 4 once
+    # a + b = 14.
     spec = validate_spec({"h0": 1, "stages": [{"r": 3, "s": [*spacers, 0]}]})
     values = descendant_heights(spec, LevelRef(0, 0), 1)
     planes = sumsets._difference_planes(spec, LevelRef(0, 0), 1, values, depth)
     assert (planes is not None) == dense
 
 
-def test_set_and_singles_at_the_rule_edge_hold_the_nonnegative_half():
+@pytest.mark.parametrize("spacers, dense", [((30, 31), True), ((30, 32), False)])
+def test_plane_rule_charges_one_half_below_depth_3(spacers, dense):
+    # Cut to the nonnegative half, as the counted differences of three or
+    # fewer descendants are, two planes are charged as one.
+    spec = validate_spec({"h0": 1, "stages": [{"r": 3, "s": [*spacers, 0]}]})
+    values = descendant_heights(spec, LevelRef(0, 0), 1)
+    planes = sumsets._difference_planes(spec, LevelRef(0, 0), 1, values, 2, values[-1])
+    assert (planes is not None) == dense
+
+
+def test_set_at_the_rule_edge_holds_the_nonnegative_half():
     # 1,024 descendants, [0, 512) and [512 + s, 1024 + s), at the largest s
-    # the set and the singles build planes for.  Their last pass keeps the
-    # differences from 0 up, a plane of ~4.2 MB: the set peaks at ~3.2 such
-    # planes and the singles at ~5.3, where full signed planes took ~6.4 and
-    # ~11.7.
+    # the set builds its plane for.  Its last pass keeps the differences from
+    # 0 up, a plane of ~4.2 MB: the set peaks at ~3.2 such planes, where the
+    # full signed plane took ~6.4.
     s = 64 * (1024 * 1023 // 2) - 1024
     spec = validate_spec({"h0": 1, "stages": [{"r": 2, "s": [0, 0]}] * 9 + [{"r": 2, "s": [s, 0]}]})
     values = descendant_heights(spec, LevelRef(0, 0), 10)
     half = (values[-1] + 1) / 8
-    for read, planes in (descendant_differences, 4), (sumsets._single_differences, 7):
-        tracemalloc.start()
-        try:
-            got = read(spec, LevelRef(0, 0), 10, values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert isinstance(got, int)
-        assert peak <= planes * half
+    tracemalloc.start()
+    try:
+        got = descendant_differences(spec, LevelRef(0, 0), 10, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(got, int)
+    assert peak <= 4 * half
+    assert sumsets._difference_planes(spec, LevelRef(0, 0), 10, values, 1, s + 1023) is not None
+    wider = validate_spec({"h0": 1, "stages": [{"r": 2, "s": [0, 0]}] * 9
+                           + [{"r": 2, "s": [s + 1, 0]}]})
+    values = descendant_heights(wider, LevelRef(0, 0), 10)
+    assert sumsets._difference_planes(wider, LevelRef(0, 0), 10, values, 1, s + 1024) is None
 
 
 def test_sparse_route_never_allocates_the_bitset(monkeypatch):
