@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -26,24 +25,6 @@ def _residues(spec: RankOneSpec, level: LevelRef, j: int, m: int) -> Counter[int
             grown.update({(a + o) % m: c for a, c in counts.items()})
         counts = grown
     return counts
-
-
-def _anchored_matched(
-    values: Sequence[int], alpha0: int, arity: int
-) -> tuple[int, Fraction]:
-    """Uniform-multiplier route: group tuples by anchored difference key.
-
-    Sliding a tuple by ``n * alpha`` preserves the coordinate differences and
-    the anchor's residue mod ``|alpha|``; two tuples in one group are exact
-    slides of each other, and a nonzero slide exists iff a group has >= 2
-    members.  Returns the matched count and the diagonal sub-fraction.
-    """
-    m, zero = abs(alpha0), (0,) * (arity - 1)
-    groups = Counter((tuple(t - tup[0] for t in tup[1:]), tup[0] % m)
-                     for tup in itertools.product(values, repeat=arity))
-    matched = sum(c for c in groups.values() if c >= 2)
-    diag_matched = sum(c for key, c in groups.items() if key[0] == zero and c >= 2)
-    return matched, Fraction(diag_matched, len(values))
 
 
 def _pair_slides(spec: RankOneSpec, base: LevelRef, j: int, values: Sequence[int],
@@ -94,6 +75,12 @@ def _rank_masks(values: Sequence[int], alphas: Sequence[int], shifts: Sequence[i
     return masks
 
 
+def _positions_fit(window: int, span: int, v: int) -> bool:
+    """Whether :func:`_slide_scan` keys slides by position: the slide window and
+    the values' span stay within ``v**2``, the rank masks' own bound."""
+    return max(window, span) < v * v
+
+
 def _slide_scan(values: Sequence[int], alphas: Sequence[int], shifts: Sequence[int]) -> int:
     """Count the tuples that some slide ``n`` moves back into the value set.
 
@@ -102,14 +89,13 @@ def _slide_scan(values: Sequence[int], alphas: Sequence[int], shifts: Sequence[i
     Each value gets a bitmask of its slides per distinct ``(alpha, shift)``;
     a tuple slides back iff the AND of its masks is nonzero, so each
     coordinate folds in by its distinct masks.  Coordinate 0 can take only
-    the ``n`` in ``[lo, hi]``.  While that window and the span of the sorted
-    ``values`` are within ``V**2``, the rank masks' own bound, bit ``n - lo``
+    the ``n`` in ``[lo, hi]``.  While :func:`_positions_fit` holds, bit ``n - lo``
     stands for ``n`` and a mask is one strided slice of the values' row.
     """
     vmin, vmax = values[0], values[-1]
     b0, g0 = shifts[0] if alphas[0] > 0 else -shifts[0], abs(alphas[0])
     lo, hi = -((vmax - vmin + b0) // g0), (vmax - vmin - b0) // g0
-    if max(hi - lo, vmax - vmin) >= len(values) ** 2:
+    if not _positions_fit(hi - lo, vmax - vmin, len(values)):
         masks, start = _rank_masks(values, alphas, shifts), -1  # -1 has every bit set
     else:
         row = bytearray(b"0") * (vmax - vmin + 1)  # "1" at a - vmin for each value a
@@ -169,16 +155,12 @@ def conservativity_fraction(
                             else (v + 1, "per-tuple slide scan"))
             _budget.charge(count**power, label)
             values = construction._listed(spec, base, j)
-            if v == 2:
-                matched = _pair_slides(spec, base, j, values, alpha, query.shifts)
-                if equal:  # a diagonal pair returns iff its class holds another value
-                    m = abs(alpha[0])
-                    classes = Counter(map(m.__rmod__, values)).values() if m > 1 else (count,)
-                    diagonal = Fraction(sum(c for c in classes if c > 1), count)
-            elif equal:
-                matched, diagonal = _anchored_matched(values, alpha[0], v)
-            else:
-                matched = _slide_scan(values, alpha, query.shifts)
+            matched = (_pair_slides(spec, base, j, values, alpha, query.shifts) if v == 2
+                       else _slide_scan(values, alpha, query.shifts))
+            if equal:  # a diagonal tuple returns iff its class holds another value
+                m = abs(alpha[0])
+                classes = Counter(map(m.__rmod__, values)).values() if m > 1 else (count,)
+                diagonal = Fraction(sum(c for c in classes if c > 1), count)
         fraction = Fraction(matched, count**v)
         _require(0 <= fraction <= 1, "fraction outside [0, 1]")
         row: dict[str, Any] = {

@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import pytest
@@ -56,7 +57,7 @@ from ranklab import (
 from ranklab import _budget, construction, sumsets
 from ranklab.certificates import matching, mixing
 from ranklab.certificates.asymmetry import _adjacent_pairs
-from ranklab.certificates.products import _anchored_matched, _pair_slides, _residues, _slide_scan
+from ranklab.certificates.products import _pair_slides, _residues, _slide_scan
 from ranklab.oracles import exhaustive_matches
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -866,6 +867,24 @@ def test_non_ergodic_chacon_is_not_refuted(chacon):
     assert any(row["fraction"] > 0 for row in cert.evidence["stages"])
 
 
+def _anchored_matched(
+    values: Sequence[int], alpha0: int, arity: int
+) -> tuple[int, Fraction]:
+    """Uniform-multiplier route: group tuples by anchored difference key.
+
+    Sliding a tuple by ``n * alpha`` preserves the coordinate differences and
+    the anchor's residue mod ``|alpha|``; two tuples in one group are exact
+    slides of each other, and a nonzero slide exists iff a group has >= 2
+    members.  Returns the matched count and the diagonal sub-fraction.
+    """
+    m, zero = abs(alpha0), (0,) * (arity - 1)
+    groups = Counter((tuple(t - tup[0] for t in tup[1:]), tup[0] % m)
+                     for tup in itertools.product(values, repeat=arity))
+    matched = sum(c for c in groups.values() if c >= 2)
+    diag_matched = sum(c for key, c in groups.items() if key[0] == zero and c >= 2)
+    return matched, Fraction(diag_matched, len(values))
+
+
 def _slide_oracle(values, alphas, shifts, nonzero):
     """Tuples with some n (nonzero if asked) putting every a - n*alpha - b in the set."""
     vset = set(values)
@@ -889,29 +908,35 @@ def _slide_oracle(values, alphas, shifts, nonzero):
         ),
         min_size=2, max_size=2,
     ),
-    alphas=st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), min_size=2, max_size=3)
-    .filter(lambda a: len(set(a)) > 1),
+    alphas=st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), min_size=2, max_size=3),
     shifts=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
 )
 @example(stages=[[0, 1, 0], [2, 0, 1]], alphas=[1, 1, 2], shifts=[1, 1, 2])
 @example(stages=[[0, 0], [1, 3]], alphas=[2, -1, 2], shifts=[2, -1, 2])
+@example(stages=[[0, 1, 0], [2, 0, 1]], alphas=[-2, -2, -2], shifts=[0, 1, 0])  # classes of 2, 3, 6
 def test_slide_scans_match_brute_force(stages, alphas, shifts):
     # Both scan routes share one slide scan: conservativity skips only the
     # identity slide n = 0, non-ergodic with unequal shifts skips nothing.
     # Multipliers may repeat and be negative; shifts may repeat unless all
-    # are equal, which non-ergodic answers without a scan.
+    # are equal, which non-ergodic answers without a scan.  Equal multipliers
+    # keep the anchored route's name and its diagonal, a class count that
+    # the anchored keys' dict confirms.
     spec = validate_spec({"stages": [{"r": len(s), "s": s} for s in stages]})
     base = LevelRef(0, 0)
     zero, b = (0,) * len(alphas), tuple(shifts[: len(alphas)])
+    equal = len(set(alphas)) == 1
     _, cert = conservativity_fraction(spec, ProductQuery(tuple(alphas), zero, 0, 2))
     for row in cert.evidence["stages"]:
         values = descendant_heights(spec, base, row["stage"])
-        assert row["route"] == "scan"
+        assert row["route"] == ("anchored" if equal else "scan")
         assert row["matched"] == _slide_oracle(values, alphas, zero, nonzero=True)
+        if equal:
+            want = _anchored_matched(values, alphas[0], len(alphas))
+            assert (row["matched"], row["diagonalFraction"]) == want
     cert = non_ergodic_check(spec, alphas, b, 0, 2)
     for row in cert.evidence.get("stages", []):
         values = descendant_heights(spec, base, row["stage"])
-        assert row["route"].startswith("scan")
+        assert row["route"].startswith("difference-counts" if alphas == [1, 1] else "scan")
         assert row["matched"] == _slide_oracle(values, alphas, b, nonzero=False)
 
 

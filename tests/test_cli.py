@@ -562,8 +562,7 @@ def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
     # Every pair of multipliers counts its slides on the difference planes,
     # keyed q*s - p*t per class of s, grown stage by stage: chacon's keys
     # span at most 5 * 26,128 + 1 bits for 729 values.  The planes never
-    # decline, so no Counter of the pairs, slide scan, rank mask or
-    # anchored-key dict runs.
+    # decline, so no Counter of the pairs, slide scan or rank mask runs.
     from ranklab import sumsets
     from ranklab.certificates import products
 
@@ -575,7 +574,7 @@ def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
             built.append((name, len(values))) or real(values, *rest)))
 
     spy(sumsets, "_pair_differences")
-    for name in ("_slide_scan", "_anchored_matched", "_rank_masks"):
+    for name in ("_slide_scan", "_rank_masks"):
         spy(products, name)
     real = sumsets._difference_planes
     monkeypatch.setattr(sumsets, "_difference_planes", lambda spec, level, j, values, *rest: (
@@ -597,6 +596,24 @@ def test_product_routes_stay_on_bitsets(capsys, monkeypatch):
     assert built == []
 
 
+def test_three_multipliers_scan_positions(capsys, monkeypatch):
+    # Three multipliers, equal or not, take the slide scan.  chacon's stage-4
+    # descendants span 1,453 heights, within V^2 = 6,561, so the scan keys
+    # its slides by position and never builds rank masks.
+    from ranklab.certificates import products
+
+    built = []
+    for name in ("_slide_scan", "_rank_masks"):
+        real = getattr(products, name)
+        monkeypatch.setattr(products, name, lambda values, *rest, name=name, real=real: (
+            built.append((name, len(values))) or real(values, *rest)))
+    for multipliers, horizon in [("1,1,1", 4), ("1,1,2", 3)]:
+        code, payload = report(capsys, "conservativity", "--spec", spec_path("chacon.json"),
+                               "--multipliers", multipliers, "--base", "0", "--horizon", horizon)
+        assert code == 0
+    assert built == [("_slide_scan", 3 ** j) for j in (1, 2, 3, 4, 1, 2, 3)]
+
+
 _KEY_GRID = [
     ("conservativity", "--multipliers", "1,1"),
     ("conservativity", "--multipliers=-1,-1"),
@@ -612,7 +629,32 @@ _KEY_GRID = [
 ]
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "specs").glob("*.json")))
+_SCAN_GRID = [
+    ("conservativity", "--multipliers", "1,1,1"),
+    ("conservativity", "--multipliers=-2,-2,-2"),
+    ("conservativity", "--multipliers", "1,1,2"),
+    ("conservativity", "--multipliers", "2,-3,1"),
+    ("non-ergodic", "--alpha", "1,1,2", "--shifts", "0,1,0"),
+]
+
+_SPEC_NAMES = sorted(p.name for p in (REPO / "specs").glob("*.json"))
+
+
+def _forced_both_ways(capsys, monkeypatch, module, rule, name, horizon, grid):
+    """Assert that each argv of ``grid`` on spec ``name`` up to stage ``horizon`` reports
+    the same with ``rule`` forced true and false."""
+    for argv in grid:
+        texts = []
+        for fits in (True, False):
+            monkeypatch.setattr(module, rule, lambda *args, fits=fits: fits)
+            code, out, err = cli(capsys, argv[0], "--spec", spec_path(name), *argv[1:],
+                                 "--base", "0", "--horizon", horizon)
+            texts.append((code, re.sub(r'"durationMs":\d+,', "", out), err))
+        assert texts[0] == texts[1], argv
+        assert texts[0][0] in (0, 2) and '"matched"' in texts[0][1], argv
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
 def test_key_slide_rule_picks_a_route_not_a_report(capsys, monkeypatch, name):
     # Forced either way, the difference planes' size rule changes only who
     # counts: the planes, or a Counter of the pairs.  asymm stops at stage
@@ -620,15 +662,20 @@ def test_key_slide_rule_picks_a_route_not_a_report(capsys, monkeypatch, name):
     from ranklab import sumsets
 
     horizon = 2 if name == "asymm.json" else 3
-    for argv in _KEY_GRID:
-        texts = []
-        for fits in (True, False):
-            monkeypatch.setattr(sumsets, "_planes_fit", lambda *args, fits=fits: fits)
-            code, out, err = cli(capsys, argv[0], "--spec", spec_path(name), *argv[1:],
-                                 "--base", "0", "--horizon", horizon)
-            texts.append((code, re.sub(r'"durationMs":\d+,', "", out), err))
-        assert texts[0] == texts[1], argv
-        assert texts[0][0] in (0, 2) and '"matched"' in texts[0][1], argv
+    _forced_both_ways(capsys, monkeypatch, sumsets, "_planes_fit", name, horizon, _KEY_GRID)
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_scan_rule_picks_masks_not_a_report(capsys, monkeypatch, name):
+    # Forced either way, the slide scan's size rule changes only how slides
+    # are keyed: by position in the values' row, or by rank.  asymm stops at
+    # stage 2, so that the forced row stays small, and tq41 too: 64^4 units
+    # of its stage 3 are over the budget.
+    from ranklab.certificates import products
+
+    horizon = 2 if name in ("asymm.json", "tq41.json") else 3
+    _forced_both_ways(capsys, monkeypatch, products, "_positions_fit", name, horizon,
+                      _SCAN_GRID)
 
 
 @pytest.mark.parametrize("spacer, scanned", [(19, False), (20, True)])
@@ -653,21 +700,44 @@ def test_key_slide_rule_edge(capsys, monkeypatch, tmp_path, spacer, scanned):
     assert [(row["route"], row["matched"]) for row in rows] == [("scan", 0)]
 
 
-def test_sparse_equal_multipliers_stay_small():
+_SPARSE_170 = {"stages": [{"r": 170, "s": [2 ** (k + 8) for k in range(169)] + [0]}]}
+
+
+@pytest.mark.parametrize("argv, fingerprint", [
     # asymm's 900 stage-4 descendants are too sparse for the planes, so a
     # Counter keys their 810,000 pairs.  The anchored-key dict took ~1.8 s
     # and ~94 MB here.  The fingerprint is that of the dict's report.
+    pytest.param(("specs/asymm.json", "2,2", 4),
+                 "sha256:a62eaf84a759c250c111f2123953650d0daf5c105ef744eda070978eb35040ca",
+                 id="asymm-2,2"),
+    # The slide scan's rank masks count 729,000 triples of 90 values.  The
+    # dict of their anchored keys took ~1.2 s and ~148 MB; the fingerprint
+    # is that of the dict's report.
+    pytest.param(("specs/asymm.json", "1,1,1", 3),
+                 "sha256:96f3ab1a3495b807d90ba390136a1587e88cf2e809f31b7b03cc25cce66743df",
+                 id="asymm-1,1,1"),
+    # 170 values whose pair differences are all distinct: 4,913,000 triples,
+    # the default budget's largest V for three multipliers, on rank masks.
+    pytest.param(("sparse.json", "1,1,1", 1), None, id="sparse-1,1,1"),
+])
+def test_sparse_equal_multipliers_stay_small(tmp_path, argv, fingerprint):
+    spec, multipliers, horizon = argv
+    if spec == "sparse.json":
+        spec = tmp_path / spec
+        spec.write_text(json.dumps(_SPARSE_170))
     code, peak_kb, seconds, payload = _probe(
-        "conservativity", "--spec", "specs/asymm.json", "--multipliers", "2,2",
-        "--base", "0", "--horizon", "4",
+        "conservativity", "--spec", spec, "--multipliers", multipliers,
+        "--base", "0", "--horizon", horizon,
     )
     assert code == 0
     assert peak_kb <= 150 * 1024
     assert seconds < 1.0
+    if fingerprint is None:  # no difference repeats, so only the diagonal returns
+        rows = payload["evidence"]["certificate"]["evidence"]["stages"]
+        assert [row["matched"] for row in rows] == [170]
+        return
     del payload["durationMs"]
-    assert ranklab.fingerprint(payload) == (
-        "sha256:a62eaf84a759c250c111f2123953650d0daf5c105ef744eda070978eb35040ca"
-    )
+    assert ranklab.fingerprint(payload) == fingerprint
 
 
 def test_equal_multipliers_at_the_budget_edge_stay_small():
