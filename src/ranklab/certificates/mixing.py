@@ -103,6 +103,13 @@ def _window_tops(spec: RankOneSpec, level: LevelRef, reach: int) -> list[int]:
     return tops
 
 
+def _pairs_pay(owned: int, size: int) -> bool:
+    """Whether a window counts all ``size * (size - 1) / 2`` pairs of its
+    values, not scan them once per shift: only when its ``owned`` shifts are
+    at least half as many.  Either way the work stays within the charged units."""
+    return 2 * owned >= size
+
+
 class _Window:
     """One shift window: stage ``n``'s pairing data, evaluated at stage ``n + 1``."""
 
@@ -115,13 +122,12 @@ class _Window:
         self.n = n
         self.top = spec.height(n + 1) - 1
         # Multiplicity of each nonnegative difference among the sorted distinct
-        # values.  Counting all V(V-1)/2 pairs pays off only when at least V/2
-        # lookups are due; either way the work stays within the charged units.
-        # ``cuts`` then lists each |m| whose counts may differ from |m| - 1's:
-        # every difference, every difference + 1 and the V pushed-out steps.
+        # values, counted over all pairs when :func:`_pairs_pay`.  ``cuts``
+        # then lists each |m| whose counts may differ from |m| - 1's: every
+        # difference, every difference + 1 and the V pushed-out steps.
         # Without them (the scan route) each shift scans the V values.
         self.cuts: list[int] | None = None
-        if 2 * owned >= len(self.values):
+        if _pairs_pay(owned, len(self.values)):
             counts = sumsets._pair_differences(self.values, counted=True)
             self.count: Callable[[int], int] = counts.__getitem__  # 0 if missing
             self.cuts = sorted({*counts, *(d + 1 for d in counts),

@@ -10,7 +10,6 @@ always at least ``max H_n + h_n``.  It re-verifies every stage it emits with
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -75,9 +74,10 @@ def separation_check(
     charge(len(xs) * len(hs) ** 3, "separation quadruple scan")
     # |x - z - y + z'| is the distance from x - y to the difference z - z'.
     # Leaving out the pair (x, y) itself, the nearest is x - y again when it
-    # occurs twice, else the next difference up or down.
-    counts = Counter(z - z2 for z in hs for z2 in hs)
-    keys = sorted(counts)
+    # occurs twice, else the next difference up or down.  Both ends are closed
+    # by ints past 2*span: 0 is a difference within span of x - y, so it beats them.
+    far = 2 * (hs[-1] - hs[0]) + 1
+    diffs = [-far, *sorted(z - z2 for z in hs for z2 in hs), far]
     min_abs: int | None = None
     violation: tuple[int, int, int, int] | None = None
     for x in xs:
@@ -85,9 +85,8 @@ def separation_check(
             if x == y:
                 continue
             d = x - y
-            i = bisect_left(keys, d)  # 0 is a key, so d has a neighbour
-            near = [abs(d - e) for e in keys[max(i - 1, 0) : i + 2] if e != d]
-            gap = 0 if counts[d] > 1 else min(near)
+            i = bisect_left(diffs, d)  # the first d
+            gap = min(diffs[i + 1] - d, d - diffs[i - 1])
             if min_abs is None or gap < min_abs:
                 min_abs = gap
             if gap < threshold and violation is None:

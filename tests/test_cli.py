@@ -640,18 +640,26 @@ _SCAN_GRID = [
 _SPEC_NAMES = sorted(p.name for p in (REPO / "specs").glob("*.json"))
 
 
-def _forced_both_ways(capsys, monkeypatch, module, rule, name, horizon, grid):
-    """Assert that each argv of ``grid`` on spec ``name`` up to stage ``horizon`` reports
-    the same with ``rule`` forced true and false."""
+def _forced_both_ways(capsys, monkeypatch, module, rule, name, grid, *tail):
+    """Assert that each argv of ``grid`` on spec ``name``, followed by ``tail``,
+    reports the same with ``rule`` forced true and false; return the
+    ``(code, stdout, stderr)`` of each."""
+    seen = []
     for argv in grid:
         texts = []
         for fits in (True, False):
             monkeypatch.setattr(module, rule, lambda *args, fits=fits: fits)
-            code, out, err = cli(capsys, argv[0], "--spec", spec_path(name), *argv[1:],
-                                 "--base", "0", "--horizon", horizon)
+            code, out, err = cli(capsys, argv[0], "--spec", spec_path(name), *argv[1:], *tail)
             texts.append((code, re.sub(r'"durationMs":\d+,', "", out), err))
         assert texts[0] == texts[1], argv
-        assert texts[0][0] in (0, 2) and '"matched"' in texts[0][1], argv
+        seen.append(texts[0])
+    return seen
+
+
+def _products_forced_both_ways(capsys, monkeypatch, module, rule, name, horizon, grid):
+    for code, out, _ in _forced_both_ways(capsys, monkeypatch, module, rule, name, grid,
+                                          "--base", "0", "--horizon", horizon):
+        assert code in (0, 2) and '"matched"' in out
 
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
@@ -662,7 +670,8 @@ def test_key_slide_rule_picks_a_route_not_a_report(capsys, monkeypatch, name):
     from ranklab import sumsets
 
     horizon = 2 if name == "asymm.json" else 3
-    _forced_both_ways(capsys, monkeypatch, sumsets, "_planes_fit", name, horizon, _KEY_GRID)
+    _products_forced_both_ways(capsys, monkeypatch, sumsets, "_planes_fit", name, horizon,
+                               _KEY_GRID)
 
 
 @pytest.mark.parametrize("name", _SPEC_NAMES)
@@ -674,8 +683,50 @@ def test_scan_rule_picks_masks_not_a_report(capsys, monkeypatch, name):
     from ranklab.certificates import products
 
     horizon = 2 if name in ("asymm.json", "tq41.json") else 3
-    _forced_both_ways(capsys, monkeypatch, products, "_positions_fit", name, horizon,
-                      _SCAN_GRID)
+    _products_forced_both_ways(capsys, monkeypatch, products, "_positions_fit", name, horizon,
+                               _SCAN_GRID)
+
+
+_MIXING_GRID = [
+    ("mixing", "--window", "0"),
+    ("mixing", "--window", "1"),
+    ("mixing", "--shifts=-40,-3,-2,-1,0,1,2,3,7,8,9,10,50,51,52"),
+]
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_window_rule_picks_counts_not_a_report(capsys, monkeypatch, name):
+    # Forced either way, a mixing window's rule changes only how overlaps
+    # are counted: from all pairs' differences, or by scanning the values
+    # once per shift.  The shifts hold 0, negative shifts and runs.  asymm's
+    # window 1 is over the budget, and is refused the same way both times.
+    from ranklab.certificates import mixing
+
+    seen = _forced_both_ways(capsys, monkeypatch, mixing, "_pairs_pay", name, _MIXING_GRID,
+                             "--base", "0:0")
+    for argv, (code, out, _) in zip(_MIXING_GRID, seen):
+        if name == "asymm.json" and argv == ("mixing", "--window", "1"):
+            assert code == 1 and "BudgetExceeded" in out
+        else:
+            assert code in (0, 2) and '"entries"' in out
+
+
+@pytest.mark.parametrize("name", _SPEC_NAMES)
+def test_survivor_rule_picks_a_route_not_a_report(capsys, monkeypatch, name):
+    # Forced either way, the progression search's rule changes only how
+    # later strides are tested: gathered from the difference row, or bit by
+    # bit for each listed survivor.  asymm stops at stage 3.
+    from ranklab import sumsets
+
+    to = "3" if name == "asymm.json" else "4"
+    grid = [
+        ("ap", "--base", "0:0", "--to", to, "--max-len", "14"),
+        ("ap", "--base", "1:0", "--to", to, "--max-len", "3"),
+        ("npc", "--kappa", "13", "--horizon", to),
+        ("npc", "--kappa", "2", "--horizon", "3"),
+    ]
+    seen = _forced_both_ways(capsys, monkeypatch, sumsets, "_survivors_fit", name, grid)
+    assert all(code in (0, 2) and '"longest"' in out for code, out, _ in seen)
 
 
 @pytest.mark.parametrize("spacer, scanned", [(19, False), (20, True)])

@@ -9,7 +9,7 @@ from typing import Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranklab import (
@@ -169,19 +169,29 @@ def _quadruple_scan(
     return SeparationResult(passed, threshold, min_abs, violation)
 
 
+@st.composite
+def _separation_sets(draw):
+    """Offsets and the subset ``x`` ranges over: all of them, none, or some."""
+    heights = draw(st.lists(st.integers(-30, 90), min_size=1, max_size=7))
+    restricted = draw(st.one_of(st.none(), st.just(()), st.lists(st.sampled_from(heights))))
+    return heights, restricted
+
+
 @settings(deadline=None, max_examples=300)
-@given(
-    heights=st.lists(st.integers(-30, 90), min_size=1, max_size=7),
-    h_n=st.integers(0, 6),
-    factor=st.integers(0, 3),
-    data=st.data(),
-)
-def test_separation_check_matches_quadruple_scan(heights, h_n, factor, data):
+@given(sets=_separation_sets(), h_n=st.integers(0, 6), factor=st.integers(0, 3))
+# x - y is the least difference, -7, and its nearest is the next one up, -5
+@example(sets=([0, 2, 7], [0]), h_n=1, factor=1)
+# x - y is the greatest difference, 7, and its nearest is the next one down, 5
+@example(sets=([0, 2, 7], [7]), h_n=1, factor=1)
+# 3 - 0 = 6 - 3 and 20 - 3 = 23 - 6, so those gaps are 0
+@example(sets=([0, 3, 6, 20, 23], None), h_n=2, factor=1)
+# offsets past float range: the ends of the sorted differences stay ints
+@example(sets=([0, 2**1100, 2**1102], None), h_n=1, factor=1)
+@example(sets=([-(2**1102), 0, 2**1100], [2**1100]), h_n=3, factor=2)
+def test_separation_check_matches_quadruple_scan(sets, h_n, factor):
     # Thresholds up to 36 on offsets this close make many sets fail, so the
     # scan order of ``violation`` is compared too, not only ``min_abs``.
-    restricted = data.draw(
-        st.one_of(st.none(), st.just(()), st.lists(st.sampled_from(heights)))
-    )
+    heights, restricted = sets
     expected = _quadruple_scan(heights, h_n, factor, restricted)
     assert separation_check(heights, h_n, factor, restricted) == expected
     # The check is still charged one unit per quadruple, under the same label.

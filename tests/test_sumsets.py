@@ -173,7 +173,9 @@ def _assert_runs_match_walk(diffs, max_len):
     """Both routes of :func:`progression_runs` against a walk of each run.
 
     ``diffs`` is a bitset or a set; the set of its members takes the other
-    route.  Returns the two results.
+    route.  Returns the two results.  A bitset is searched three times: as
+    the survivor rule picks, and with it forced true and false, and each
+    time it builds the same masks.
     """
     members = _bits(diffs)
     runs = {}
@@ -183,9 +185,12 @@ def _assert_runs_match_walk(diffs, max_len):
             runs[x] += 1
     longest = max(runs.values(), default=0)
     witness = min((x for x, n in runs.items() if n == longest), default=None)
-    results = []
-    for route in (diffs, members):
-        res = progression_runs(route, max_len)
+    forced = (None, True, False) if isinstance(diffs, int) else (None,)
+    results, masks = [], []
+    for route, fits in [(diffs, fits) for fits in forced] + [(members, None)]:
+        rule = (lambda mask, row_bytes, left: fits) if fits is not None else sumsets._survivors_fit
+        with mock.patch.object(sumsets, "_survivors_fit", rule):
+            res = progression_runs(route, max_len)
         assert (res.longest, res.witness, len(res.runs)) == (longest, witness, len(runs))
         assert res.progression == tuple(witness * i for i in range(1, longest + 1))
         assert list(res.runs) == list(runs)
@@ -193,18 +198,25 @@ def _assert_runs_match_walk(diffs, max_len):
         assert not any(x in res.runs for x in (0, -1, max(members, default=0) + 1))
         assert res.runs._long is None  # none of the reads above built the table
         assert res.runs == runs
+        if isinstance(route, int):
+            masks.append(res.runs._table.args[0])  # ``alive``, as _peel reads it
         results.append(res)
-    return results
+    assert masks[1:] == masks[:-1]
+    return results[0], results[-1]
 
 
 @pytest.mark.parametrize("max_len", [1, 2, 3, 10**6])
 @pytest.mark.parametrize(
     "diffs",
-    [0, 1, 0b11, 0b111, (1 << 64) - 1, (1 << 1000) - 1, 0b1011_0110_1101, 1 | 1 << 40],
-    ids=["empty", "zero", "dense-2", "dense-3", "dense-64", "dense-1000", "gappy", "far"],
+    [0, 1, 0b11, 0b111, (1 << 64) - 1, (1 << 1000) - 1, 0b1011_0110_1101, 1 | 1 << 40,
+     0b11_0010_0100_1000],
+    ids=["empty", "zero", "dense-2", "dense-3", "dense-64", "dense-1000", "gappy", "far",
+         "past-row"],
 )
 def test_progression_runs_match_walk(diffs, max_len):
     # Dense ranges [0, N) run 1 up to N - 1 terms, past every cap but 10**6.
+    # past-row holds 3, 6, 9, 12 and 13 in two bytes: listed after stride 2,
+    # 3 reads bit 15 at stride 5 and 6 reads bit 18, past the row, at stride 3.
     _assert_runs_match_walk(diffs, max_len)
     # dense-1000 at 10**6 gathers strides 2..999 from 16 table sets at most.
     assert sumsets._gather.cache_info().currsize <= 16
@@ -234,6 +246,46 @@ def test_progression_runs_gather_matches_walk(case):
     for x in range(max(1, top & ~7), (top | 7) + 9):  # the top byte and the next
         assert (x in runs) == (x <= top and diffs >> x & 1 == 1)
     assert sumsets._gather.cache_info().currsize <= 16
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.integers(0, (1 << 300) - 1), st.sets(st.integers(0, 10**5), max_size=40).map(
+    lambda xs: sum(1 << x for x in xs))))
+@example(0)
+@example(1)
+@example(1 << 202 | 1 << 9)  # the top bit in a partial last byte
+@example(1 << 10**5)  # one far bit
+def test_sparse_ones_list_and_rebuild_a_mask(mask):
+    # The survivors are listed from nonzero bytes and rebuilt in a bytearray.
+    ones = sumsets._sparse_ones(mask)
+    assert ones == sumsets._ones(bin(mask)[:1:-1], 0)
+    assert sumsets._from_ones(ones) == mask
+
+
+def test_progression_search_lists_survivors_once(chacon, monkeypatch):
+    # chacon 1:0 -> 8: 148,437 -> 11,415 -> 492 survivors in a 117,573-byte
+    # row.  Strides 2 and 3 are gathered; with 11 strides left 492 fit
+    # (492 * 128 * 12 <= 117,573 * 11), so they are listed once and strides
+    # 4 to 8 test each survivor's bit.
+    level = LevelRef(1, 0)
+    diffs = descendant_differences(chacon, level, 8, descendant_heights(chacon, level, 8))
+    calls = Counter()
+    for name in ("_gather", "_sparse_ones"):
+        real = getattr(sumsets, name)
+        monkeypatch.setattr(sumsets, name, lambda arg, name=name, real=real: (
+            calls.update([name]) or real(arg)))
+    res = progression_runs(diffs, 14)
+    assert (res.longest, len(res.runs._table.args[0])) == (7, 7)
+    assert calls["_gather"] <= 3 and calls["_sparse_ones"] == 1
+
+
+@pytest.mark.parametrize("left, most", [(1, 6), (2, 8), (11, 11)])
+def test_survivor_rule_weighs_the_strides_left(left, most):
+    # A 1,536-byte row: a stride tested per survivor costs 128 bytes of it and
+    # the listing one stride more, so one stride left lists at most
+    # 1,536 / 256 = 6 survivors, and eleven strides left 1,536 * 11 / 1,536.
+    masks = [(1 << n) - 1 for n in (most, most + 1)]
+    assert [sumsets._survivors_fit(m, 1536, left) for m in masks] == [True, False]
 
 
 @pytest.mark.parametrize("max_len", [0, -1, True, 2.0, "3"])
