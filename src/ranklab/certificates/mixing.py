@@ -114,11 +114,9 @@ class _Window:
     """One shift window: stage ``n``'s pairing data, evaluated at stage ``n + 1``."""
 
     def __init__(self, spec: RankOneSpec, level: LevelRef, n: int, owned: int) -> None:
-        size = construction.descendant_extent(spec, level, n + 1)[0]
-        if owned * size > _budget.enumeration_budget() >= size:  # refuse before building
-            _budget.charge(owned * size, "overlap counts across a shift window")
-        self.values = construction.descendant_heights(spec, level, n + 1)
-        _budget.charge(owned * len(self.values), "overlap counts across a shift window")
+        size = construction._charge_descendants(spec, level, n + 1)
+        _budget.charge(owned * size, "overlap counts across a shift window")
+        self.values = construction._listed(spec, level, n + 1)
         self.n = n
         self.top = spec.height(n + 1) - 1
         # Multiplicity of each nonnegative difference among the sorted distinct

@@ -16,13 +16,15 @@ from . import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, Certificate
 from . import ProductQuery, _certificate, _check_shift_bounds, _require, _require_ints
 
 
-def _residues(spec: RankOneSpec, level: LevelRef, j: int, m: int) -> Counter[int]:
-    """``Counter(v % m)`` over the stage-``j`` descendants, one convolution per stage."""
-    counts = Counter({level.height % m: 1})
+def _residues(spec: RankOneSpec, level: LevelRef, j: int, m: int) -> dict[int, int]:
+    """``Counter(v % m)`` over the stage-``j`` descendants, one convolution per stage.
+    A plain dict: ``Counter.update`` costs 2-4 times as much per stage."""
+    counts = {level.height % m: 1}
     for n in range(level.stage, j):
-        grown: Counter[int] = Counter()
-        for o in spec.height_set(n):  # distinct residues a give distinct (a + o) % m
-            grown.update({(a + o) % m: c for a, c in counts.items()})
+        grown: dict[int, int] = {}
+        for o in spec.height_set(n):
+            for a, c in counts.items():
+                grown[(a + o) % m] = grown.get((a + o) % m, 0) + c
         counts = grown
     return counts
 
@@ -139,28 +141,27 @@ def conservativity_fraction(
     _check_shift_bounds(spec, query)
     base = LevelRef(query.base_stage, 0)
     alpha = query.multipliers
-    v = len(alpha)
+    v, equal = len(alpha), len(set(alpha)) == 1
     rows = []
     best = Fraction(0)
     for j in range(query.base_stage + 1, query.horizon + 1):
         count = construction._charge_descendants(spec, base, j)
-        diagonal: Fraction | None = None
-        if v == 1:
-            matched = sum(c for c in _residues(spec, base, j, abs(alpha[0])).values() if c >= 2)
-            route = "residue"
-        else:
-            equal = len(set(alpha)) == 1
-            route = "anchored" if equal else "scan"
+        if v > 1:
             power, label = ((v, "anchored difference keys") if equal
                             else (v + 1, "per-tuple slide scan"))
             _budget.charge(count**power, label)
+        # The descendants per class mod |alpha|: a one-multiplier tuple, or a
+        # diagonal tuple, returns iff its class holds another value.
+        classes = _residues(spec, base, j, abs(alpha[0])).values() if equal else ()
+        returning = sum(c for c in classes if c > 1)
+        diagonal = Fraction(returning, count) if equal and v > 1 else None
+        if v == 1:
+            matched, route = returning, "residue"
+        else:
+            route = "anchored" if equal else "scan"
             values = construction._listed(spec, base, j)
             matched = (_pair_slides(spec, base, j, values, alpha, query.shifts) if v == 2
                        else _slide_scan(values, alpha, query.shifts))
-            if equal:  # a diagonal tuple returns iff its class holds another value
-                m = abs(alpha[0])
-                classes = Counter(map(m.__rmod__, values)).values() if m > 1 else (count,)
-                diagonal = Fraction(sum(c for c in classes if c > 1), count)
         fraction = Fraction(matched, count**v)
         _require(0 <= fraction <= 1, "fraction outside [0, 1]")
         row: dict[str, Any] = {

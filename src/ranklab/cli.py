@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
     from types import ModuleType
 
-    from .construction import MeasureInterval, RankOneSpec
+    from .construction import RankOneSpec
 
 __all__ = ["main", "run"]
 
@@ -42,12 +42,6 @@ EXIT_USAGE = 64
 # reports bounded while staying byte-deterministic.
 TABLE_CAP = 8192
 RUNS_CAP = 512
-
-_VERDICT_EXIT = {
-    "holds": EXIT_OK,
-    "inconclusive": EXIT_OK,
-    "fails": EXIT_PROPERTY_FAILED,
-}
 
 # A handler (see ``handlers``) gets the spec or digit alphabet that ``run``
 # loaded and returns (result, evidence, exit code); ``run`` adds the spec
@@ -113,14 +107,6 @@ def _fraction_arg(text: str) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # shared report plumbing
-
-
-def _interval(mi: MeasureInterval) -> dict[str, Fraction]:
-    return {
-        "confirmed": mi.confirmed,
-        "unresolved": mi.unresolved,
-        "upper": mi.upper,
-    }
 
 
 def _attach_approx(
@@ -198,10 +184,11 @@ _SCALE = _required("--scale", _positive_int, "STAGE")
 _EVAL = _required("--eval", _positive_int, "STAGE")
 
 # Every command: its help line, its flags after --json and --approx, and the
-# module of ``handlers`` that holds its handler, for a certificate command
-# named after the part of ``certificates`` it imports.  Each flag is echoed
-# into the report's ``inputs`` under its camelCase name, except that the flags
-# in _ECHO_IF_GIVEN are left out when not given.
+# module ``run`` imports first: the module of ``handlers`` that holds its
+# handler, or for a certificate command the part of ``certificates`` it calls,
+# whose handler is in ``handlers.certificates``.  Each flag is echoed into the
+# report's ``inputs`` under its camelCase name, except that the flags in
+# _ECHO_IF_GIVEN are left out when not given.
 _COMMANDS: dict[str, tuple[str, tuple[Flag, ...], str]] = {
     "validate": ("parse a spec file and echo its normal form", (_SPEC,), "columns"),
     "heights": ("column heights h_0..h_{N-1}", (_SPEC, _STAGES), "columns"),
@@ -373,7 +360,12 @@ def _inputs(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _handlers(command: str) -> ModuleType:
-    return importlib.import_module(f".handlers.{_COMMANDS[command][2]}", __package__)
+    """The command's handler module, after the part of ``certificates`` it calls."""
+    group = _COMMANDS[command][2]
+    if group not in ("columns", "differences", "digits"):
+        importlib.import_module(f".certificates.{group}", __package__)
+        group = "certificates"
+    return importlib.import_module(f".handlers.{group}", __package__)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -76,7 +76,7 @@ def separation_check(
     # Leaving out the pair (x, y) itself, the nearest is x - y again when it
     # occurs twice, else the next difference up or down.  Both ends are closed
     # by ints past 2*span: 0 is a difference within span of x - y, so it beats them.
-    far = 2 * (hs[-1] - hs[0]) + 1
+    far = 2 * (hs[-1] - hs[0]) + 1 if hs else 1  # no heights: no x to test
     diffs = [-far, *sorted(z - z2 for z in hs for z2 in hs), far]
     min_abs: int | None = None
     violation: tuple[int, int, int, int] | None = None

@@ -133,7 +133,7 @@ def descendant_differences(
         return planes[0][0]  # class 0's plane 0: bit d is difference d
     counts: Counter[int] = Counter()
     for i, half in enumerate(planes[0]):
-        counts.update(dict.fromkeys(_ones(bin(half)[:1:-1], 0), 1 << i))
+        counts.update(dict.fromkeys(_sparse_ones(half), 1 << i))
     return counts
 
 
@@ -317,12 +317,6 @@ class _RunLengths(Mapping[int, int]):
         return self._size
 
 
-def _ones(bits: str, first: int = 1) -> list[int]:
-    """Indices of ``"1"`` in ``bits`` from index ``first``, ascending, found by C loops."""
-    gaps = bits[first:].split("1")[:-1]  # the zeros before each "1"
-    return list(map(int.__add__, itertools.accumulate(map(len, gaps)), itertools.count(first)))
-
-
 def progression_runs(diffs: int | Collection[int], max_len: int) -> APSearchResult:
     """Runs ``x, 2x, ..., lx`` with ``l <= max_len`` inside nonnegative differences.
 
@@ -343,8 +337,8 @@ def progression_runs(diffs: int | Collection[int], max_len: int) -> APSearchResu
             raise ParamOutOfRange(f"a difference bitset must be >= 0, got {diffs}")
         row = diffs.to_bytes(-(-diffs.bit_length() // 8), "little")  # bit x in byte x >> 3
         has = lambda x: x >> 3 < len(row) and row[x >> 3] >> (x & 7) & 1
-        keys = lambda: _ones(bin(diffs)[:1:-1])
         alive, xs = [diffs & ~1], None  # xs: the survivors, once listed
+        keys = partial(_sparse_ones, alive[0])
         while len(alive) < max_len:
             s = len(alive) + 1  # x = 8m + t reads byte s*m + (s*t >> 3) of row
             # The first stride is gathered: a bitset difference set is dense,
@@ -446,5 +440,5 @@ def _peel(alive: Sequence[int]) -> dict[int, int]:
     long = {}
     for length, mask in enumerate(alive[1:], start=2):
         ended = mask & ~alive[length] if length < len(alive) else mask
-        long.update(dict.fromkeys(_ones(bin(ended)[:1:-1]), length))
+        long.update(dict.fromkeys(_sparse_ones(ended), length))
     return long

@@ -558,13 +558,14 @@ def test_mixing_deep_window_is_refused_before_its_column(chacon, monkeypatch):
     # Window 10 owns ~1.7e8 shifts against 177,147 descendants.  Only the
     # range's left edge, which window 9 owns, gets a column; window 10 is
     # refused before its own is built, with the overlap charge's message.
-    built = []
+    # A window charges its column, then its overlaps, then lists the column.
+    built, real_listed = [], construction._listed
 
     def spy(spec, level, j):
         built.append(j)
-        return descendant_heights(spec, level, j)
+        return real_listed(spec, level, j)
 
-    monkeypatch.setattr(construction, "descendant_heights", spy)
+    monkeypatch.setattr(construction, "_listed", spy)
     monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
     with pytest.raises(BudgetExceeded) as info:
         mixing_decay(chacon, LevelRef(0, 0), window=10)

@@ -1583,7 +1583,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = ranklab.cli.run(sys.argv[1:])
 watched = ("ranklab.certificates", "ranklab.sumsets", "ranklab.digits", "ranklab.families",
            "ranklab.handlers", "dataclasses", "_hashlib")
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(watched))]))
+order = list(sys.modules)  # in import order
+early = order[: order.index("argparse")]
+print(json.dumps([code, sorted(m for m in order if m.startswith(watched)),
+                  [m for m in early if m.startswith(watched)]]))
 """
 
 
@@ -1600,7 +1603,7 @@ def _handlers(group, *others):
 def _certificate_part(part, family, *others):
     """Modules a certificate command on a family spec loads, maybe sumsets too."""
     return ["ranklab.certificates", f"ranklab.certificates.{part}",
-            *_family(family), *_handlers(part, *others)]
+            *_family(family), *_handlers("certificates", *others)]
 
 
 @pytest.mark.parametrize(
@@ -1639,13 +1642,13 @@ def _certificate_part(part, family, *others):
             ("mixing", "--spec", spec_path("mixing_window.json"), "--base", "0:0",
              "--shifts", "0,10,40"),
             ["ranklab.certificates", "ranklab.certificates.mixing",
-             *_handlers("mixing", "ranklab.sumsets")],
+             *_handlers("certificates", "ranklab.sumsets")],
         ),
         (  # both halves: the digits for gamma, the differences for the witness check
             ("pwm", "--spec", spec_path("tq41.json"), "--alpha", "2,-3", "--shifts", "0,1,2",
              "--base", "1"),
             ["ranklab.certificates", "ranklab.certificates.pwm", "ranklab.digits",
-             *_family("tq"), *_handlers("pwm", "ranklab.sumsets")],
+             *_family("tq"), *_handlers("certificates", "ranklab.sumsets")],
         ),
         (
             ("non-ergodic", "--spec", spec_path("chacon.json"), "--alpha", "1,2",
@@ -1671,28 +1674,42 @@ def test_startup_loads_only_what_the_command_needs(argv, loaded):
         [sys.executable, "-c", _STARTUP_PROBE, *argv],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert json.loads(proc.stdout) == [0, loaded]
+    code, modules, early = json.loads(proc.stdout)
+    assert [code, modules] == [0, loaded]
+    # ``run`` imports the module the command table names, and with it the
+    # handler module, before argparse: for a certificate command, its part.
+    from ranklab.certificates import _PARTS
+
+    first = ranklab.cli._COMMANDS[argv[0]][2]
+    handler = "certificates" if first in _PARTS else first
+    part = [f"ranklab.certificates.{first}"] if handler == "certificates" else []
+    assert {*part, f"ranklab.handlers.{handler}"} <= set(early)
 
 
 def test_certificate_commands_are_the_ones_that_import_certificates():
-    # ``run`` imports the handler module the table names first (peak RSS), so
-    # a certificate command's module imports its part of ``certificates`` and
-    # no other, and no other handler module imports ``certificates``.
+    # ``run`` imports the part of ``certificates`` the table names first (peak
+    # RSS), so a certificate command's handler imports that part and no other,
+    # inside the function, and no other handler imports ``certificates``.
     import ranklab.certificates as certificates
+    import ranklab.handlers.certificates as handlers
 
-    parts = set()
+    parts, in_handlers = set(), 0
     for name, (_, _, group) in ranklab.cli._COMMANDS.items():
-        module = importlib.import_module(f"ranklab.handlers.{group}")
-        source = inspect.getsource(module)
         part = group if group in certificates._PARTS else None
+        module = handlers if part else importlib.import_module(f"ranklab.handlers.{group}")
+        handler = getattr(module, "_cmd_" + name.replace("-", "_"))
+        source = inspect.getsource(handler)
         imported = re.findall(r"from \.\.certificates\.(\w+) import", source)
         assert imported == ([] if part is None else [part]), name
-        assert ("from ..certificates" in source) == (part is not None), name
+        if part is None:
+            assert "certificates" not in inspect.getsource(module), name
+        in_handlers += len(imported)
         # ``run`` loads the spec or digit alphabet; no handler loads its own.
-        handler = getattr(module, "_cmd_" + name.replace("-", "_"))
-        assert not re.search(r"\b(_load|_digit_alphabet)\(", inspect.getsource(handler)), name
+        assert not re.search(r"\b(_load|_digit_alphabet)\(", source), name
         parts.add(part)
     assert parts - {None} == set(certificates._PARTS)
+    # Each handler imports its own part; the module itself imports none.
+    assert inspect.getsource(handlers).count("from ..certificates.") == in_handlers
 
 
 def test_package_exports_resolve_on_first_use():

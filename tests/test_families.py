@@ -188,6 +188,9 @@ def _separation_sets(draw):
 # offsets past float range: the ends of the sorted differences stay ints
 @example(sets=([0, 2**1100, 2**1102], None), h_n=1, factor=1)
 @example(sets=([-(2**1102), 0, 2**1100], [2**1100]), h_n=3, factor=2)
+# no heights, and one height: no pair x != y, so nothing is constrained
+@example(sets=([], None), h_n=1, factor=1)
+@example(sets=([5], None), h_n=1, factor=1)
 def test_separation_check_matches_quadruple_scan(sets, h_n, factor):
     # Thresholds up to 36 on offsets this close make many sets fail, so the
     # scan order of ``violation`` is compared too, not only ``min_abs``.
