@@ -1432,15 +1432,36 @@ def test_result_guards_run_under_python_O():
 _PACKAGE = REPO / "src" / "ranklab"
 
 
-@pytest.mark.parametrize(
-    "path", sorted(_PACKAGE.rglob("*.py")),
-    ids=lambda p: p.relative_to(_PACKAGE).as_posix(),
-)
-def test_no_module_guards_with_assert(path):
+def _part_handlers(part: str) -> ast.Module:
+    """The handlers in ``handlers/certificates.py`` that import ``part`` of
+    ``certificates``: the body of the module ``handlers/<part>.py`` they
+    filled before that module held them all."""
+    tree = ast.parse((_PACKAGE / "handlers" / "certificates.py").read_text(encoding="utf-8"))
+    body = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and any(
+        isinstance(node, ast.ImportFrom) and node.level == 2
+        and node.module == f"certificates.{part}" for node in ast.walk(fn))]
+    if not body:
+        raise LookupError(f"no handler imports certificates.{part}")
+    return ast.Module(body=body, type_ignores=[])
+
+
+# Every source file, and each certificate part's handlers on their own, under
+# the name of the handler module they had before they were merged.
+_SOURCES = [
+    *(pytest.param(name, lambda path=path: ast.parse(path.read_text(encoding="utf-8")), id=name)
+      for path in sorted(_PACKAGE.rglob("*.py"))
+      for name in [path.relative_to(_PACKAGE).as_posix()]),
+    *(pytest.param(name, lambda part=path.stem: _part_handlers(part), id=name)
+      for path in sorted((_PACKAGE / "certificates").glob("[!_]*.py"))
+      for name in [f"handlers/{path.stem}.py"]),
+]
+
+
+@pytest.mark.parametrize("name, tree", _SOURCES)
+def test_no_module_guards_with_assert(name, tree):
     # ``python -O`` strips ``assert`` statements, so no module may use one.
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert lines == [], f"bare assert at {path.name} lines {lines}"
+    lines = [node.lineno for node in ast.walk(tree()) if isinstance(node, ast.Assert)]
+    assert lines == [], f"bare assert at {name} lines {lines}"
 
 
 def _self_call(call: ast.Call, name: str) -> bool:
@@ -1502,16 +1523,12 @@ def test_every_budget_label_is_documented():
     assert sorted(label for label in labels if f"`{label}" not in section) == []
 
 
-@pytest.mark.parametrize(
-    "path", sorted(_PACKAGE.rglob("*.py")),
-    ids=lambda p: p.relative_to(_PACKAGE).as_posix(),
-)
-def test_no_record_checks_itself_in_init(path):
+@pytest.mark.parametrize("name, tree", _SOURCES)
+def test_no_record_checks_itself_in_init(name, tree):
     # ``_replace`` skips ``__init__``; a record's checks go in ``_check``
     # behind ``errors.CheckedRecord``, whose ``_make`` reruns them.  Records
     # and their fields classes live in one module, so one file is enough.
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    classes = [node for node in ast.walk(tree()) if isinstance(node, ast.ClassDef)]
     records = {"NamedTuple"}
     for cls in classes:  # ast.walk meets a base class before its subclasses
         if any(ast.unparse(base).split(".")[-1] in records for base in cls.bases):
@@ -1522,7 +1539,7 @@ def test_no_record_checks_itself_in_init(path):
             for node in cls.body
         )
     ]
-    assert offenders == [], f"{path.name}: {offenders} define __init__ over a NamedTuple"
+    assert offenders == [], f"{name}: {offenders} define __init__ over a NamedTuple"
 
 
 @pytest.mark.parametrize(
