@@ -16,17 +16,15 @@ from . import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, Certificate
 from . import ProductQuery, _certificate, _check_shift_bounds, _require, _require_ints
 
 
-def _residues(spec: RankOneSpec, level: LevelRef, j: int, m: int) -> dict[int, int]:
-    """``Counter(v % m)`` over the stage-``j`` descendants, one convolution per stage.
-    A plain dict: ``Counter.update`` costs 2-4 times as much per stage."""
-    counts = {level.height % m: 1}
-    for n in range(level.stage, j):
-        grown: dict[int, int] = {}
-        for o in spec.height_set(n):
-            for a, c in counts.items():
-                grown[(a + o) % m] = grown.get((a + o) % m, 0) + c
-        counts = grown
-    return counts
+def _grown(counts: dict[int, int], offsets: Sequence[int], m: int) -> dict[int, int]:
+    """Residue counts mod ``m`` of the next stage's descendants, from this stage's
+    ``counts`` and the offsets between them.  A plain dict: ``Counter.update``
+    costs 2-4 times as much per stage."""
+    grown: dict[int, int] = {}
+    for o in offsets:
+        for a, c in counts.items():
+            grown[(a + o) % m] = grown.get((a + o) % m, 0) + c
+    return grown
 
 
 def _pair_slides(spec: RankOneSpec, base: LevelRef, j: int, values: Sequence[int],
@@ -142,6 +140,7 @@ def conservativity_fraction(
     base = LevelRef(query.base_stage, 0)
     alpha = query.multipliers
     v, equal = len(alpha), len(set(alpha)) == 1
+    residues = {0: 1}  # ``Counter(d % |alpha[0]|)`` over the stage-j descendants d
     rows = []
     best = Fraction(0)
     for j in range(query.base_stage + 1, query.horizon + 1):
@@ -152,8 +151,9 @@ def conservativity_fraction(
             _budget.charge(count**power, label)
         # The descendants per class mod |alpha|: a one-multiplier tuple, or a
         # diagonal tuple, returns iff its class holds another value.
-        classes = _residues(spec, base, j, abs(alpha[0])).values() if equal else ()
-        returning = sum(c for c in classes if c > 1)
+        if equal:
+            residues = _grown(residues, spec.height_set(j - 1), abs(alpha[0]))
+        returning = sum(c for c in residues.values() if c > 1)  # 0 unless equal
         diagonal = Fraction(returning, count) if equal and v > 1 else None
         if v == 1:
             matched, route = returning, "residue"

@@ -155,6 +155,9 @@ class RankOneSpec:
         self.extension = extension
         self._rule = stage_rule
         self.family = family
+        # ``specio.spec_fingerprint`` of the spec, once computed; shared with
+        # every copy, since a copy has the same payload.
+        self._fingerprint: list[str] = []
         self._stages: list[StageSpec] = []
         self._heights: list[int] = [h0]
         self._height_sets: list[tuple[int, ...]] = []
@@ -164,6 +167,17 @@ class RankOneSpec:
 
     def explicit_stages(self) -> tuple[StageSpec, ...]:
         return self._explicit
+
+    def copy(self) -> RankOneSpec:
+        """The same spec with the stages materialized so far, in caches of its
+        own: no stage either one materializes later reaches the other."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self))
+        twin._stages = self._stages.copy()
+        twin._heights = self._heights.copy()
+        twin._height_sets = self._height_sets.copy()
+        twin._widths = self._widths.copy()
+        return twin
 
     def _materialize(self, upto: int) -> None:
         """Ensure stages 0..upto (inclusive) exist in the cache."""

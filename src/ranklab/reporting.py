@@ -80,18 +80,30 @@ def jsonable(value: Any) -> Any:
     become field mappings, mapping keys are stringified.  An int too long to
     write raises :class:`~ranklab.errors.IntegerTooLong`; any other type,
     dataclasses included, raises ``TypeError``.
+
+    The types reports are made of are tested by exact type first, then
+    fractions and named tuples; subclasses and the rarer containers fall
+    through to the ``isinstance`` tests below.
     """
-    if isinstance(value, int):  # bool is an int
-        return _writable(value)
-    if value is None or isinstance(value, (str, float)):
+    kind = type(value)
+    if kind is int or kind is bool:
+        return value if value.bit_length() <= _ALWAYS_WRITABLE_BITS else _writable(value)
+    if kind is str or value is None or kind is float:
         return value
+    if kind is dict:
+        return {k if type(k) is str else str(_writable(k)): jsonable(v)
+                for k, v in value.items()}
+    if kind is list:
+        return [jsonable(v) for v in value]
     if isinstance(value, Fraction):
         return {
             "num": str(_writable(value.numerator)),
             "den": str(_writable(value.denominator)),
         }
-    if isinstance(value, tuple) and hasattr(value, "_asdict"):
-        return {name: jsonable(v) for name, v in value._asdict().items()}
+    if isinstance(value, tuple) and hasattr(kind, "_fields"):
+        return {name: jsonable(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, (int, str, float)):
+        return _writable(value)
     if isinstance(value, Mapping):
         return {str(_writable(k)): jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):

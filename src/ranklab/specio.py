@@ -11,6 +11,8 @@ rejected, so a fingerprint always refers to one unambiguous construction.
 from __future__ import annotations
 
 import json
+import os
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .construction import (
@@ -21,7 +23,7 @@ from .construction import (
     validate_spec,
 )
 from .errors import IoError, SpecFileError, is_plain_int
-from .reporting import fingerprint
+from .reporting import _max_str_digits, fingerprint
 
 if TYPE_CHECKING:
     from .families.tq import TQParams
@@ -162,16 +164,34 @@ def parse_spec(payload: Any) -> RankOneSpec:
 
 
 def load_spec(path: str) -> RankOneSpec:
+    """The construction the spec file at *path* describes, as a new object.
+
+    The file is read on every call.  Its text is built into a spec once per
+    process, and each call returns a :meth:`~RankOneSpec.copy` of the spec as
+    built, so no stage a caller materializes reaches the next caller; the
+    copies share the spec's fingerprint once one of them has computed it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read spec file {path}: {exc}") from exc
     try:
-        payload = json.loads(text)
+        built = _built(text, os.environ.get("RANKLAB_BUDGET"), _max_str_digits())
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"spec file {path} is not valid JSON: {exc}") from exc
-    return parse_spec(payload)
+    return built.copy()
+
+
+@lru_cache(maxsize=8)
+def _built(text: str, budget: str | None, max_str_digits: int) -> RankOneSpec:
+    """The spec *text* describes, as built; only its copies are handed out.
+
+    A build can charge the budget (an asymm prefix is separation-checked) and
+    can fail to read a long int, so the budget's raw setting and the int digit
+    limit are part of the key.  A build that raises is not stored.
+    """
+    return parse_spec(json.loads(text))
 
 
 def spec_payload(spec: RankOneSpec) -> dict[str, Any]:
@@ -188,7 +208,10 @@ def spec_payload(spec: RankOneSpec) -> dict[str, Any]:
 
 
 def spec_fingerprint(spec: RankOneSpec) -> str:
-    return fingerprint(spec_payload(spec))
+    """The fingerprint of ``spec_payload(spec)``, hashed once per spec and its copies."""
+    if not spec._fingerprint:
+        spec._fingerprint.append(fingerprint(spec_payload(spec)))
+    return spec._fingerprint[0]
 
 
 def tq_params_of(spec: RankOneSpec) -> TQParams | None:

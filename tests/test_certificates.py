@@ -57,7 +57,7 @@ from ranklab import (
 from ranklab import _budget, construction, sumsets
 from ranklab.certificates import matching, mixing
 from ranklab.certificates.asymmetry import _adjacent_pairs
-from ranklab.certificates.products import _pair_slides, _residues, _slide_scan
+from ranklab.certificates.products import _grown, _pair_slides, _slide_scan
 from ranklab.oracles import exhaustive_matches
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -107,6 +107,25 @@ def test_conservativity_single_power_residue_route(chacon):
     assert best == 1
     assert cert.verdict == "holds"
     assert cert.evidence["stages"][0]["route"] == "residue"
+
+
+@pytest.mark.parametrize("name, base, horizon", [("chacon", 0, 5), ("asymm", 1, 4), ("tq41", 0, 4)])
+@pytest.mark.parametrize("m", [1, 2, 3, -4])
+def test_residue_classes_carry_from_stage_to_stage(name, base, horizon, m, request):
+    # The classes mod |m| are grown one stage at a time; at every row they
+    # are those of the listed descendants.
+    spec = request.getfixturevalue(name)
+    for multipliers in ((m,), (m, m)):
+        _, cert = conservativity_fraction(spec, ProductQuery(multipliers, (0,) * len(multipliers),
+                                                             base, horizon))
+        for row in cert.evidence["stages"]:
+            values = descendant_heights(spec, LevelRef(base, 0), row["stage"])
+            classes = Counter(v % abs(m) for v in values)
+            returning = sum(c for c in classes.values() if c > 1)
+            if len(multipliers) == 1:
+                assert row["matched"] == returning
+            else:
+                assert row["diagonalFraction"] == Fraction(returning, len(values))
 
 
 def test_conservativity_rejects_nonzero_shifts(chacon):
@@ -1187,9 +1206,12 @@ def test_adjacency_recurrence_matches_the_listing(spec, data):
 @settings(max_examples=100, deadline=None)
 @given(_small_specs(), st.data(), st.integers(1, 40))
 def test_residue_histogram_matches_the_listing(spec, data, m):
+    # Grown one stage at a time from the level itself, as conservativity does.
     level, j = data.draw(_levels_and_stages(spec))
-    values = descendant_heights(spec, level, j)
-    assert _residues(spec, level, j, m) == Counter(v % m for v in values)
+    counts = {level.height % m: 1}
+    for n in range(level.stage, j):
+        counts = _grown(counts, spec.height_set(n), m)
+    assert counts == Counter(v % m for v in descendant_heights(spec, level, j))
 
 
 def test_asymmetry_stage_guards(chacon):

@@ -1419,6 +1419,69 @@ def test_npc_report_matches_golden_under_python_O():
     assert problems == [], proc.stderr
 
 
+_GOLDEN_REPLAY = """
+import contextlib, importlib.util, io, json
+import ranklab.cli
+spec = importlib.util.spec_from_file_location("perfbench_jobs", "perfbench/jobs.py")
+jobs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(jobs)
+done = []
+for template in jobs.templates("cli"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = ranklab.cli.run(list(jobs.instantiate(template, 0)))
+    done.append([code, out.getvalue()])
+print(json.dumps(done))
+"""
+
+
+def test_cli_workload_reports_match_golden_under_python_O():
+    # The benchmark's 20 ``cli`` jobs, run in one ``python -O`` process: its
+    # guards still run, and specs loaded again come from the spec table.
+    jobs = _perfbench_jobs()
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("RANKLAB_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _GOLDEN_REPLAY], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    golden = jobs.load_golden()
+    specs = {path: load_spec(REPO / path) for path in jobs.SPEC_FILES["cli"]}
+    templates = jobs.templates("cli")
+    outcomes = json.loads(proc.stdout)
+    assert len(outcomes) == len(templates) == 20
+    for template, (code, text) in zip(templates, outcomes):
+        argv = jobs.instantiate(template, 0)
+        assert jobs.check_report(golden, template, argv, code, text, specs) == [], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mixing", "--spec", "specs/asymm.json", "--base", "0:0", "--window", "0"),
+        ("conservativity", "--spec", "specs/chacon.json", "--multipliers", "2,2",
+         "--base", "0", "--horizon", "5"),
+        ("heights", "--spec", "specs/asymm.json", "--stages", "9"),
+        ("validate", "--spec", "specs/dyadic.json"),
+    ],
+)
+def test_in_process_runs_repeat_a_child_process_report(argv, capsys, monkeypatch):
+    # The second run gets its spec from the table, with none of the stages the
+    # first run materialized; both reports are the child process's.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("RANKLAB_BUDGET", None)
+    child = subprocess.run([sys.executable, "-m", "ranklab", *argv], cwd=REPO, env=env,
+                           capture_output=True, text=True, timeout=60)
+    monkeypatch.chdir(REPO)
+    monkeypatch.delenv("RANKLAB_BUDGET", raising=False)
+    want = re.sub(r'"durationMs":\d+,', "", child.stdout)
+    for _ in range(2):
+        assert run(list(argv)) == child.returncode
+        out, err = capsys.readouterr()
+        assert err == child.stderr == ""
+        assert re.sub(r'"durationMs":\d+,', "", out) == want
+
+
 def test_result_guards_run_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", "from ranklab.errors import ensure; ensure(0, 'kept')"],

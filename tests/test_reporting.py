@@ -5,11 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections import Counter, namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranklab import (
@@ -25,6 +28,7 @@ from ranklab import (
     report_payload,
     validate_report,
 )
+from ranklab.reporting import _writable
 
 
 def test_jsonable_fractions_become_string_pairs():
@@ -76,6 +80,96 @@ def test_jsonable_rejects_unknown_types():
         jsonable(object())
     with pytest.raises(TypeError):
         jsonable(3 + 4j)
+
+
+def _reflective_jsonable(value):
+    """``jsonable`` as it was before its exact-type tests: the slow oracle."""
+    if isinstance(value, int):  # bool is an int
+        return _writable(value)
+    if value is None or isinstance(value, (str, float)):
+        return value
+    if isinstance(value, Fraction):
+        return {
+            "num": str(_writable(value.numerator)),
+            "den": str(_writable(value.denominator)),
+        }
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        return {name: _reflective_jsonable(v) for name, v in value._asdict().items()}
+    if isinstance(value, Mapping):
+        return {str(_writable(k)): _reflective_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return [_reflective_jsonable(v) for v in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        return [_reflective_jsonable(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+
+
+class _Pair(NamedTuple):
+    left: Any
+    right: Any
+
+
+_Triple = namedtuple("_Triple", "a b c")
+
+
+class _Count(int):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+def _edge_int(edge, step, sign):
+    """An int on either side of the 1,920-bit shortcut or of the digit limit."""
+    top = 2**1920 if edge == "bits" else 10 ** sys.get_int_max_str_digits()
+    return sign * (top + step)
+
+
+# Drawn by name: Hypothesis cannot show an int past the digit limit.
+_INTS = st.integers() | st.builds(
+    _edge_int, st.sampled_from(["bits", "digits"]), st.sampled_from([-1, 0]),
+    st.sampled_from([1, -1]),
+)
+# Subclasses of int and str take the isinstance tests.
+_KEYS = _INTS | st.booleans() | st.text(max_size=3) | st.builds(_Count, _INTS)
+_LEAVES = (
+    _INTS | st.booleans() | st.none() | st.text(max_size=3)
+    | st.builds(_Count, _INTS) | st.builds(_Name, st.text(max_size=3))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.builds(Fraction, _INTS, _INTS.filter(bool))
+    | st.builds(bytes, st.integers(0, 3))
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.dictionaries(_KEYS, inner, max_size=4)
+        | st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.builds(_Pair, inner, inner)
+        | st.builds(_Triple, inner, inner, inner)
+        | st.dictionaries(_KEYS, st.integers(), max_size=4).map(Counter)
+        | st.sets(_INTS, max_size=4)
+        | st.frozensets(st.text(max_size=3), max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _outcome(convert, value):
+    try:
+        return "value", repr(convert(value))
+    except (IntegerTooLong, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_VALUES)
+@example(value=[_Count(2**1920), {_Count(-(2**1920)): _Name("x")}])
+@example(value=(_Count(10 ** sys.get_int_max_str_digits()),))
+def test_jsonable_matches_the_reflective_version(value):
+    # Same JSON-ready value (repr tells True from 1), or the same error.
+    assert _outcome(jsonable, value) == _outcome(_reflective_jsonable, value)
 
 
 def test_canonical_json_is_sorted_compact_and_newline_terminated():
