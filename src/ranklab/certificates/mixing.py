@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .. import _budget, construction, sumsets
 from ..construction import LevelRef, RankOneSpec
@@ -29,35 +28,16 @@ class MixingEntry(NamedTuple):
     note: str | None = None
 
 
-class _Concat(Sequence[Any]):
-    """Read-only concatenation: part ``k`` fills ``[ends[k], ends[k+1])``
-    with its items if it is a range, else with copies of itself."""
+_Segment = tuple[range, tuple[Any, ...]]
 
-    def __init__(self, parts: list[Any], ends: list[int]) -> None:
-        self._parts, self._ends = parts, ends
 
-    def __len__(self) -> int:
-        return self._ends[-1]
-
-    def __getitem__(self, i: int) -> Any:
-        j = range(len(self))[i]  # negative indices and IndexError as for a tuple
-        k = bisect_right(self._ends, j)
-        part = self._parts[k - 1]  # a range is indexed from its end
-        return part[j - self._ends[k]] if isinstance(part, range) else part
-
-    def __iter__(self) -> Iterator[Any]:
-        lengths = map(int.__sub__, self._ends[1:], self._ends)
-        return itertools.chain.from_iterable(
-            p if isinstance(p, range) else itertools.repeat(p, n)
-            for p, n in zip(self._parts, lengths))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+def _expanded(segments: list[_Segment]) -> list[MixingEntry]:
+    return [MixingEntry(m, *row) for shifts, row in segments for m in shifts]
 
 
 class _MixingResultFields(NamedTuple):
-    shifts: Sequence[int]
-    rows: Sequence[tuple[Any, ...]]
+    shift_count: int
+    segments: list[_Segment]
     verdict: str
     certificate: Certificate
     in_window: int
@@ -66,18 +46,17 @@ class _MixingResultFields(NamedTuple):
 
 
 class MixingResult(_MixingResultFields):
-    """A sweep's verdict and summary, with one compact row per shift.
+    """A sweep's verdict and summary, with its shifts as segments.
 
-    ``rows[i]`` holds the fields after ``m`` of the entry for ``shifts[i]``.
-    Both are read-only views: ``shifts`` over runs of consecutive shifts,
-    ``rows`` over segments of shifts that share a row.  ``entries`` builds
-    the :class:`MixingEntry` tuple on first read.
+    ``segments`` lists each ``(range of shifts, row)`` in shift order; the
+    row holds the fields after ``m`` of the entry of each of its shifts.
+    ``entries`` builds the :class:`MixingEntry` tuple on first read.
     """
 
     # No __slots__ here: ``entries`` is cached in the instance dict.
     @cached_property
     def entries(self) -> tuple[MixingEntry, ...]:
-        return tuple(MixingEntry(m, *row) for m, row in zip(self.shifts, self.rows))
+        return tuple(_expanded(self.segments))
 
 
 _ZERO_ROW = (None, None, Fraction(1), None, None, None, None, None, "zero shift")
@@ -175,7 +154,8 @@ def mixing_decay(
     stored per shift.  A window owning fewer than V/2 shifts scans its V
     values per shift instead (one-shift segments), so the work never exceeds
     the units charged.  One ``Fraction`` is made per distinct pair of counts
-    in a window.  ``shifts`` and ``rows`` are views over runs and segments.
+    in a window.  The result keeps each segment as a range of shifts and
+    its row.
     """
     construction.check_level(spec, level)
     runs: list[range] = []  # consecutive ascending named shifts merged
@@ -206,14 +186,12 @@ def mixing_decay(
     windows = {i: _Window(spec, level, level.stage + i, count)
                for i, count in owned.items() if i < len(tops)}
 
-    parts: list[tuple[Any, ...]] = []  # each segment's row, filling the
-    ends = [0]  # shifts from ends[k] to ends[k + 1]
-    violating: list[int] = []
+    segments: list[_Segment] = []  # in shift order
+    violating: list[_Segment] = []
     for a, b, i in pieces:
         w = windows.get(i)
         if w is None:
-            parts.append(_BEYOND_ROW if a else _ZERO_ROW)
-            ends.append(ends[-1] + b - a)
+            segments.append((range(a, b), _BEYOND_ROW if a else _ZERO_ROW))
             continue
         lo, hi = (a, b) if a > 0 else (1 - b, 1 - a)  # |m| in [lo, hi)
         cut = range(lo + 1, hi) if w.cuts is None else (
@@ -229,12 +207,10 @@ def mixing_decay(
                 rec = w.records[key] = [w.row(*key), m]
             elif m < rec[1]:
                 rec[1] = m
+            segments.append((range(m, m + e - s), rec[0]))
             if rec[0][7]:  # the row's violation flag
-                violating.extend(range(ends[-1], ends[-1] + e - s))
-            parts.append(rec[0])
-            ends.append(ends[-1] + e - s)
-    shifts = _Concat(runs, list(itertools.accumulate(map(len, runs), initial=0)))
-    rows = _Concat(parts, ends)
+                violating.append(segments[-1])
+    shift_count = sum(map(len, runs))
 
     used = [windows[i] for i in sorted(windows)]
     if violating:
@@ -250,15 +226,15 @@ def mixing_decay(
     worst = None if top_rec is None else MixingEntry(top_rec[1], *top_rec[0])
     in_window = sum(count for i, count in owned.items() if i < len(tops))
     evidence: dict[str, Any]
-    if len(shifts) <= 512:
-        evidence = {"entries": [MixingEntry(m, *row) for m, row in zip(shifts, rows)]}
+    if shift_count <= 512:
+        evidence = {"entries": _expanded(segments)}
     else:
         evidence = {
-            "entryCount": len(shifts),
+            "entryCount": shift_count,
             "inWindow": in_window,
-            "firstShift": shifts[0],
-            "lastShift": shifts[-1],
-            "violations": [MixingEntry(shifts[i], *rows[i]) for i in violating],
+            "firstShift": segments[0][0][0],
+            "lastShift": segments[-1][0][-1],
+            "violations": _expanded(violating),
             "worstRatio": worst,
             "windows": [w.n for w in used],
         }
@@ -269,12 +245,13 @@ def mixing_decay(
         parameters={
             "levelStage": level.stage,
             "levelHeight": level.height,
-            "shiftCount": len(shifts),
+            "shiftCount": shift_count,
             "window": window,
         },
         evidence=evidence,
     )
+    violation_count = sum(len(shifts) for shifts, _ in violating)
     return MixingResult(
-        shifts, rows, verdict, cert,
-        in_window, len(violating), None if worst is None else worst.ratio,
+        shift_count, segments, verdict, cert,
+        in_window, violation_count, None if worst is None else worst.ratio,
     )

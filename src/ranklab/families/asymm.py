@@ -13,7 +13,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .._budget import charge
+from .. import _budget
 from ..construction import FamilyTag, RankOneSpec, StageSpec
 from ..errors import CheckedRecord, ParamOutOfRange, ScheduleInfeasible, ensure
 
@@ -71,7 +71,7 @@ def separation_check(
         if not set(xs) <= set(hs):
             raise ParamOutOfRange("restricted subset has elements outside the height set")
     threshold = 2 * factor * h_n
-    charge(len(xs) * len(hs) ** 3, "separation quadruple scan")
+    _budget.charge(len(xs) * len(hs) ** 3, "separation quadruple scan")
     # |x - z - y + z'| is the distance from x - y to the difference z - z'.
     # Leaving out the pair (x, y) itself, the nearest is x - y again when it
     # occurs twice, else the next difference up or down.  Both ends are closed

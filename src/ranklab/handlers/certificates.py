@@ -81,7 +81,7 @@ def _cmd_mixing(args: Namespace, spec: RankOneSpec) -> Outcome:
     if not args.shifts and args.window is None:
         raise UsageError("give --shifts and/or --window")
     res = mixing_decay(spec, LevelRef(*args.base), args.shifts, args.window)
-    result = {"entryCount": len(res.shifts), "inWindow": res.in_window,
+    result = {"entryCount": res.shift_count, "inWindow": res.in_window,
               "violations": res.violation_count, "worstRatio": res.worst_ratio}
     return _outcome(args, res.certificate, result, {"worstRatio": res.worst_ratio})
 

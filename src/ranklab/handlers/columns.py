@@ -33,17 +33,16 @@ def _cmd_heights(args: Namespace, spec: RankOneSpec) -> Outcome:
 
 
 def _cmd_descendants(args: Namespace, spec: RankOneSpec) -> Outcome:
-    from .._budget import charge
-    from ..construction import LevelRef, descendant_extent, descendant_heights, level_width
+    from .. import construction
+    from ..construction import LevelRef, descendant_extent, level_width
 
     level = LevelRef(*args.base)
     count, lo, hi = descendant_extent(spec, level, args.to)
+    # Charged as if listed on either route, so a refusal does not depend on it.
+    construction._charge_descendants(spec, level, args.to)
     if count <= cli.TABLE_CAP:
-        evidence = {"values": list(descendant_heights(spec, level, args.to))}
+        evidence = {"values": list(construction._listed(spec, level, args.to))}
     else:
-        # Too many to list: read from the height sets, charged as if listed,
-        # so that a refusal does not depend on the route.
-        charge(count, f"descendant set at stage {args.to}")
         evidence = {"summary": {"count": count, "first": lo, "last": hi}}
     width = level_width(spec, LevelRef(args.to, lo))
     result = {"count": count, "min": lo, "max": hi, "levelWidth": width}

@@ -178,7 +178,7 @@ def load_spec(path: str) -> RankOneSpec:
         raise IoError(f"cannot read spec file {path}: {exc}") from exc
     try:
         built = _built(text, os.environ.get("RANKLAB_BUDGET"), _max_str_digits())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an int past the interpreter's digit limit
         raise SpecFileError(f"spec file {path} is not valid JSON: {exc}") from exc
     return built.copy()
 

@@ -490,6 +490,16 @@ def _mixing_cases(draw):
 # least m, -1000.
 @example((validate_spec({"h0": 1, "stages": [{"r": 2, "s": [1000, 0]}]}),
           LevelRef(0, 0), list(range(-1000, 0)), None))
+# Runs across 0 and the top ±40, duplicates, then the whole window.
+@example((load_spec(spec_path("mixing_window.json")), LevelRef(0, 0),
+          [-42, *range(-41, -38), 0, 0, 1, 2, *range(30, 45), 7, 7, 6], 0))
+# 512 shifts list their entries, 513 give the summary; ±m violate the bound.
+@example((validate_spec({"h0": 2, "stages": [{"r": 3, "s": [1, 1, 11]},
+                                             {"r": 2, "s": [11, 5]}]}),
+          LevelRef(0, 0), list(range(-256, 256)), None))
+@example((validate_spec({"h0": 2, "stages": [{"r": 3, "s": [1, 1, 11]},
+                                             {"r": 2, "s": [11, 5]}]}),
+          LevelRef(0, 0), list(range(-256, 257)), None))
 def test_mixing_matches_per_shift_oracle(case):
     spec, level, ms, window = case
     shifts = list(ms)
@@ -499,9 +509,14 @@ def test_mixing_matches_per_shift_oracle(case):
     res = mixing_decay(spec, level, ms, window)
     expected = _mixing_oracle(spec, level, shifts)
     assert res.entries == expected
+    # The segments are nonempty ranges, in shift order, that the entries expand.
+    assert all(isinstance(r, range) and r for r, _ in res.segments)
+    assert [m for r, _ in res.segments for m in r] == [e.m for e in expected]
+    assert res.shift_count == len(res.entries)
     in_window = [e for e in expected if e.window is not None]
     assert res.in_window == len(in_window)
     assert res.violation_count == sum(1 for e in in_window if e.violation)
+    assert res.violation_count == sum(len(r) for r, row in res.segments if row[7])
     assert res.worst_ratio == max((e.ratio for e in in_window), default=None)
     ev = res.certificate.evidence
     if len(expected) <= 512:
@@ -518,26 +533,6 @@ def test_mixing_matches_per_shift_oracle(case):
         }
 
 
-def test_mixing_views_behave_like_tuples(mixing_window):
-    # Runs across 0 and the top ±40, duplicates, then the whole window.
-    ms = [-42, *range(-41, -38), 0, 0, 1, 2, *range(30, 45), 7, 7, 6]
-    res = mixing_decay(mixing_window, LevelRef(0, 0), ms, window=0)
-    expected = _mixing_oracle(mixing_window, LevelRef(0, 0), [*ms, *range(1, 41)])
-    shifts = tuple(e.m for e in expected)
-    rows = tuple(tuple(e)[1:] for e in expected)
-    for view, want in ((res.shifts, shifts), (res.rows, rows)):
-        assert len(view) == len(want) == 66
-        for i in (0, -1, 33, 17, -20, 65, -66):
-            assert view[i] == want[i], i
-        for i in (66, -67):
-            with pytest.raises(IndexError):
-                view[i]
-        assert tuple(view) == want and list(iter(view)) == list(want)
-        assert view == want and want == view and view == list(want)
-        assert view != want[:-1] and view != (*want[:-1], None) and view != 3
-    assert res.entries == expected
-
-
 def test_mixing_sweep_stores_nothing_per_shift(asymm, monkeypatch):
     # 186,945 shifts over 30 descendants: the sweep keeps runs and segments
     # only, so its peak stays far below one list entry per shift.
@@ -549,7 +544,7 @@ def test_mixing_sweep_stores_nothing_per_shift(asymm, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(res.shifts) == 186945
+    assert res.shift_count == 186945
     assert peak < 1_000_000
 
 

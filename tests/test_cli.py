@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spec_path
@@ -1435,14 +1436,14 @@ print(json.dumps(done))
 """
 
 
-def test_cli_workload_reports_match_golden_under_python_O():
-    # The benchmark's 20 ``cli`` jobs, run in one ``python -O`` process: its
-    # guards still run, and specs loaded again come from the spec table.
+def _replay_cli_golden(python, *flags):
+    """The benchmark's 20 ``cli`` jobs, run through ``cli.run`` in one process
+    of the interpreter ``python`` with ``flags``, each checked against golden."""
     jobs = _perfbench_jobs()
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     env.pop("RANKLAB_BUDGET", None)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _GOLDEN_REPLAY], cwd=REPO, env=env,
+        [python, *flags, "-c", _GOLDEN_REPLAY], cwd=REPO, env=env,
         capture_output=True, text=True, timeout=120, check=True,
     )
     golden = jobs.load_golden()
@@ -1453,6 +1454,25 @@ def test_cli_workload_reports_match_golden_under_python_O():
     for template, (code, text) in zip(templates, outcomes):
         argv = jobs.instantiate(template, 0)
         assert jobs.check_report(golden, template, argv, code, text, specs) == [], argv
+
+
+def test_cli_workload_reports_match_golden_under_python_O():
+    # Its guards still run, and specs loaded again come from the spec table.
+    _replay_cli_golden(sys.executable, "-O")
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
+def test_cli_workload_reports_match_golden_under_other_interpreters(name):
+    # The sha256 fallback, int.bit_count and the int digit limit depend on the
+    # version.  An interpreter that is absent, or whose launcher cannot run it,
+    # is a skip.
+    python = shutil.which(name)
+    if python is None:
+        pytest.skip(f"{name} is not on PATH")
+    probe = subprocess.run([python, "--version"], capture_output=True, text=True, timeout=30)
+    if probe.returncode != 0:
+        pytest.skip(f"{name} --version failed: {probe.stderr.strip()[:200]}")
+    _replay_cli_golden(python)
 
 
 @pytest.mark.parametrize(
@@ -1868,15 +1888,18 @@ _VALID_RUNS = st.sampled_from(_valid_runs())
 
 
 @st.composite
-def _argv(draw):
-    """A working run with each flag kept, redrawn, malformed or left out."""
-    command, *rest = draw(_VALID_RUNS)
+def _argv(draw, runs=_VALID_RUNS, spec=None):
+    """A working run with each flag kept, redrawn, malformed or left out; with
+    ``spec``, ``--spec`` always names that file."""
+    command, *rest = draw(runs)
     known = dict(zip(rest[::2], rest[1::2]))
     argv = [command]
     arity = draw(st.integers(1, 3))
     for option, kwargs in ranklab.cli._COMMANDS[command][1]:
         choice = draw(st.integers(0, 19))
-        if option in known and choice < 8:
+        if option == "--spec" and spec is not None:
+            value = spec
+        elif option in known and choice < 8:
             value = known[option]
         elif choice < (17 if option in known or kwargs.get("required") else 5):
             value = draw(_value_text(option, kwargs["type"], arity))
@@ -1890,12 +1913,9 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=_argv())
-def test_every_command_yields_a_report_or_a_usage_error(argv):
-    # Any argv either exits 64 with a usage message and no report, or exits
-    # 0/1/2 with one valid report and nothing on stderr (no traceback).  The
-    # budget keeps every run small; the benchmark's npc run is refused by it.
+def _assert_report_or_usage(argv):
+    """``argv`` either exits 64 with a usage message and no report, or exits
+    0/1/2 with one valid report and nothing on stderr (no traceback)."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"RANKLAB_BUDGET": "100000"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1908,3 +1928,89 @@ def test_every_command_yields_a_report_or_a_usage_error(argv):
     assert validate_report(payload) == [], argv
     assert payload["command"] == argv[0]
     assert ("error" in payload["result"]) == (code == 1), argv
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_every_command_yields_a_report_or_a_usage_error(argv):
+    # The budget keeps every run small; the benchmark's npc run is refused by it.
+    _assert_report_or_usage(argv)
+
+
+# Spec files: explicit stages, each family at and past the edges of its
+# parameter ranges, every extension mode, and malformed values or text.  The
+# valid values come first, which Hypothesis draws most.
+_SPACER = st.one_of(st.integers(0, 12), st.integers(0, 10**12))
+_STAGE = st.sampled_from([2, 3, 4, 5, 6, 1]).flatmap(lambda r: st.fixed_dictionaries(
+    {"r": st.just(r), "s": st.lists(_SPACER, min_size=r, max_size=r)}))
+_EXPLICIT = st.fixed_dictionaries(
+    {"h0": st.integers(1, 5), "stages": st.lists(_STAGE, min_size=1, max_size=4)},
+    optional={"extension": st.sampled_from(["repeat-last", "error", "rule"])})
+_BAD_VALUE = st.sampled_from([None, True, -1, 0, 1.5, "2", [], {}, [0, "x"], {"r": 2}])
+_NOT_A_SPEC = st.sampled_from(["", "{", "[]", "null", "{}", "[1, 2]", '{"stages": []}'])
+
+
+@st.composite
+def _family(draw):
+    kind = draw(st.sampled_from(["asymm", "inf_chacon", "tq", "explicit"]))
+    if kind == "asymm":
+        block = {"k": draw(st.sampled_from([1, 2, 3, 0])),
+                 "p": draw(st.sampled_from([None, 2, 3, 1])),
+                 "stages": draw(st.integers(0, 120) | st.just(-1)),
+                 "separationFactor": draw(st.sampled_from([2, 3, 1]))}
+    elif kind == "inf_chacon":
+        t = draw(st.integers(2, 5) | st.just(1))
+        block = {"t": t, "q": draw(st.sampled_from([*range(1, t + 1), 0])),
+                 "m1": 2 * t + draw(st.sampled_from([0, 1, 3, -1])),
+                 "m0": draw(st.sampled_from([1, 2, 0]))}
+    elif kind == "tq":
+        t = draw(st.integers(3, 6) | st.just(2))
+        positions = sorted(draw(st.lists(st.integers(0, t - 1), max_size=3, unique=True)))
+        block = {"t": t, "q": len(positions) + draw(st.sampled_from([0, 0, 1])),
+                 "positions": positions}
+    else:
+        block = draw(_EXPLICIT)
+    return {"family": {"kind": kind, **block}}
+
+
+def _paths(value, path=()):
+    """The path to every value nested in ``value``."""
+    if isinstance(value, (dict, list)):
+        for key in (value if isinstance(value, dict) else range(len(value))):
+            yield (*path, key)
+            yield from _paths(value[key], (*path, key))
+
+
+@st.composite
+def _spec_text(draw):
+    """A spec file's text, at times with one value malformed or a key added."""
+    payload = draw(st.one_of(_EXPLICIT, _family()))
+    how = draw(st.sampled_from(["as drawn"] * 6 + ["bad value", "added key", "not a spec"]))
+    if how == "bad value":
+        *path, key = draw(st.sampled_from(list(_paths(payload))))
+        block = payload
+        for step in path:
+            block = block[step]
+        block[key] = draw(_BAD_VALUE)
+    elif how == "added key":
+        key = draw(st.sampled_from(["h0", "stages", "extension", "family", "x"]))
+        payload[key] = draw(_BAD_VALUE | _EXPLICIT)
+    elif how == "not a spec":
+        return draw(_NOT_A_SPEC)
+    return json.dumps(payload)
+
+
+_DRAWN_SPEC = "drawn-spec.json"
+_SPEC_RUNS = st.sampled_from([argv for argv in _valid_runs() if "--spec" in argv])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(text=_spec_text(), argv=_argv(_SPEC_RUNS, _DRAWN_SPEC))
+# An int past the digit limit: json.loads raised a bare ValueError.
+@example(text='{"h0": 1' + "0" * 4400 + ', "stages": [{"r": 2, "s": [0, 0]}]}',
+         argv=["validate", "--spec", _DRAWN_SPEC])
+def test_every_drawn_spec_file_yields_a_report_or_a_usage_error(text, argv, tmp_path):
+    path = tmp_path / _DRAWN_SPEC
+    path.write_text(text, encoding="utf-8")
+    _assert_report_or_usage([str(path) if a == _DRAWN_SPEC else a for a in argv])
