@@ -1952,6 +1952,7 @@ _NOT_A_SPEC = st.sampled_from(["", "{", "[]", "null", "{}", "[1, 2]", '{"stages"
 
 @st.composite
 def _family(draw):
+    """A family spec of each kind, its parameters at or just past their edges."""
     kind = draw(st.sampled_from(["asymm", "inf_chacon", "tq", "explicit"]))
     if kind == "asymm":
         block = {"k": draw(st.sampled_from([1, 2, 3, 0])),
@@ -2004,10 +2005,11 @@ _DRAWN_SPEC = "drawn-spec.json"
 _SPEC_RUNS = st.sampled_from([argv for argv in _valid_runs() if "--spec" in argv])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(text=_spec_text(), argv=_argv(_SPEC_RUNS, _DRAWN_SPEC))
-# An int past the digit limit: json.loads raised a bare ValueError.
+# An int past the interpreter's digit limit, which json.loads refuses with a
+# bare ValueError.
 @example(text='{"h0": 1' + "0" * 4400 + ', "stages": [{"r": 2, "s": [0, 0]}]}',
          argv=["validate", "--spec", _DRAWN_SPEC])
 def test_every_drawn_spec_file_yields_a_report_or_a_usage_error(text, argv, tmp_path):
