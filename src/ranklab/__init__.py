@@ -13,14 +13,17 @@ from typing import Any
 
 from ._version import __version__
 
-TOOL_VERSION = __version__
-
-# Public names by defining module, in ``__all__`` order.  Each module is
-# imported the first time one of its names is looked up, so a command that
-# never touches ``certificates`` never pays for compiling it.
+# The public names, by defining module relative to the package, in
+# ``__all__`` order; a subpackage's parts have keys of their own.  This table
+# is the one statement of the API: each module's ``__all__`` is
+# ``_public(<its key>)``.  A module is imported the first time one of its
+# names is looked up, so a command that never touches ``certificates`` never
+# pays for compiling it.
 _EXPORTS = {
+    "_version": ("__version__",),
     "construction": (
         "StageSpec",
+        "FamilyTag",
         "RankOneSpec",
         "validate_spec",
         "LevelRef",
@@ -52,40 +55,42 @@ _EXPORTS = {
         "GammaWitness",
         "gamma_search",
     ),
-    "families": (
-        "InfChaconParams",
-        "make_inf_chacon",
-        "TQParams",
-        "make_tq",
+    "families.inf_chacon": ("InfChaconParams", "make_inf_chacon"),
+    "families.tq": ("TQParams", "make_tq"),
+    "families.asymm": (
+        "AsymmParams",
+        "make_asymm_construction",
+        "AsymmStageSets",
+        "asymm_stage_sets",
         "SeparationResult",
         "separation_check",
-        "AsymmParams",
-        "asymm_stage_sets",
-        "make_asymm_construction",
+        "iroot_ceil",
     ),
     "certificates": (
+        "VERDICT_HOLDS",
+        "VERDICT_FAILS",
+        "VERDICT_INCONCLUSIVE",
+        "CERTIFICATE_KINDS",
         "Certificate",
         "ProductQuery",
         "MatchWitness",
         "verify_match_witness",
-        "conservativity_fraction",
+    ),
+    "certificates.products": ("conservativity_fraction", "non_ergodic_check"),
+    "certificates.matching": (
         "ErgodicMatchResult",
         "ergodic_matching",
         "PatternQuery",
         "PatternResult",
         "pattern_measure",
-        "MixingEntry",
-        "MixingResult",
-        "mixing_decay",
-        "npc_certificate",
-        "PwmResult",
-        "pwm_witness",
-        "non_ergodic_check",
-        "AsymmetryResult",
-        "asymmetry_statistic",
     ),
+    "certificates.mixing": ("MixingEntry", "MixingResult", "mixing_decay"),
+    "certificates.npc": ("npc_certificate",),
+    "certificates.pwm": ("PwmResult", "pwm_witness"),
+    "certificates.asymmetry": ("AsymmetryResult", "asymmetry_statistic"),
     "oracles": ("ColumnStats", "column_stats", "ap_search", "exhaustive_matches"),
     "reporting": (
+        "TOOL_VERSION",
         "Report",
         "canonical_json",
         "fingerprint",
@@ -123,16 +128,35 @@ _EXPORTS = {
         "UsageError",
     ),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["TOOL_VERSION", "__version__", *_MODULE_OF]
 
 
-def _lazy_exports(namespace: dict[str, Any], module_of: dict[str, str]) -> tuple[Any, Any]:
+def _public(module: str) -> list[str]:
+    """The names ``_EXPORTS`` lists for ``module``, then for its parts; for
+    ``""``, the package, every name."""
+    return [
+        name
+        for key, names in _EXPORTS.items()
+        if not module or f"{key}.".startswith(f"{module}.")
+        for name in names
+    ]
+
+
+__all__ = _public("")
+
+
+def _lazy_exports(namespace: dict[str, Any]) -> tuple[Any, Any]:
     """PEP 562 ``__getattr__`` and ``__dir__`` for the package whose globals are
-    ``namespace``: a name is imported from its module in ``module_of``, relative
-    to the package, the first time it is looked up."""
+    ``namespace``: a name ``_EXPORTS`` lists under a module below the package
+    is imported from that module the first time it is looked up."""
     package = namespace["__name__"]
+    prefix = package.partition(".")[2]
+    prefix += "." if prefix else ""
+    module_of = {
+        name: key[len(prefix):]
+        for key, names in _EXPORTS.items()
+        if key.startswith(prefix)
+        for name in names
+    }
 
     def __getattr__(name: str) -> Any:
         if name not in module_of:
@@ -147,4 +171,4 @@ def _lazy_exports(namespace: dict[str, Any], module_of: dict[str, str]) -> tuple
     return __getattr__, __dir__
 
 
-__getattr__, __dir__ = _lazy_exports(globals(), _MODULE_OF)
+__getattr__, __dir__ = _lazy_exports(globals())

@@ -25,29 +25,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from .. import _lazy_exports
+from .. import _lazy_exports, _public
 from ..construction import LevelRef, RankOneSpec, check_level
 from ..errors import CheckedRecord, ParamOutOfRange, PreconditionViolated, is_plain_int
 from ..reporting import TOOL_VERSION
 from ..specio import spec_fingerprint
 
-# Public names by the part that defines them.  A part is imported the first
-# time one of its names is looked up (PEP 562), as in ``ranklab/__init__``.
-_PARTS = {
-    "products": ("conservativity_fraction", "non_ergodic_check"),
-    "matching": ("ErgodicMatchResult", "ergodic_matching", "PatternQuery", "PatternResult",
-                 "pattern_measure"),
-    "mixing": ("MixingEntry", "MixingResult", "mixing_decay"),
-    "npc": ("npc_certificate",),
-    "pwm": ("PwmResult", "pwm_witness"),
-    "asymmetry": ("AsymmetryResult", "asymmetry_statistic"),
-}
-_PART_OF = {name: part for part, names in _PARTS.items() for name in names}
-
-__all__ = [
-    "VERDICT_HOLDS", "VERDICT_FAILS", "VERDICT_INCONCLUSIVE", "CERTIFICATE_KINDS",
-    "Certificate", "ProductQuery", "MatchWitness", "verify_match_witness", *_PART_OF,
-]
+__all__ = _public("certificates")
 
 VERDICT_HOLDS = "holds"
 VERDICT_FAILS = "fails"
@@ -236,4 +220,4 @@ def verify_match_witness(spec: RankOneSpec, witness: MatchWitness) -> None:
         )
 
 
-__getattr__, __dir__ = _lazy_exports(globals(), _PART_OF)
+__getattr__, __dir__ = _lazy_exports(globals())

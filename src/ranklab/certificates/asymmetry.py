@@ -62,9 +62,9 @@ def asymmetry_statistic(
     h = spec.height(scale_stage)
     zero_exps = (0, h + 1, 2 * h + 1)
     fwd_exps = (0, h, 2 * h + 1)
-    # Charged as if listed (both sides, the last row, then the rest), whatever the route.
-    for j in (eval_stage, eval_stage, eval_stage, *range(base_stage, eval_stage)):
-        construction._charge_descendants(spec, level, j)
+    # Charged as if the last row were listed, whatever the route.  The lower rows
+    # are smaller and charges do not add up, so charging them could refuse nothing.
+    construction._charge_descendants(spec, level, eval_stage)
     zero_side = construction._bracket(spec, level, zero_exps, eval_stage)
     forward_side = construction._bracket(spec, level, fwd_exps, eval_stage)
     pairs = _adjacent_pairs(spec, level, eval_stage)

@@ -22,6 +22,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Any, Sequence
 
+from . import _EXPORTS
 from .errors import IoError, RankLabError, UsageError
 
 if TYPE_CHECKING:
@@ -362,7 +363,7 @@ def _inputs(args: argparse.Namespace) -> dict[str, Any]:
 def _handlers(command: str) -> ModuleType:
     """The command's handler module, after the part of ``certificates`` it calls."""
     group = _COMMANDS[command][2]
-    if group not in ("columns", "differences", "digits"):
+    if f"certificates.{group}" in _EXPORTS:
         importlib.import_module(f".certificates.{group}", __package__)
         group = "certificates"
     return importlib.import_module(f".handlers.{group}", __package__)

@@ -26,6 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from . import _public
 from ._budget import charge
 from .errors import (
     CheckedRecord,
@@ -40,19 +41,7 @@ from .errors import (
     is_plain_int,
 )
 
-__all__ = [
-    "StageSpec",
-    "FamilyTag",
-    "RankOneSpec",
-    "LevelRef",
-    "MeasureInterval",
-    "validate_spec",
-    "level_width",
-    "check_level",
-    "descendant_extent",
-    "descendant_heights",
-    "intersection_measure",
-]
+__all__ = _public("construction")
 
 # Rule used to extend a construction beyond its explicit stage prefix:
 # maps (stage index, current height) to the stage description.

@@ -11,21 +11,12 @@ import itertools
 from functools import cached_property, reduce
 from typing import Iterable, Iterator, NamedTuple
 
+from . import _public
 from ._budget import charge
 from .errors import CheckedRecord, HorizonExceeded, ParamOutOfRange, PreconditionViolated
 from .errors import ensure, is_plain_int
 
-__all__ = [
-    "DigitAlphabet",
-    "admissible_alphabets",
-    "sumset_membership",
-    "GapCount",
-    "gap_count",
-    "CoverageChecks",
-    "coverage_checks",
-    "GammaWitness",
-    "gamma_search",
-]
+__all__ = _public("digits")
 
 
 # ---------------------------------------------------------------------------

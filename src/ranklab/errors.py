@@ -11,26 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-__all__ = [
-    "RankLabError",
-    "SpecError",
-    "CutTooSmall",
-    "NegativeSpacer",
-    "LengthMismatch",
-    "StageUnavailable",
-    "StageTooLow",
-    "ParamOutOfRange",
-    "PreconditionViolated",
-    "HorizonExceeded",
-    "BudgetExceeded",
-    "NoPartnerStages",
-    "HypothesisUnmet",
-    "ScheduleInfeasible",
-    "SpecFileError",
-    "IoError",
-    "IntegerTooLong",
-    "UsageError",
-]
+from . import _public
+
+__all__ = _public("errors")
 
 
 def is_plain_int(value: object) -> bool:

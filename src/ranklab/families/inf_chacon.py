@@ -36,10 +36,6 @@ class InfChaconParams(CheckedRecord, _InfChaconFields):
         if self.m0 < 1:
             raise ParamOutOfRange(f"height offset m0={self.m0} must be >= 1")
 
-    def height_set(self, h: int) -> tuple[int, ...]:
-        """Closed form: offset ``i*h`` plus 1 once the spacer gap is passed."""
-        return tuple((1 if i >= self.q else 0) + i * h for i in range(self.t))
-
     def stage(self, h: int) -> StageSpec:
         s = [1 if j == self.q - 1 else 0 for j in range(self.t - 1)]
         s.append((self.m1 - self.t) * h + self.m0 - 1)

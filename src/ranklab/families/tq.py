@@ -70,9 +70,6 @@ class TQParams(CheckedRecord, _TQFields):
 
         return DigitAlphabet(self.k, self.phi)
 
-    def height_set(self, h: int) -> tuple[int, ...]:
-        return tuple(c * h for c in self.phi)
-
     def stage(self, h: int) -> StageSpec:
         posset = set(self.positions)
         s = [h if j in posset else 0 for j in range(self.t - 1)]

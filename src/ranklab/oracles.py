@@ -9,13 +9,13 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from . import _budget, construction, sumsets
+from . import _budget, _public, construction, sumsets
 from .certificates import ProductQuery, _require
 from .certificates.matching import _hit_region, _matching_plan, _stage_sets
 from .construction import LevelRef, RankOneSpec
 from .sumsets import APSearchResult, _check_max_len, _pair_differences, progression_runs
 
-__all__ = ["ColumnStats", "column_stats", "ap_search", "exhaustive_matches"]
+__all__ = _public("oracles")
 
 
 class ColumnStats(NamedTuple):

@@ -19,20 +19,11 @@ from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, Mapping, NamedTuple
 
+from . import _public
 from ._version import __version__
 from .errors import IntegerTooLong, IoError, is_plain_int
 
-__all__ = [
-    "TOOL_VERSION",
-    "jsonable",
-    "canonical_json",
-    "fingerprint",
-    "Report",
-    "report_payload",
-    "report_fingerprint",
-    "emit_report",
-    "validate_report",
-]
+__all__ = _public("reporting")
 
 TOOL_VERSION = __version__
 

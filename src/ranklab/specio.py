@@ -15,6 +15,7 @@ import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Mapping
 
+from . import _public
 from .construction import (
     EXTENSION_ERROR,
     EXTENSION_REPEAT,
@@ -28,13 +29,7 @@ from .reporting import _max_str_digits, fingerprint
 if TYPE_CHECKING:
     from .families.tq import TQParams
 
-__all__ = [
-    "parse_spec",
-    "load_spec",
-    "spec_payload",
-    "spec_fingerprint",
-    "tq_params_of",
-]
+__all__ = _public("specio")
 
 _TOP_KEYS = {"h0", "stages", "extension", "family"}
 _EXTENSIONS = (EXTENSION_ERROR, EXTENSION_REPEAT)

@@ -23,19 +23,11 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
+from . import _public
 from .construction import LevelRef, RankOneSpec, check_level
 from .errors import ParamOutOfRange, ensure, is_plain_int
 
-__all__ = [
-    "descendant_decompose",
-    "descendant_differences",
-    "PartnerSet",
-    "partner_set",
-    "PartnerShift",
-    "partner_shift",
-    "APSearchResult",
-    "progression_runs",
-]
+__all__ = _public("sumsets")
 
 
 # ---------------------------------------------------------------------------

@@ -1198,6 +1198,46 @@ def test_invalid_budget_yields_error_report(capsys, monkeypatch, value):
     assert "RANKLAB_BUDGET" in error["message"]
 
 
+_CHACON_CONSERVATIVITY = ("conservativity", *_CHACON_0_2, "--multipliers", "1,1")
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        ((*_CHACON_CONSERVATIVITY, "--epsilon", "abc"), 64, "not a rational: 'abc'"),
+        (
+            (*_CHACON_CONSERVATIVITY, "--epsilon", "1"),
+            1,
+            {"type": "ParamOutOfRange", "message": "epsilon must lie in [0, 1), got 1"},
+        ),
+        (
+            ("gamma", "--k", "2", "--alphabet", "0,1", "--multipliers", "2"),
+            1,
+            {"type": "ParamOutOfRange", "message": "gamma search needs base k >= 3"},
+        ),
+        (
+            ("gamma", "--k", "5", "--alphabet", "0,2,4", "--multipliers", "2"),
+            1,
+            {
+                "type": "PreconditionViolated",
+                "message": "gamma search needs two digits at distance 1",
+            },
+        ),
+    ],
+)
+def test_refused_parameters_yield_a_report_or_a_usage_error(capsys, argv, code, error):
+    got, out, err = cli(capsys, *argv)
+    assert got == code
+    if code == 64:
+        assert out == ""
+        assert err.startswith("usage error") and error in err
+        return
+    assert err == ""
+    payload = json.loads(out)
+    assert validate_report(payload) == []
+    assert payload["result"]["error"] == error
+
+
 def test_jobs_flag_is_gone(capsys):
     code, _, err = cli(
         capsys, "heights", "--spec", spec_path("chacon.json"), "--stages", "3",
@@ -1778,10 +1818,8 @@ def test_startup_loads_only_what_the_command_needs(argv, loaded):
     assert [code, modules] == [0, loaded]
     # ``run`` imports the module the command table names, and with it the
     # handler module, before argparse: for a certificate command, its part.
-    from ranklab.certificates import _PARTS
-
     first = ranklab.cli._COMMANDS[argv[0]][2]
-    handler = "certificates" if first in _PARTS else first
+    handler = "certificates" if f"certificates.{first}" in ranklab._EXPORTS else first
     part = [f"ranklab.certificates.{first}"] if handler == "certificates" else []
     assert {*part, f"ranklab.handlers.{handler}"} <= set(early)
 
@@ -1790,12 +1828,11 @@ def test_certificate_commands_are_the_ones_that_import_certificates():
     # ``run`` imports the part of ``certificates`` the table names first (peak
     # RSS), so a certificate command's handler imports that part and no other,
     # inside the function, and no other handler imports ``certificates``.
-    import ranklab.certificates as certificates
     import ranklab.handlers.certificates as handlers
 
     parts, in_handlers = set(), 0
     for name, (_, _, group) in ranklab.cli._COMMANDS.items():
-        part = group if group in certificates._PARTS else None
+        part = group if f"certificates.{group}" in ranklab._EXPORTS else None
         module = handlers if part else importlib.import_module(f"ranklab.handlers.{group}")
         handler = getattr(module, "_cmd_" + name.replace("-", "_"))
         source = inspect.getsource(handler)
@@ -1807,7 +1844,9 @@ def test_certificate_commands_are_the_ones_that_import_certificates():
         # ``run`` loads the spec or digit alphabet; no handler loads its own.
         assert not re.search(r"\b(_load|_digit_alphabet)\(", source), name
         parts.add(part)
-    assert parts - {None} == set(certificates._PARTS)
+    assert parts - {None} == {
+        key.partition(".")[2] for key in ranklab._EXPORTS if key.startswith("certificates.")
+    }
     # Each handler imports its own part; the module itself imports none.
     assert inspect.getsource(handlers).count("from ..certificates.") == in_handlers
 
@@ -1833,6 +1872,38 @@ def test_certificate_exports_resolve_on_first_use():
     assert certificates.mixing_decay is certificates.mixing.mixing_decay
     with pytest.raises(AttributeError):
         certificates.no_such_name
+
+
+def test_public_names_are_listed_once():
+    # ``ranklab._EXPORTS`` is the one list of public names; a module takes its
+    # ``__all__`` from it.  Only ``cli`` and ``_budget``, whose names ranklab
+    # does not export, write theirs out.
+    package = REPO / "src" / "ranklab"
+    literal = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))
+            ):
+                literal.add(path.relative_to(package).as_posix())
+    assert literal == {"cli.py", "_budget.py"}
+
+
+@pytest.mark.parametrize("key", list(ranklab._EXPORTS))
+def test_each_public_name_is_defined_where_the_table_says(key):
+    # A function's ``__module__`` is its key, so a tracer that matches
+    # ``__module__`` against a module name, as the benchmark's does, finds each
+    # public function under the module that defines it.
+    module = importlib.import_module(f"ranklab.{key}")
+    package = importlib.import_module(f"ranklab.{key.partition('.')[0]}")
+    for name in ranklab._EXPORTS[key]:
+        value = getattr(module, name)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == f"ranklab.{key}", name
+        assert getattr(ranklab, name) is value, name
+        assert getattr(package, name) is value, name
 
 
 def test_help_names_every_command(capsys):
